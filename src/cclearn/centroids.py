@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .codec import floats, read_rows, write_rows
 from .errors import DegenerateVectorError, StateError
 
 NORM_EPS = 1e-12
@@ -189,36 +190,35 @@ def save_bank(bank: CentroidBank, path) -> None:
     then K lines with F centroid values each (row-major). Floats use %.17g,
     which round-trips float64 exactly.
     """
-    lines = [
-        f"{bank.num_classes} {bank.feature_dim}",
-        f"{bank.m0:.17g} {bank.m:.17g}",
-        " ".join(str(int(s)) for s in bank.seen),
-    ]
-    for row in bank.centroids:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{bank.num_classes} {bank.feature_dim}\n")
+        write_rows(fh, floats(2, " ") + "\n", [[bank.m0, bank.m]])
+        fh.write(" ".join(str(int(s)) for s in bank.seen) + "\n")
+        write_rows(fh, floats(bank.feature_dim, " ") + "\n", bank.centroids)
 
 
 def load_bank(path) -> CentroidBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 3:
-        raise StateError(f"bank file {path} is truncated")
-    num_classes, feature_dim = (int(t) for t in lines[0].split())
-    m0, m = (float(t) for t in lines[1].split())
-    if len(lines) != 3 + num_classes:
+    """Read a ``save_bank`` file; any malformed, truncated or non-finite
+    content raises StateError naming the file."""
+    head, rows = read_rows(path, 3, "bank")
+    try:
+        num_classes, feature_dim = (int(t) for t in head[0])
+        m0, m = (float(t) for t in head[1])
+        seen = np.array([bool(int(t)) for t in head[2]], dtype=bool)
+        bank = CentroidBank(num_classes, feature_dim, m0)
+    except ValueError as exc:
+        raise StateError(f"bank file {path} has a malformed header") from exc
+    if not 0.0 <= m <= 1.0:
+        raise StateError(f"bank file {path} has smoothing m={m} outside [0, 1]")
+    if len(rows) != num_classes:
         raise StateError(
-            f"bank file {path} should have {3 + num_classes} lines, found {len(lines)}"
+            f"bank file {path} should have {3 + num_classes} lines, found {3 + len(rows)}"
         )
-    bank = CentroidBank(num_classes, feature_dim, m0)
-    bank.m = m
-    bank.seen = np.array([bool(int(t)) for t in lines[2].split()], dtype=bool)
-    if bank.seen.shape != (num_classes,):
+    if seen.shape != (num_classes,):
         raise StateError(f"bank file {path} has a malformed seen-flag line")
-    rows = [np.array([float(t) for t in ln.split()], dtype=np.float64) for ln in lines[3:]]
-    centroids = np.vstack(rows)
-    if centroids.shape != (num_classes, feature_dim):
-        raise StateError(f"bank file {path} centroid block has shape {centroids.shape}")
-    bank.centroids = centroids
+    if any(row.shape != (feature_dim,) for row in rows):
+        raise StateError(f"bank file {path} has a centroid row without {feature_dim} values")
+    bank.m = m
+    bank.seen = seen
+    bank.centroids = np.array(rows)
     return bank

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import centroids, diagnostics, trainer
+from .codec import FLOAT, write_rows
 from .data import SynthConfig, generate_blobs, load_table, save_table, split_dataset
 from .model import forward, load_model, save_model
 from .trainer import TrainConfig, finetune_config
@@ -56,15 +57,8 @@ def _synth_config(data: dict) -> SynthConfig:
 
 
 def _echo_config(config, path: Path) -> None:
-    if isinstance(config, TrainConfig):
-        payload = config.to_dict()
-    else:
-        payload = dataclasses.asdict(config)
-        for key, value in payload.items():
-            if isinstance(value, tuple):
-                payload[key] = list(value)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)  # tuples as lists
         fh.write("\n")
 
 
@@ -80,6 +74,31 @@ def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
         config = dataclasses.replace(config, **updates)
     config.validate()
     return config
+
+
+def _write_run(out: Path, config, params, bank, report, **artifacts: str) -> None:
+    """Write a run directory's fixed files; ``artifacts`` lists further ones."""
+    _echo_config(config, out / CONFIG_FILE)
+    save_model(params, out / MODEL_FILE)
+    centroids.save_bank(bank, out / BANK_FILE)
+    trainer.write_history_csv(report, out / HISTORY_FILE)
+    report.artifacts = {
+        "config": CONFIG_FILE, "model": MODEL_FILE, "bank": BANK_FILE, "history": HISTORY_FILE,
+        **artifacts,
+    }
+    with open(out / REPORT_FILE, "w", encoding="utf-8") as fh:
+        fh.write(trainer.render_report(report))
+
+
+def _model_table(path: str, params, what: str = "dataset"):
+    """The table at ``path``, checked against the model's classes and input dimension."""
+    ds = load_table(Path(path), num_classes=params.num_classes)
+    if ds.input_dim != params.input_dim:
+        raise ValueError(
+            f"dimension mismatch: {what} has {ds.input_dim} features, "
+            f"model expects {params.input_dim}"
+        )
+    return ds
 
 
 def _run_dir(path: str) -> Path:
@@ -112,20 +131,8 @@ def cmd_train(args) -> None:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, out / CONFIG_FILE)
-    save_model(params, out / MODEL_FILE)
-    centroids.save_bank(bank, out / BANK_FILE)
     save_table(test_ds, out / HOLDOUT_FILE)
-    trainer.write_history_csv(report, out / HISTORY_FILE)
-    report.artifacts = {
-        "config": CONFIG_FILE,
-        "model": MODEL_FILE,
-        "bank": BANK_FILE,
-        "history": HISTORY_FILE,
-        "holdout_test": HOLDOUT_FILE,
-    }
-    with open(out / REPORT_FILE, "w", encoding="utf-8") as fh:
-        fh.write(trainer.render_report(report))
+    _write_run(out, config, params, bank, report, holdout_test=HOLDOUT_FILE)
     print(f"trained {config.epochs} epoch(s) on {len(train_ds)} samples; run dir: {out}")
 
 
@@ -145,41 +152,24 @@ def cmd_finetune(args) -> None:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(config, out / CONFIG_FILE)
-    save_model(params, out / MODEL_FILE)
-    centroids.save_bank(bank, out / BANK_FILE)
-    trainer.write_history_csv(report, out / HISTORY_FILE)
-    report.artifacts = {
-        "config": CONFIG_FILE,
-        "model": MODEL_FILE,
-        "bank": BANK_FILE,
-        "history": HISTORY_FILE,
-    }
-    with open(out / REPORT_FILE, "w", encoding="utf-8") as fh:
-        fh.write(trainer.render_report(report))
+    _write_run(out, config, params, bank, report)
     print(f"fine-tuned on {len(target)} pseudo-labeled samples; run dir: {out}")
 
 
 def cmd_evaluate(args) -> None:
     run = _run_dir(args.run)
     params = load_model(run / MODEL_FILE)
-    ds = load_table(Path(args.data), num_classes=params.num_classes)
-    if ds.input_dim != params.input_dim:
-        raise ValueError(
-            f"dimension mismatch: dataset has {ds.input_dim} features, "
-            f"model expects {params.input_dim}"
-        )
+    ds = _model_table(args.data, params)
     results = trainer.evaluate_model(params, ds)
     stem = Path(args.data).stem
     out_path = run / f"eval_{stem}.csv"
-    lines = ["metric,domain,value"]
+    names, values = [], []
     for res in results:
-        lines.append(f"{res.name},{res.domain},{res.value:.17g}")
-        if res.per_class is not None:
-            for k, v in enumerate(res.per_class):
-                lines.append(f"{res.name}_class{k},{res.domain},{v:.17g}")
+        names += [res.name] + [f"{res.name}_class{k}" for k in range(len(res.per_class or ()))]
+        values += [res.value, *(res.per_class or ())]
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("metric,domain,value\n")
+        write_rows(fh, "%s," + ds.domain.replace("%", "%%") + "," + FLOAT + "\n", names, values)
     for res in results:
         print(f"{res.name} [{res.domain}]: {res.value:.6g}")
     print(f"wrote {out_path}")
@@ -189,12 +179,7 @@ def cmd_diagnose(args) -> None:
     run = _run_dir(args.run)
     params = load_model(run / MODEL_FILE)
     bank = centroids.load_bank(run / BANK_FILE)
-    ds = load_table(Path(args.data), num_classes=params.num_classes)
-    if ds.input_dim != params.input_dim:
-        raise ValueError(
-            f"dimension mismatch: dataset has {ds.input_dim} features, "
-            f"model expects {params.input_dim}"
-        )
+    ds = _model_table(args.data, params)
     _, feats, _, _ = forward(params, ds.features)
 
     labels_seen = bank.seen[ds.labels].all() if bank.seen.any() else False
@@ -204,12 +189,7 @@ def cmd_diagnose(args) -> None:
     heatmap = diagnostics.class_centroid_heatmap(feats, ds.labels, bank, ds.domain)
 
     if args.fit_data:
-        fit_ds = load_table(Path(args.fit_data), num_classes=params.num_classes)
-        if fit_ds.input_dim != params.input_dim:
-            raise ValueError(
-                f"dimension mismatch: fit dataset has {fit_ds.input_dim} features, "
-                f"model expects {params.input_dim}"
-            )
+        fit_ds = _model_table(args.fit_data, params, "fit dataset")
         _, fit_feats, _, _ = forward(params, fit_ds.features)
         basis = diagnostics.pca_2d(fit_feats)
         coords = diagnostics.project_into(basis, feats)

@@ -12,12 +12,15 @@ noise) makes source and target bitwise equal.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .codec import FLOAT, write_rows
 from .errors import TableParseError
 
 # fixed sub-stream tags so every random draw is attributable to the one seed
@@ -213,12 +216,16 @@ def split_dataset(
 
 
 def save_table(ds: Dataset, path) -> None:
-    """Write the documented CSV schema: header f0..f{D-1},label,domain."""
+    """Write the documented CSV schema: header f0..f{D-1},label,domain.
+
+    Lines end with \\r\\n and the domain cell is quoted as the csv module
+    quotes it: the csv writer itself builds the header and the row format.
+    """
+    row_format = io.StringIO()
+    csv.writer(row_format).writerow([FLOAT] * ds.input_dim + ["%d", ds.domain.replace("%", "%%")])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [str(int(label)), ds.domain])
+        csv.writer(fh).writerow([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
+        write_rows(fh, row_format.getvalue(), ds.features, ds.labels)
 
 
 def load_table(path, num_classes: int | None = None) -> Dataset:
@@ -228,7 +235,40 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
     and ``domain``. When ``num_classes`` is given labels are range-checked
     against it; otherwise the class count is inferred as max(label)+1. Parse
     failures name the 1-based line number.
+
+    One ``np.loadtxt`` pass reads the table. It accepts only tables that
+    ``_scan_table`` parses to the same arrays; on anything else (quoted
+    fields, '#' lines, underscores in numbers, any error) the scan reruns.
     """
+    table = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a table with no data lines
+            names = fh.readline().rstrip("\r\n").split(",")
+            dim = len(names) - 2
+            if dim >= 1 and names == [f"f{i}" for i in range(dim)] + ["label", "domain"]:
+                row = np.dtype([("x", np.float64, (dim,)), ("y", np.int64), ("d", object)])
+                table = np.loadtxt(fh, row, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        pass  # the scan names the line at fault
+    if table is None or not table.size:
+        return _scan_table(path, num_classes)
+    features, labels, domains = np.ascontiguousarray(table["x"]), table["y"], table["d"]
+    if (
+        not np.isfinite(features).all()
+        or labels.min() < 0
+        or (num_classes is not None and labels.max() >= num_classes)
+        or (domains != domains[0]).any()
+        or '"' in domains[0]
+        or "\0" in domains[0]  # csv before Python 3.11 rejects NUL
+    ):
+        return _scan_table(path, num_classes)
+    k = num_classes if num_classes is not None else int(labels.max()) + 1
+    return Dataset(features, np.ascontiguousarray(labels), domains[0], k)
+
+
+def _scan_table(path, num_classes: int | None) -> Dataset:
+    """Line-by-line csv parse: the reference reader and the source of every parse error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

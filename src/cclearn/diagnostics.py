@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import CentroidBank
+from .codec import floats, write_rows
 from .errors import StateError, UndefinedProjectionError
 
 _SIGN_EPS = 1e-12
@@ -135,19 +136,18 @@ def feature_spread(features: np.ndarray) -> float:
 def save_heatmap(hm: HeatmapMatrix, path) -> None:
     """CSV: one row per class i with columns class,count,c0..c{K-1}."""
     num_classes = hm.values.shape[0]
-    lines = ["class,count," + ",".join(f"c{j}" for j in range(num_classes))]
-    for i in range(num_classes):
-        cells = ",".join(f"{v:.17g}" for v in hm.values[i])
-        lines.append(f"{i},{int(hm.class_counts[i])},{cells}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("class,count," + ",".join(f"c{j}" for j in range(num_classes)) + "\n")
+        write_rows(
+            fh, "%d,%d," + floats(num_classes, ",") + "\n",
+            np.arange(num_classes), hm.class_counts, hm.values,
+        )
 
 
 def save_projection(proj: PcaProjection, path) -> None:
     """CSV: pc1,pc2,label,domain rows (label blank when unknown)."""
-    lines = ["pc1,pc2,label,domain"]
     labels = proj.labels if proj.labels is not None else [""] * proj.coords.shape[0]
-    for (a, b), label in zip(proj.coords, labels):
-        lines.append(f"{a:.17g},{b:.17g},{label},{proj.domain}")
+    row = floats(2, ",") + ",%s," + proj.domain.replace("%", "%%") + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("pc1,pc2,label,domain\n")
+        write_rows(fh, row, proj.coords, labels)

@@ -61,16 +61,16 @@ def quadratic_weighted_kappa(y_true: np.ndarray, y_pred: np.ndarray, num_classes
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank of their group."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
+    order = values.argsort(kind="stable")
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie group at sorted positions i..j spans searchsorted left i, right j+1,
+    # and its midrank 0.5 * (i + j) + 1 is exactly (i + (j + 1) + 1) * 0.5
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = (
+        sorted_vals.searchsorted(sorted_vals, "left")
+        + sorted_vals.searchsorted(sorted_vals, "right")
+        + 1
+    ) * 0.5
     return ranks
 
 
@@ -82,7 +82,7 @@ def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("scores and labels must be matching 1-D arrays")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     n_pos = int((labels == 1).sum())
     n_neg = labels.size - n_pos

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centroids import normalize_rows
+from .codec import floats, read_rows, write_rows
 from .errors import StateError
 
 
@@ -271,52 +272,36 @@ def save_model(params: ModelParams, path) -> None:
     bias line, and finally the head weight rows and head bias. %.17g floats
     round-trip float64 exactly.
     """
-    lines = [
-        f"{params.input_dim} {params.feature_dim} {params.num_classes} {len(params.weights)}",
-        " ".join(str(w.shape[1]) for w in params.weights),
-    ]
-
-    def emit(w: np.ndarray, b: np.ndarray) -> None:
-        for row in w:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-        lines.append(" ".join(f"{v:.17g}" for v in b))
-
-    for w, b in zip(params.weights, params.biases):
-        emit(w, b)
-    emit(params.head_weight, params.head_bias)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"{params.input_dim} {params.feature_dim} {params.num_classes} {len(params.weights)}\n"
+            + " ".join(str(w.shape[1]) for w in params.weights) + "\n"
+        )
+        for w, b in zip(params.weights + [params.head_weight], params.biases + [params.head_bias]):
+            row = floats(w.shape[1], " ") + "\n"
+            write_rows(fh, row, w)
+            write_rows(fh, row, b[None])
 
 
 def load_model(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read a ``save_model`` checkpoint; any malformed, truncated or non-finite
+    content raises StateError naming the file."""
+    head, rows = read_rows(path, 2, "model")
     try:
-        input_dim, feature_dim, num_classes, n_layers = (int(t) for t in lines[0].split())
-        out_sizes = [int(t) for t in lines[1].split()]
-    except (IndexError, ValueError) as exc:
+        input_dim, feature_dim, num_classes, n_layers = (int(t) for t in head[0])
+        out_sizes = [int(t) for t in head[1]]
+    except ValueError as exc:
         raise StateError(f"model file {path} has a malformed header") from exc
-    if len(out_sizes) != n_layers or (out_sizes and out_sizes[-1] != feature_dim):
+    # (fan_in, fan_out) per backbone layer, then the head
+    shapes = list(zip([input_dim, *out_sizes], [*out_sizes, num_classes]))
+    if len(out_sizes) != n_layers or out_sizes[-1] != feature_dim or min(map(min, shapes)) < 1:
         raise StateError(f"model file {path} header is inconsistent")
-    pos = 2
-
-    def take(n_rows: int, n_cols: int) -> np.ndarray:
-        nonlocal pos
-        block = lines[pos : pos + n_rows]
-        pos += n_rows
-        arr = np.array([[float(t) for t in ln.split()] for ln in block], dtype=np.float64)
-        if arr.shape != (n_rows, n_cols):
-            raise StateError(f"model file {path} tensor block has shape {arr.shape}")
-        return arr
-
-    weights, biases = [], []
-    fan_in = input_dim
-    for out in out_sizes:
-        weights.append(take(fan_in, out))
-        biases.append(take(1, out)[0])
-        fan_in = out
-    head_w = take(feature_dim, num_classes)
-    head_b = take(1, num_classes)[0]
-    if pos != len(lines):
-        raise StateError(f"model file {path} has {len(lines) - pos} trailing lines")
-    return ModelParams(weights, biases, head_w, head_b)
+    # each tensor is fan_in weight rows, then one bias row, all fan_out wide
+    if [row.size for row in rows] != [out for fan_in, out in shapes for _ in range(fan_in + 1)]:
+        raise StateError(f"model file {path} does not hold the tensors its header names")
+    tensors, pos = [], 0
+    for fan_in, _ in shapes:
+        tensors.append((np.array(rows[pos : pos + fan_in]), rows[pos + fan_in]))
+        pos += fan_in + 1
+    head_w, head_b = tensors.pop()
+    return ModelParams([w for w, _ in tensors], [b for _, b in tensors], head_w, head_b)

@@ -15,11 +15,12 @@ of cross-entropy-only training at a constant 1e-6 rate, bank untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, init_bank, update_smoothing
+from .codec import floats, write_rows
 from .data import Dataset, make_batches
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
@@ -29,21 +30,6 @@ from .model import ModelParams, OptimState, backward, forward, init_params, lr_a
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
-
-_CONFIG_KEYS = (
-    "alpha",
-    "tau",
-    "m0",
-    "epochs",
-    "batch_size",
-    "base_lr",
-    "warmup_epochs",
-    "seed",
-    "hidden_dims",
-    "feature_dim",
-    "shuffle",
-)
-
 
 @dataclass
 class TrainConfig:
@@ -82,23 +68,11 @@ class TrainConfig:
             raise ValueError(f"hidden dims must be positive, got {self.hidden_dims}")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "m0": self.m0,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "base_lr": self.base_lr,
-            "warmup_epochs": self.warmup_epochs,
-            "seed": self.seed,
-            "hidden_dims": list(self.hidden_dims),
-            "feature_dim": self.feature_dim,
-            "shuffle": self.shuffle,
-        }
+        return asdict(self) | {"hidden_dims": list(self.hidden_dims)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        unknown = set(data) - set(_CONFIG_KEYS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
         kwargs = dict(data)
@@ -216,62 +190,13 @@ def train(
         np.random.default_rng([config.seed, _STREAM_INIT]),
     )
     bank = init_bank(num_classes, config.feature_dim, config.m0)
-    n = len(train_ds)
-    steps_per_epoch = math.ceil(n / config.batch_size)
+    steps_per_epoch = math.ceil(len(train_ds) / config.batch_size)
     opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs, steps_per_epoch)
     report = RunReport(config=config)
 
     for epoch in range(config.epochs):
-        m = update_smoothing(bank, epoch, config.epochs)
-        batches = make_batches(
-            train_ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch],
-            shuffle=config.shuffle,
-        )
-        ce_sum = 0.0
-        cont_sum = 0.0
-        ema_samples = 0
-        lr = 0.0
-        for batch in batches:
-            x = train_ds.features[batch]
-            y = train_ds.labels[batch]
-            try:
-                _, fhat, logits, cache = forward(params, x)
-            except DegenerateVectorError as exc:
-                raise TrainingError(
-                    f"degenerate features at epoch {epoch}, step {opt.step}: {exc}"
-                ) from exc
-            if not np.isfinite(logits).all():
-                raise TrainingError(
-                    f"non-finite logits at epoch {epoch}, step {opt.step}; "
-                    "training has diverged"
-                )
-            breakdown, d_feat, d_logits = combined_loss_and_grads(
-                fhat, logits, y, bank, config.alpha, config.tau
-            )
-            if not math.isfinite(breakdown.total):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}"
-                )
-            grads = backward(params, cache, d_feat, d_logits)
-            lr = lr_at(opt, opt.step)
-            opt.step += 1
-            sgd_step(params, grads, lr)
-            if config.alpha > 0:
-                # the EMA sees the same features the loss saw (pre-step)
-                means, mask = batch_class_means(fhat, y, num_classes)
-                ema_update(bank, means, mask)
-                ema_samples += len(batch)
-            ce_sum += breakdown.ce * len(batch)
-            cont_sum += breakdown.cont * len(batch)
-        record = EpochRecord(
-            epoch=epoch,
-            m=m,
-            lr=lr,
-            ce=ce_sum / n,
-            cont=cont_sum / n,
-            total=ce_sum / n + config.alpha * cont_sum / n,
-            ema_samples=ema_samples,
-        )
+        update_smoothing(bank, epoch, config.epochs)
+        record = _run_epoch(params, bank, train_ds, config, opt, epoch, source=True)
         if val_ds is not None:
             record.val_accuracy, record.val_kappa = _quick_val_metrics(params, val_ds)
         report.history.append(record)
@@ -302,62 +227,76 @@ def finetune(
     labels = pseudo_label(params, target_ds)
     ds = Dataset(target_ds.features, labels, target_ds.domain, target_ds.num_classes)
     report = RunReport(config=config)
-    n = len(ds)
-    step = 0
+    opt = OptimState(config.base_lr, 0, config.epochs, math.ceil(len(ds) / config.batch_size))
     for epoch in range(config.epochs):
-        batches = make_batches(
-            ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch],
-            shuffle=config.shuffle,
-        )
-        ce_sum = 0.0
-        cont_sum = 0.0
-        for batch in batches:
-            x = ds.features[batch]
-            y = ds.labels[batch]
-            try:
-                _, fhat, logits, cache = forward(params, x)
-            except DegenerateVectorError as exc:
-                raise TrainingError(
-                    f"degenerate features at epoch {epoch}, step {step}: {exc}"
-                ) from exc
-            if not np.isfinite(logits).all():
-                raise TrainingError(
-                    f"non-finite logits at epoch {epoch}, step {step}; training has diverged"
-                )
-            breakdown, d_feat, d_logits = combined_loss_and_grads(
-                fhat, logits, y, bank, config.alpha, config.tau
-            )
-            if not math.isfinite(breakdown.total):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, step {step}")
-            grads = backward(params, cache, d_feat, d_logits)
-            sgd_step(params, grads, config.base_lr)
-            step += 1
-            ce_sum += breakdown.ce * len(batch)
-            cont_sum += breakdown.cont * len(batch)
-        record = EpochRecord(
-            epoch=epoch,
-            m=bank.m,
-            lr=config.base_lr,
-            ce=ce_sum / n,
-            cont=cont_sum / n,
-            total=ce_sum / n + config.alpha * cont_sum / n,
-            ema_samples=0,
-        )
+        record = _run_epoch(params, bank, ds, config, opt, epoch, source=False)
         report.history.append(record)
         if epoch_callback is not None:
             epoch_callback(epoch, params, bank, record)
     return params, report
 
 
-def write_history_csv(report: RunReport, path) -> None:
-    lines = ["epoch,m,lr,ce,cont,total,ema_samples,val_accuracy,val_kappa"]
-    for r in report.history:
-        lines.append(
-            f"{r.epoch},{r.m:.17g},{r.lr:.17g},{r.ce:.17g},{r.cont:.17g},"
-            f"{r.total:.17g},{r.ema_samples},{r.val_accuracy:.17g},{r.val_kappa:.17g}"
+def _run_epoch(
+    params: ModelParams, bank: CentroidBank, ds: Dataset, config: TrainConfig,
+    opt: OptimState, epoch: int, source: bool,
+) -> EpochRecord:
+    """One pass over ``ds``: forward, blended loss, backward and an SGD step per batch.
+
+    Source training (``source``) takes the rate from ``opt``'s schedule and,
+    when alpha > 0, folds each batch's features into the bank. Fine-tuning
+    runs at the constant ``opt.base_lr`` and never updates the bank.
+    """
+    n = len(ds)
+    ce_sum = cont_sum = 0.0
+    ema_samples = 0
+    lr = opt.base_lr
+    batches = make_batches(
+        ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch], shuffle=config.shuffle
+    )
+    for batch in batches:
+        y = ds.labels[batch]
+        try:
+            _, fhat, logits, cache = forward(params, ds.features[batch])
+        except DegenerateVectorError as exc:
+            raise TrainingError(
+                f"degenerate features at epoch {epoch}, step {opt.step}: {exc}"
+            ) from exc
+        if not np.isfinite(logits).all():
+            raise TrainingError(
+                f"non-finite logits at epoch {epoch}, step {opt.step}; training has diverged"
+            )
+        breakdown, d_feat, d_logits = combined_loss_and_grads(
+            fhat, logits, y, bank, config.alpha, config.tau
         )
+        if not math.isfinite(breakdown.total):
+            raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
+        grads = backward(params, cache, d_feat, d_logits)
+        if source:
+            lr = lr_at(opt, opt.step)
+        opt.step += 1
+        sgd_step(params, grads, lr)
+        if source and config.alpha > 0:
+            # the EMA sees the same features the loss saw (pre-step)
+            means, mask = batch_class_means(fhat, y, ds.num_classes)
+            ema_update(bank, means, mask)
+            ema_samples += len(batch)
+        ce_sum += breakdown.ce * len(batch)
+        cont_sum += breakdown.cont * len(batch)
+    return EpochRecord(
+        epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,
+        total=ce_sum / n + config.alpha * cont_sum / n, ema_samples=ema_samples,
+    )
+
+
+def write_history_csv(report: RunReport, path) -> None:
+    h = report.history
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("epoch,m,lr,ce,cont,total,ema_samples,val_accuracy,val_kappa\n")
+        write_rows(
+            fh, "%d," + floats(5, ",") + ",%d," + floats(2, ",") + "\n",
+            [r.epoch for r in h], [[r.m, r.lr, r.ce, r.cont, r.total] for r in h],
+            [r.ema_samples for r in h], [[r.val_accuracy, r.val_kappa] for r in h],
+        )
 
 
 def render_report(report: RunReport) -> str:

@@ -13,7 +13,7 @@ from cclearn.centroids import (
     save_bank,
     update_smoothing,
 )
-from cclearn.errors import DegenerateVectorError
+from cclearn.errors import DegenerateVectorError, StateError
 
 
 def random_unit_rows(rng, n, dim):
@@ -233,6 +233,26 @@ class TestBankIO:
         np.testing.assert_array_equal(loaded.centroids, bank.centroids)
         np.testing.assert_array_equal(loaded.seen, bank.seen)
         assert loaded.m == bank.m and loaded.m0 == bank.m0
+
+    @pytest.mark.parametrize("text", [
+        "2 x\n0.9 0.9\n1 1\n1 0\n0 1\n",  # bad header: a bare ValueError before
+        "2\n0.9 0.9\n1 1\n1 0\n0 1\n",
+        "2 2\n0.9\n1 1\n1 0\n0 1\n",
+        "2 2\nnan 0.9\n1 1\n1 0\n0 1\n",
+        "2 2\n0.9 nan\n1 1\n1 0\n0 1\n",
+        "2 2\n0.9 inf\n1 1\n1 0\n0 1\n",
+        "2 2\n0.9 0.9\n1 1\nnan 0\n0 1\n",
+        "2 2\n0.9 0.9\n1 1\n1 0\n0 -inf\n",
+        "2 2\n0.9 0.9\n1 1\n1 0\n0 1 2\n",
+        "2 2\n0.9 0.9\n1 1\n1 0\n",
+        "2 2\n0.9 0.9\n1\n1 0\n0 1\n",
+        "2 2\n0.9 0.9\n",
+    ])
+    def test_malformed_or_non_finite_bank_raises_state_error(self, tmp_path, text):
+        path = tmp_path / "bank.txt"
+        path.write_text(text)
+        with pytest.raises(StateError, match="bank.txt"):
+            load_bank(path)
 
     def test_bank_from_features_is_normalized_class_means(self):
         rng = np.random.default_rng(6)

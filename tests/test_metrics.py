@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from cclearn.errors import UndefinedMetricError
-from cclearn.metrics import accuracy, auc_binary, auc_macro_ovr, quadratic_weighted_kappa
+from cclearn.metrics import (
+    _midranks,
+    accuracy,
+    auc_binary,
+    auc_macro_ovr,
+    quadratic_weighted_kappa,
+)
 
 
 # ---- independent oracles ----
@@ -161,6 +167,30 @@ class TestAucBinary:
                     auc_binary(scores, labels)
             else:
                 assert auc_binary(scores, labels) == pytest.approx(expect, abs=1e-12)
+
+    def test_midranks_match_the_tie_walking_loop_bit_for_bit(self):
+        def loop_midranks(values):
+            order = np.argsort(values, kind="stable")
+            ranks = np.empty(values.size, dtype=np.float64)
+            sorted_vals = values[order]
+            i = 0
+            while i < values.size:
+                j = i
+                while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(9)
+        cases = [np.array([0.0, -0.0, 0.0]), np.ones(5), np.array([2.0])]
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            cases.append(rng.integers(0, int(rng.integers(1, 12)), n) * rng.choice([0.1, -1.0]))
+            cases.append(rng.standard_normal(n))
+        for values in cases:
+            ours, loop = _midranks(values), loop_midranks(values)
+            assert np.array_equal(ours.view(np.uint64), loop.view(np.uint64))
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):

@@ -273,6 +273,26 @@ class TestCheckpoint:
         with pytest.raises((StateError, IndexError, ValueError)):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_or_non_numeric_weight_names_the_file(self, tmp_path, bad):
+        path = tmp_path / "m.txt"
+        save_model(init_params(3, (), 2, 2, 0), path)
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join([bad] + lines[3].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StateError, match="m.txt"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "3 2 2\n2\n", "3 2 2 x\n2\n", "3 2 2 1\n3\n", "0 2 2 1\n2\n", "3 2 2 1\n2\n1 0\n",
+        "1 1 2 1\n1\n1\n1\n1 1\n1 1\n1\n",
+    ])
+    def test_malformed_files_raise_state_error(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(StateError, match="m.txt"):
+            load_model(path)
+
 
 class TestInit:
     def test_seeded_determinism(self):
