@@ -19,6 +19,7 @@ from .codec import floats, read_rows, write_rows
 from .errors import DegenerateVectorError, StateError
 
 NORM_EPS = 1e-12
+UNIT_TOL = 1e-9  # how far a loaded seen centroid's norm may stray from 1
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -199,7 +200,8 @@ def save_bank(bank: CentroidBank, path) -> None:
 
 def load_bank(path) -> CentroidBank:
     """Read a ``save_bank`` file; any malformed, truncated or non-finite
-    content raises StateError naming the file."""
+    content, or a seen centroid that is not unit length, raises StateError
+    naming the file."""
     head, rows = read_rows(path, 3, "bank")
     try:
         num_classes, feature_dim = (int(t) for t in head[0])
@@ -221,4 +223,8 @@ def load_bank(path) -> CentroidBank:
     bank.m = m
     bank.seen = seen
     bank.centroids = np.array(rows)
+    norms = np.linalg.norm(bank.centroids[seen], axis=1)
+    off_unit = np.flatnonzero(seen)[np.abs(norms - 1.0) > UNIT_TOL]
+    if off_unit.size:
+        raise StateError(f"bank file {path} has seen centroid row(s) {off_unit.tolist()} off unit length")
     return bank

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,6 +28,11 @@ from .errors import TableParseError
 _STREAM_BASE = 11
 _STREAM_AFFINE = 12
 _STREAM_SPLIT = 14
+
+SIDECAR = ".parsed"  # save_table leaves the parsed arrays of <table> in <table>.parsed
+# a domain holding one of these is quoted in the table, or (NUL) refused by
+# csv before Python 3.11: only the line-by-line scan may read such a table
+_SCAN_ONLY = frozenset(',"\r\n\0')
 
 
 @dataclass
@@ -226,6 +232,98 @@ def save_table(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
         write_rows(fh, row_format.getvalue(), ds.features, ds.labels)
+    _write_sidecar(ds, path)
+
+
+class _Hashed:
+    """A binary file whose reads and writes also feed one BLAKE2b-256 digest."""
+
+    def __init__(self, fh):
+        try:  # the BLAKE2b of hashlib.blake2b, without the 3.4 MB of OpenSSL that hashlib maps
+            from _blake2 import blake2b
+        except ImportError:  # a build without the builtin hashes
+            from hashlib import blake2b
+        self.fh, self.hash = fh, blake2b(digest_size=32)
+
+    def read(self, size: int) -> bytes:
+        data = self.fh.read(size)
+        self.hash.update(data)
+        return data
+
+    def write(self, data) -> int:
+        self.hash.update(data)
+        return self.fh.write(data)
+
+
+def _file_digest(path) -> bytes:
+    with open(path, "rb") as fh:
+        hashed = _Hashed(fh)
+        while hashed.read(1 << 16):  # below the 128 KiB at which malloc maps memory
+            pass
+    return hashed.hash.digest()
+
+
+def _write_sidecar(ds: Dataset, path) -> None:
+    """Leave the arrays of the table just written at ``path`` in ``<path>.parsed``.
+
+    Consecutive ``np.save`` records: the digest of the table's bytes, the
+    domain's UTF-8 bytes, the features, the labels, then the digest of every
+    byte before it. Not ``np.savez``, whose zip entries carry timestamps.
+    """
+    sidecar = os.fspath(path) + SIDECAR
+    with open(sidecar + ".tmp", "wb") as fh:
+        hashed = _Hashed(fh)
+        for record in (
+            np.frombuffer(_file_digest(path), np.uint8),
+            np.frombuffer(ds.domain.encode("utf-8"), np.uint8),
+            ds.features,
+            ds.labels,
+        ):
+            np.save(hashed, record, allow_pickle=False)
+        np.save(fh, np.frombuffer(hashed.hash.digest(), np.uint8), allow_pickle=False)
+    os.replace(sidecar + ".tmp", sidecar)
+
+
+def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
+    """The Dataset ``save_table`` left next to ``path``, or None.
+
+    None unless the sidecar's table digest matches the table's current bytes,
+    its own digest matches, its dtypes and shapes are right and the arrays
+    pass the checks of the one-pass read: then the text reader would return
+    exactly these arrays.
+    """
+    read = np.lib.format.read_array
+    try:
+        with open(os.fspath(path) + SIDECAR, "rb") as fh:
+            hashed = _Hashed(fh)
+            if read(hashed, allow_pickle=False).tobytes() != _file_digest(path):
+                return None
+            domain, features, labels = (read(hashed, allow_pickle=False) for _ in range(3))
+            if read(fh, allow_pickle=False).tobytes() != hashed.hash.digest():
+                return None
+        if (domain.dtype, features.dtype, labels.dtype) != (np.uint8, np.float64, np.int64):
+            return None
+        if features.ndim != 2 or features.shape[1] < 1:
+            return None
+        return _checked(features, labels, domain.tobytes().decode("utf-8"), num_classes)
+    except Exception:
+        # numpy's .npy parser raises many kinds of error on a damaged file (a
+        # tokenize.TokenError among them); any failure leaves the load to the text
+        return None
+
+
+def _checked(features, labels, domain: str, num_classes: int | None) -> Dataset | None:
+    """The Dataset of arrays that pass the checks of the one-pass read, else
+    None: the line-by-line scan must decide."""
+    if (
+        not np.isfinite(features).all()
+        or labels.min() < 0
+        or (num_classes is not None and labels.max() >= num_classes)
+        or not _SCAN_ONLY.isdisjoint(domain)
+    ):
+        return None
+    k = num_classes if num_classes is not None else int(labels.max()) + 1
+    return Dataset(np.ascontiguousarray(features), np.ascontiguousarray(labels), domain, k)
 
 
 def load_table(path, num_classes: int | None = None) -> Dataset:
@@ -236,10 +334,15 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
     against it; otherwise the class count is inferred as max(label)+1. Parse
     failures name the 1-based line number.
 
-    One ``np.loadtxt`` pass reads the table. It accepts only tables that
+    A table that ``save_table`` wrote comes back from its ``.parsed``
+    sidecar when that provably holds what parsing the text gives. Otherwise
+    one ``np.loadtxt`` pass reads the table. It accepts only tables that
     ``_scan_table`` parses to the same arrays; on anything else (quoted
     fields, '#' lines, underscores in numbers, any error) the scan reruns.
     """
+    cached = _read_sidecar(path, num_classes)
+    if cached is not None:
+        return cached
     table = None
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -251,26 +354,16 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
                 table = np.loadtxt(fh, row, delimiter=",", comments=None, quotechar=None, ndmin=1)
     except ValueError:
         pass  # the scan names the line at fault
-    if table is None or not table.size:
+    if table is None or not table.size or (table["d"] != table["d"][0]).any():
         return _scan_table(path, num_classes)
-    features, labels, domains = np.ascontiguousarray(table["x"]), table["y"], table["d"]
-    if (
-        not np.isfinite(features).all()
-        or labels.min() < 0
-        or (num_classes is not None and labels.max() >= num_classes)
-        or (domains != domains[0]).any()
-        or '"' in domains[0]
-        or "\0" in domains[0]  # csv before Python 3.11 rejects NUL
-    ):
-        return _scan_table(path, num_classes)
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(features, np.ascontiguousarray(labels), domains[0], k)
+    ds = _checked(table["x"], table["y"], table["d"][0], num_classes)
+    return ds if ds is not None else _scan_table(path, num_classes)
 
 
 def _scan_table(path, num_classes: int | None) -> Dataset:
     """Line-by-line csv parse: the reference reader and the source of every parse error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -307,8 +400,8 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
                 raise TableParseError(
                     f"{path}: line {lineno}: label {row[dim]!r} is not an integer"
                 ) from None
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                bound = num_classes if num_classes is not None else "inf"
+            bound = num_classes if num_classes is not None else 2**63  # labels are int64
+            if not 0 <= label < bound:
                 raise TableParseError(
                     f"{path}: line {lineno}: label {label} out of range [0, {bound})"
                 )
@@ -325,3 +418,12 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
     labels_arr = np.array(labels, dtype=np.int64)
     k = num_classes if num_classes is not None else int(labels_arr.max()) + 1
     return Dataset(np.array(rows, dtype=np.float64), labels_arr, domain, k)
+
+
+def _records(path, reader):
+    """The rows of a csv reader, with a csv.Error (say, a field over the size
+    limit) raised as a TableParseError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None

@@ -254,6 +254,34 @@ class TestBankIO:
         with pytest.raises(StateError, match="bank.txt"):
             load_bank(path)
 
+    @pytest.mark.parametrize("text", [
+        "2 2\n0.9 0.9\n1 1\n3 0\n0 1\n",  # a seen row of norm 3
+        "2 2\n0.9 0.9\n1 1\n1 0\n0 0\n",
+        "2 2\n0.9 0.9\n1 1\n1.000001 0\n0 1\n",
+        "2 2\n0.9 0.9\n0 1\n1 0\n0.6 0.7\n",
+    ])
+    def test_seen_centroid_off_unit_length_raises_state_error(self, tmp_path, text):
+        path = tmp_path / "bank.txt"
+        path.write_text(text)
+        with pytest.raises(StateError, match="bank.txt"):
+            load_bank(path)
+
+    def test_unseen_rows_and_rounding_within_tolerance_load(self, tmp_path):
+        path = tmp_path / "bank.txt"
+        path.write_text("2 2\n0.9 0.9\n1 0\n0.6 0.8000000000001\n3 4\n")
+        bank = load_bank(path)
+        np.testing.assert_array_equal(bank.centroids, [[0.6, 0.8000000000001], [3.0, 4.0]])
+
+    def test_trained_banks_load(self, tmp_path):
+        rng = np.random.default_rng(8)
+        bank = init_bank(5, 7, 0.5)
+        for _ in range(200):
+            labels = rng.integers(0, 5, 16)
+            means, mask = batch_class_means(random_unit_rows(rng, 16, 7), labels, 5)
+            ema_update(bank, means, mask)
+        save_bank(bank, tmp_path / "bank.txt")
+        np.testing.assert_array_equal(load_bank(tmp_path / "bank.txt").centroids, bank.centroids)
+
     def test_bank_from_features_is_normalized_class_means(self):
         rng = np.random.default_rng(6)
         feats = random_unit_rows(rng, 20, 4)

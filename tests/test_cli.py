@@ -91,7 +91,7 @@ class TestSynthData:
 class TestTrain:
     def test_artifacts_present(self, run_dir):
         for name in ("config.json", "model.txt", "bank.txt", "history.csv",
-                     "report.txt", "holdout_test.csv"):
+                     "report.txt", "holdout_test.csv", "holdout_test.csv.parsed"):
             assert (run_dir / name).exists(), name
         history = (run_dir / "history.csv").read_text().splitlines()
         assert history[0].startswith("epoch,m,lr,ce,cont,total")
@@ -106,6 +106,16 @@ class TestTrain:
         ]) == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["seed"] == 77 and echo["alpha"] == 0.0 and echo["epochs"] == 2
+
+    @pytest.mark.parametrize("row", ["1,99999999999999999999,s", '1,0,"' + "s" * 140000 + '"'])
+    def test_unreadable_table_fails_cleanly(self, tmp_path, capsys, row):
+        config = write_json(tmp_path / "train.json", TRAIN)
+        table = tmp_path / "bad.csv"
+        table.write_text(f"f0,label,domain\n{row}\n")
+        assert main([
+            "train", "--config", str(config), "--data", str(table), "--out", str(tmp_path / "r"),
+        ]) == 2
+        assert "bad.csv: line 2" in capsys.readouterr().err
 
     def test_same_seed_reruns_are_byte_identical(self, tmp_path, data_dir):
         config = write_json(tmp_path / "train.json", TRAIN)

@@ -178,6 +178,18 @@ class TestTableIO:
         with pytest.raises(TableParseError, match="line 3"):
             load_table(path, num_classes=2)
 
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("f0,label,domain\n1,0,source\n2,99999999999999999999,source\n")
+        with pytest.raises(TableParseError, match="big.csv: line 3"):
+            load_table(path)
+
+    def test_field_over_the_csv_size_limit_names_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text('f0,label,domain\n1,0,source\n2,0,"' + "s" * 140000 + '"\n')
+        with pytest.raises(TableParseError, match="long.csv: line 3: field larger"):
+            load_table(path)
+
     def test_header_only_is_no_samples(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("f0,f1,label,domain\n")
