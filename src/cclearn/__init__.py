@@ -14,7 +14,6 @@ from .centroids import (
     batch_class_means,
     ema_update,
     init_bank,
-    l2_normalize,
     load_bank,
     normalize_rows,
     save_bank,
@@ -41,10 +40,6 @@ from .losses import (
     LossBreakdown,
     combined_loss,
     combined_loss_and_grads,
-    contrastive_loss,
-    contrastive_loss_grad,
-    cross_entropy,
-    cross_entropy_grad,
     softmax,
 )
 from .metrics import EvalResult, accuracy, auc_binary, auc_macro_ovr, quadratic_weighted_kappa

@@ -22,15 +22,6 @@ NORM_EPS = 1e-12
 UNIT_TOL = 1e-9  # how far a loaded seen centroid's norm may stray from 1
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit l2 norm. Raises on (near-)zero input."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm < NORM_EPS:
-        raise DegenerateVectorError(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
-
-
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise l2 normalization of a 2-D array."""
     x = np.asarray(x, dtype=np.float64)
@@ -150,24 +141,22 @@ def ema_update(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) -> Cent
     mean_norms = np.linalg.norm(f_mean, axis=1)
     bad = np.flatnonzero(mask & (mean_norms < NORM_EPS))
     if bad.size:
+        raise DegenerateVectorError(f"masked f_mean row(s) {bad.tolist()} have near-zero norm")
+    rows = np.flatnonzero(mask)
+    blended = f_mean[rows]
+    old = bank.seen[rows]
+    blended[old] = bank.m * bank.centroids[rows[old]] + (1.0 - bank.m) * blended[old]
+    # one dot product per row, as np.linalg.norm takes it for a single row;
+    # norm(..., axis=1) and einsum sum in another order and change the bits
+    norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero(norms < NORM_EPS)
+    if bad.size:
         raise DegenerateVectorError(
-            f"masked f_mean row(s) {bad.tolist()} have near-zero norm"
+            f"class {rows[bad[0]]} blend collapses to norm {norms[bad[0]]:.3e}; "
+            "refusing EMA update"
         )
-    updated = {}
-    for k in np.flatnonzero(mask):
-        if bank.seen[k]:
-            blended = bank.m * bank.centroids[k] + (1.0 - bank.m) * f_mean[k]
-        else:
-            blended = f_mean[k]
-        norm = float(np.linalg.norm(blended))
-        if norm < NORM_EPS:
-            raise DegenerateVectorError(
-                f"class {k} blend collapses to norm {norm:.3e}; refusing EMA update"
-            )
-        updated[int(k)] = blended / norm
-    for k, row in updated.items():
-        bank.centroids[k] = row
-        bank.seen[k] = True
+    bank.centroids[rows] = blended / norms[:, None]
+    bank.seen[rows] = True
     return bank
 
 

@@ -47,11 +47,7 @@ def _synth_config(data: dict) -> SynthConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown synth config key(s): {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("samples_per_class", "rotation_angle", "translation"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
-    config = SynthConfig(**kwargs)
+    config = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
     config.validate()
     return config
 

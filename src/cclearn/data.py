@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +93,10 @@ class SynthConfig:
         return counts
 
     def validate(self) -> None:
+        require_numbers(self, Integral, ("num_classes", "input_dim", "seed"),
+                        ("samples_per_class",))
+        require_numbers(self, Real, ("spread", "class_std", "scale", "source_noise_std",
+                                     "target_noise_std"), ("rotation_angle", "translation"))
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_dim < 1:
@@ -104,6 +109,17 @@ class SynthConfig:
             raise ValueError("standard deviations must be >= 0")
         if self.scale <= 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
+
+
+def require_numbers(config, kind: type, scalars: tuple[str, ...], sequences=()) -> None:
+    """Raise ValueError naming the first field whose value is not a ``kind`` (a
+    bool is not); a field in ``sequences`` may also hold a tuple or list of them."""
+    for name in scalars + sequences:
+        value = getattr(config, name)
+        items = value if name in sequences and isinstance(value, (tuple, list)) else (value,)
+        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
+            what = "integers" if kind is Integral else "numbers"
+            raise ValueError(f"config key {name!r} must hold {what}, got {value!r}")
 
 
 def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:
@@ -361,9 +377,11 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
 
 
 def _scan_table(path, num_classes: int | None) -> Dataset:
-    """Line-by-line csv parse: the reference reader and the source of every parse error."""
+    """Line-by-line csv parse: the reference reader and the source of every parse
+    error, which names the physical line where the failing record starts."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _records(path, csv.reader(fh))
+        lines = csv.reader(fh)
+        reader = _records(path, lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -379,7 +397,9 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
                 f"{path}: line 1: feature columns must be f0..f{dim - 1} in order"
             )
         rows, labels, domain = [], [], None
-        for lineno, row in enumerate(reader, start=2):
+        end = lines.line_num
+        for row in reader:
+            lineno, end = end + 1, lines.line_num
             if not row:
                 continue
             if len(row) != dim + 2:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import CentroidBank
-from .errors import StateError
 
 
 @dataclass(frozen=True)
@@ -43,70 +42,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Negative log softmax probability of ``label``, max-subtracted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError(f"logits must be 1-D, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise ValueError("logits contain non-finite values")
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range [0, {logits.shape[0]})")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
-
-
-def cross_entropy_grad(logits: np.ndarray, label: int) -> np.ndarray:
-    """d cross_entropy / d logits = softmax(logits) - onehot(label)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError(f"logits must be 1-D, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise ValueError("logits contain non-finite values")
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range [0, {logits.shape[0]})")
-    grad = softmax(logits)
-    grad[label] -= 1.0
-    return grad
-
-
-def _contrast_context(bank: CentroidBank, own_class: int, tau: float):
-    """Validated (seen indices, seen centroids, position of own class)."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    own_class = int(own_class)
-    if not 0 <= own_class < bank.num_classes:
-        raise ValueError(f"own_class {own_class} out of range [0, {bank.num_classes})")
-    if not bank.seen[own_class]:
-        raise StateError(f"class {own_class} has no centroid yet")
-    seen_idx = bank.seen_classes()
-    if seen_idx.size < 2:
-        raise StateError("contrast needs at least one seen negative class")
-    own_pos = int(np.searchsorted(seen_idx, own_class))
-    return seen_idx, bank.centroids[seen_idx], own_pos
-
-
-def contrastive_loss(f: np.ndarray, bank: CentroidBank, own_class: int, tau: float) -> float:
-    """Centroid-contrast loss of a single unit feature vector."""
-    f = np.asarray(f, dtype=np.float64)
-    _, cents, own_pos = _contrast_context(bank, own_class, tau)
-    sims = cents @ f / tau
-    shifted = sims - sims.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[own_pos])
-
-
-def contrastive_loss_grad(
-    f: np.ndarray, bank: CentroidBank, own_class: int, tau: float
-) -> np.ndarray:
-    """Gradient of contrastive_loss with respect to f (normalization chain
-    rule not included): (1/tau) * (sum_k p_k c_k - c+), softmax p over seen
-    classes at temperature tau."""
-    f = np.asarray(f, dtype=np.float64)
-    _, cents, own_pos = _contrast_context(bank, own_class, tau)
-    p = softmax(cents @ f / tau)
-    return (p @ cents - cents[own_pos]) / tau
+def _nll_and_softmax(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(scores)[target] and the row softmax, max-subtracted."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1)
+    return np.log(sums) - shifted[np.arange(len(scores)), target], exps / sums[:, None]
 
 
 def combined_loss(
@@ -163,12 +104,8 @@ def combined_loss_and_grads(
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
     # cross-entropy branch
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    sums = exps.sum(axis=1)
-    ce_terms = np.log(sums) - shifted[np.arange(batch), labels]
+    ce_terms, d_logits = _nll_and_softmax(logits, labels)
     ce = float(ce_terms.mean())
-    d_logits = exps / sums[:, None]
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
 
@@ -183,20 +120,13 @@ def combined_loss_and_grads(
         if labels.max() >= bank.num_classes:
             raise ValueError(f"labels exceed bank classes {bank.num_classes}")
         seen_idx = bank.seen_classes()
-        if seen_idx.size >= 2:
-            active = bank.seen[labels]
-            if active.any():
-                rows = np.flatnonzero(active)
-                cents = bank.centroids[seen_idx]
-                sims = features[rows] @ cents.T / tau
-                sims_shifted = sims - sims.max(axis=1, keepdims=True)
-                sims_exp = np.exp(sims_shifted)
-                sims_sum = sims_exp.sum(axis=1)
-                own_pos = np.searchsorted(seen_idx, labels[rows])
-                cont_terms = np.log(sims_sum) - sims_shifted[np.arange(rows.size), own_pos]
-                cont = float(cont_terms.sum() / batch)
-                p = sims_exp / sims_sum[:, None]
-                d_features[rows] = (p @ cents - cents[own_pos]) * (alpha / (tau * batch))
+        rows = np.flatnonzero(bank.seen[labels])
+        if seen_idx.size >= 2 and rows.size:
+            cents = bank.centroids[seen_idx]
+            own_pos = np.searchsorted(seen_idx, labels[rows])
+            cont_terms, p = _nll_and_softmax(features[rows] @ cents.T / tau, own_pos)
+            cont = float(cont_terms.sum() / batch)
+            d_features[rows] = (p @ cents - cents[own_pos]) * (alpha / (tau * batch))
 
     total = ce + alpha * cont
     return LossBreakdown(ce=ce, cont=cont, total=total, alpha=float(alpha), tau=float(tau)), d_features, d_logits

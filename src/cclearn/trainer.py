@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, init_bank, update_smoothing
 from .codec import floats, write_rows
-from .data import Dataset, make_batches
+from .data import Dataset, make_batches, require_numbers
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
 from .metrics import EvalResult, accuracy, auc_macro_ovr, quadratic_weighted_kappa
@@ -48,6 +49,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
+        require_numbers(self, Integral, ("epochs", "batch_size", "warmup_epochs", "seed",
+                                         "feature_dim"), ("hidden_dims",))
+        require_numbers(self, Real, ("alpha", "tau", "m0", "base_lr"))
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.tau <= 0:
@@ -64,8 +68,10 @@ class TrainConfig:
             raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden dims must be positive, got {self.hidden_dims}")
+        if not isinstance(self.hidden_dims, (tuple, list)) or any(h < 1 for h in self.hidden_dims):
+            raise ValueError(
+                f"config key 'hidden_dims' must list positive sizes, got {self.hidden_dims!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self) | {"hidden_dims": list(self.hidden_dims)}
@@ -75,10 +81,7 @@ class TrainConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        kwargs = dict(data)
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(int(h) for h in kwargs["hidden_dims"])
-        config = cls(**kwargs)
+        config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
         config.validate()
         return config
 
@@ -130,6 +133,17 @@ def pseudo_label(params: ModelParams, ds: Dataset) -> np.ndarray:
     return np.argmax(predict_logits(params, ds), axis=1)
 
 
+def _accuracy_and_kappa(logits: np.ndarray, ds: Dataset) -> tuple[float, float]:
+    """Accuracy and quadratic weighted kappa (NaN when undefined) of the argmax."""
+    preds = np.argmax(logits, axis=1)
+    acc = accuracy(ds.labels, preds)
+    try:
+        kappa = quadratic_weighted_kappa(ds.labels, preds, ds.num_classes)
+    except UndefinedMetricError:
+        kappa = math.nan
+    return acc, kappa
+
+
 def evaluate_model(params: ModelParams, ds: Dataset) -> list[EvalResult]:
     """Accuracy, quadratic weighted kappa, and macro one-vs-rest AUC on a dataset.
 
@@ -137,30 +151,17 @@ def evaluate_model(params: ModelParams, ds: Dataset) -> list[EvalResult]:
     rather than failing the whole evaluation.
     """
     logits = predict_logits(params, ds)
-    preds = np.argmax(logits, axis=1)
-    probs = softmax(logits)
-    results = [EvalResult("accuracy", accuracy(ds.labels, preds), ds.domain)]
+    acc, kappa = _accuracy_and_kappa(logits, ds)
+    results = [
+        EvalResult("accuracy", acc, ds.domain),
+        EvalResult("quadratic_weighted_kappa", kappa, ds.domain),
+    ]
     try:
-        kappa = quadratic_weighted_kappa(ds.labels, preds, ds.num_classes)
-    except UndefinedMetricError:
-        kappa = math.nan
-    results.append(EvalResult("quadratic_weighted_kappa", kappa, ds.domain))
-    try:
-        macro, per_class = auc_macro_ovr(probs, ds.labels)
+        macro, per_class = auc_macro_ovr(softmax(logits), ds.labels)
         results.append(EvalResult("auc_macro_ovr", macro, ds.domain, tuple(per_class)))
     except UndefinedMetricError:
         results.append(EvalResult("auc_macro_ovr", math.nan, ds.domain))
     return results
-
-
-def _quick_val_metrics(params: ModelParams, ds: Dataset) -> tuple[float, float]:
-    preds = np.argmax(predict_logits(params, ds), axis=1)
-    acc = accuracy(ds.labels, preds)
-    try:
-        kappa = quadratic_weighted_kappa(ds.labels, preds, ds.num_classes)
-    except UndefinedMetricError:
-        kappa = math.nan
-    return acc, kappa
 
 
 def train(
@@ -198,7 +199,12 @@ def train(
         update_smoothing(bank, epoch, config.epochs)
         record = _run_epoch(params, bank, train_ds, config, opt, epoch, source=True)
         if val_ds is not None:
-            record.val_accuracy, record.val_kappa = _quick_val_metrics(params, val_ds)
+            logits = predict_logits(params, val_ds)
+            if not np.isfinite(logits).all():
+                raise TrainingError(
+                    f"non-finite validation logits after epoch {epoch}, step {opt.step - 1}"
+                )
+            record.val_accuracy, record.val_kappa = _accuracy_and_kappa(logits, val_ds)
         report.history.append(record)
         if epoch_callback is not None:
             epoch_callback(epoch, params, bank, record)
@@ -282,6 +288,9 @@ def _run_epoch(
             ema_samples += len(batch)
         ce_sum += breakdown.ce * len(batch)
         cont_sum += breakdown.cont * len(batch)
+    tensors = [*params.weights, *params.biases, params.head_weight, params.head_bias]
+    if not all(np.isfinite(t).all() for t in tensors):  # the loop checks only each step's input
+        raise TrainingError(f"non-finite parameters after epoch {epoch}, step {opt.step - 1}")
     return EpochRecord(
         epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,
         total=ce_sum / n + config.alpha * cont_sum / n, ema_samples=ema_samples,

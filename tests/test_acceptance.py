@@ -25,7 +25,7 @@ from cclearn.cli import main as cli_main
 from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
 from cclearn.diagnostics import class_centroid_heatmap
 from cclearn.errors import UndefinedMetricError
-from cclearn.losses import combined_loss, combined_loss_and_grads, contrastive_loss, cross_entropy, softmax
+from cclearn.losses import combined_loss, combined_loss_and_grads, softmax
 from cclearn.metrics import accuracy, auc_binary, auc_macro_ovr, quadratic_weighted_kappa
 from cclearn.model import (
     OptimState,
@@ -82,14 +82,19 @@ def test_criterion_1_loss_oracle_equivalence():
         cents = unit_rows(rng, k, dim)
         f = unit_rows(rng, 1, dim)[0]
         own = int(rng.integers(0, k))
-        ours = contrastive_loss(f, seen_bank(cents), own, tau)
+        ours = combined_loss(
+            f[None], np.zeros((1, k)), np.array([own]), seen_bank(cents), 1.0, tau
+        ).cont
         assert abs(ours - oracle_contrastive(f, cents, own, tau)) < 1e-10
 
     for _ in range(1000):
         k = int(rng.integers(2, 9))
         logits = rng.uniform(-25, 25, k)
         label = int(rng.integers(0, k))
-        assert abs(cross_entropy(logits, label) - oracle_cross_entropy(logits, label)) < 1e-10
+        ours = combined_loss(
+            np.ones((1, 1)), logits[None], np.array([label]), init_bank(k, 1, 0.0), 0.0, 1.0
+        ).ce
+        assert abs(ours - oracle_cross_entropy(logits, label)) < 1e-10
 
     for _ in range(1000):
         k = int(rng.integers(2, 9))

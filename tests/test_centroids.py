@@ -1,5 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cclearn.centroids import (
     CentroidBank,
@@ -7,13 +12,13 @@ from cclearn.centroids import (
     batch_class_means,
     ema_update,
     init_bank,
-    l2_normalize,
     load_bank,
     normalize_rows,
     save_bank,
     update_smoothing,
 )
 from cclearn.errors import DegenerateVectorError, StateError
+from reference import ema_update_loop
 
 
 def random_unit_rows(rng, n, dim):
@@ -21,16 +26,16 @@ def random_unit_rows(rng, n, dim):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-class TestL2Normalize:
+class TestNormalizeRows:
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], rtol=0, atol=1e-15)
 
     def test_axis_vector(self):
-        np.testing.assert_allclose(l2_normalize([0.0, 0.0, 5.0]), [0, 0, 1], rtol=0, atol=0)
+        np.testing.assert_allclose(normalize_rows([[0.0, 0.0, 5.0]]), [[0, 0, 1]], rtol=0, atol=0)
 
     def test_zero_vector_raises(self):
         with pytest.raises(DegenerateVectorError):
-            l2_normalize([0.0, 0.0])
+            normalize_rows([[0.0, 0.0]])
 
     def test_unit_output_norm(self):
         rng = np.random.default_rng(0)
@@ -38,7 +43,7 @@ class TestL2Normalize:
             v = rng.standard_normal(rng.integers(1, 12))
             if np.linalg.norm(v) < 1e-9:
                 continue
-            assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(normalize_rows(v[None])) - 1.0) < 1e-12
 
     def test_rows_variant_reports_bad_row(self):
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -218,6 +223,37 @@ class TestEmaUpdate:
         bank_b = self.make_seen_bank(cents[perm], 0.37)
         ema_update(bank_b, means[perm], mask[perm])
         np.testing.assert_array_equal(bank_a.centroids[perm], bank_b.centroids)
+
+
+@st.composite
+def ema_cases(draw):
+    classes, dim = draw(st.integers(2, 6)), draw(st.integers(1, 64))
+    flags = st.lists(st.booleans(), min_size=classes, max_size=classes)
+    bank = init_bank(classes, dim, 0.0)
+    bank.m = draw(st.floats(0.0, 1.0, exclude_max=True))
+    bank.seen = np.array(draw(flags))
+    bank.centroids = draw(arrays(np.float64, (classes, dim), elements=st.floats(-2.0, 2.0)))
+    f_mean = draw(arrays(np.float64, (classes, dim), elements=st.floats(-1e3, 1e3)))
+    # rows whose blend cancels, or nearly so, exercise the collapse error
+    for k in np.flatnonzero(draw(flags)):
+        f_mean[k] = -bank.centroids[k] * (bank.m / (1.0 - bank.m))
+    return bank, f_mean, np.array(draw(flags))
+
+
+def ema_outcome(update, bank, f_mean, mask):
+    bank = copy.deepcopy(bank)
+    try:
+        update(bank, f_mean, mask)
+        error = None
+    except DegenerateVectorError as exc:
+        error = str(exc)
+    return bank.centroids.tobytes(), bank.seen.tobytes(), error
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ema_cases())
+def test_ema_update_is_bit_equal_to_the_per_class_loop(case):
+    assert ema_outcome(ema_update, *case) == ema_outcome(ema_update_loop, *case)
 
 
 class TestBankIO:

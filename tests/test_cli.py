@@ -82,6 +82,15 @@ class TestSynthData:
         assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "blur" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", "4"), ("samples_per_class", "40"), ("samples_per_class", [40, 40.5, 40]),
+        ("seed", True), ("spread", None), ("translation", ["1"]), ("num_classes", [4]),
+    ])
+    def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
+        config = write_json(tmp_path / "synth.json", dict(SYNTH, **{key: value}))
+        assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["synth-data", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -116,6 +125,19 @@ class TestTrain:
             "train", "--config", str(config), "--data", str(table), "--out", str(tmp_path / "r"),
         ]) == 2
         assert "bad.csv: line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "5"), ("epochs", 2.5), ("epochs", [5]), ("hidden_dims", 5),
+        ("hidden_dims", [12, "x"]),
+        ("alpha", "1"), ("batch_size", False),
+    ])
+    def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
+        config = write_json(tmp_path / "train.json", dict(TRAIN, **{key: value}))
+        assert main([
+            "train", "--config", str(config), "--data", str(tmp_path / "source.csv"),
+            "--out", str(tmp_path / "r"),
+        ]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_same_seed_reruns_are_byte_identical(self, tmp_path, data_dir):
         config = write_json(tmp_path / "train.json", TRAIN)

@@ -190,6 +190,14 @@ class TestTableIO:
         with pytest.raises(TableParseError, match="long.csv: line 3: field larger"):
             load_table(path)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"])
+    def test_errors_name_the_physical_line_of_a_multi_line_record(self, tmp_path, newline):
+        path = tmp_path / "multi.csv"
+        rows = ['1,0,"a\r\nb"', '2,0,"a\r\nb"', 'xx,0,"a\r\nb"']
+        path.write_bytes(newline.join(["f0,label,domain", *rows, ""]).encode())
+        with pytest.raises(TableParseError, match="multi.csv: line 6: non-numeric"):
+            load_table(path)
+
     def test_header_only_is_no_samples(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("f0,f1,label,domain\n")

@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from cclearn.centroids import ema_update, init_bank
-from cclearn.errors import StateError
-from cclearn.losses import (
-    combined_loss,
-    combined_loss_and_grads,
-    contrastive_loss,
-    contrastive_loss_grad,
-    cross_entropy,
-    cross_entropy_grad,
-    softmax,
-)
+from cclearn.losses import combined_loss, combined_loss_and_grads, softmax
+from reference import contrastive_loss, contrastive_loss_grad, cross_entropy, cross_entropy_grad
 
 
 # ---- independent oracles: plain exponential sums, no stabilization tricks ----
@@ -33,6 +25,27 @@ def unit_rows(rng, n, dim):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+# ---- one-sample batches through the package's batch objective ----
+
+def one_row_ce(logits, label):
+    """(.ce, d_logits) of the one-row batch, read at alpha 0."""
+    logits = np.asarray(logits, dtype=np.float64)
+    bank = init_bank(logits.shape[0], 1, 0.0)
+    breakdown, _, d_logits = combined_loss_and_grads(
+        np.ones((1, 1)), logits[None], np.array([label]), bank, 0.0, 1.0
+    )
+    return breakdown.ce, d_logits[0]
+
+
+def one_row_cont(f, bank, own, tau):
+    """(.cont, d_features) of the one-row batch, read at alpha 1."""
+    breakdown, d_feat, _ = combined_loss_and_grads(
+        np.asarray(f, dtype=np.float64)[None], np.zeros((1, bank.num_classes)),
+        np.array([own]), bank, 1.0, tau,
+    )
+    return breakdown.cont, d_feat[0]
+
+
 def seen_bank(centroid_rows, seen=None):
     rows = np.asarray(centroid_rows, dtype=np.float64)
     bank = init_bank(rows.shape[0], rows.shape[1], 0.0)
@@ -44,7 +57,7 @@ def seen_bank(centroid_rows, seen=None):
 class TestContrastiveLoss:
     def test_aligned_positive_orthogonal_negative(self):
         bank = seen_bank([[1.0, 0.0], [0.0, 1.0]])
-        loss = contrastive_loss(np.array([1.0, 0.0]), bank, 0, 1.0)
+        loss, _ = one_row_cont([1.0, 0.0], bank, 0, 1.0)
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
         assert loss == pytest.approx(0.31326, abs=1e-5)
 
@@ -53,11 +66,11 @@ class TestContrastiveLoss:
         bank = seen_bank(unit_rows(np.random.default_rng(0), k, dim))
         f = np.zeros(dim)  # dot product 0 to everything
         for own in range(k):
-            assert contrastive_loss(f, bank, own, 1.0) == pytest.approx(math.log(k), abs=1e-12)
+            assert one_row_cont(f, bank, own, 1.0)[0] == pytest.approx(math.log(k), abs=1e-12)
 
     def test_two_opposed_negatives(self):
         bank = seen_bank([[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-        loss = contrastive_loss(np.array([1.0, 0.0]), bank, 0, 1.0)
+        loss, _ = one_row_cont([1.0, 0.0], bank, 0, 1.0)
         expect = -math.log(math.e / (math.e + 2.0 / math.e))
         assert loss == pytest.approx(expect, abs=1e-12)
         assert loss == pytest.approx(0.23954, abs=1e-5)
@@ -72,7 +85,7 @@ class TestContrastiveLoss:
             bank = seen_bank(cents)
             f = unit_rows(rng, 1, dim)[0]
             own = int(rng.integers(0, k))
-            ours = contrastive_loss(f, bank, own, tau)
+            ours, _ = one_row_cont(f, bank, own, tau)
             assert ours == pytest.approx(
                 oracle_contrastive(f, cents, own, tau), abs=1e-10
             )
@@ -83,9 +96,9 @@ class TestContrastiveLoss:
         k, dim = 6, 5
         cents = unit_rows(rng, k, dim)
         f = unit_rows(rng, 1, dim)[0]
-        base = contrastive_loss(f, seen_bank(cents), 0, 0.7)
+        base, _ = one_row_cont(f, seen_bank(cents), 0, 0.7)
         perm = np.concatenate([[0], 1 + rng.permutation(k - 1)])
-        permuted = contrastive_loss(f, seen_bank(cents[perm]), 0, 0.7)
+        permuted, _ = one_row_cont(f, seen_bank(cents[perm]), 0, 0.7)
         assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_large_tau_approaches_log_seen_count(self):
@@ -94,36 +107,30 @@ class TestContrastiveLoss:
             cents = unit_rows(rng, k, 7)
             bank = seen_bank(cents)
             f = unit_rows(rng, 1, 7)[0]
-            loss = contrastive_loss(f, bank, 1, 1e6)
+            loss, _ = one_row_cont(f, bank, 1, 1e6)
             assert loss == pytest.approx(math.log(k), abs=1e-4)
 
     def test_unseen_classes_excluded_from_negatives(self):
         cents = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         bank = seen_bank(cents, seen=[True, True, False])
-        loss = contrastive_loss(np.array([1.0, 0.0]), bank, 0, 1.0)
+        loss, _ = one_row_cont([1.0, 0.0], bank, 0, 1.0)
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
-    def test_state_errors(self):
-        bank = seen_bank([[1.0, 0.0], [0.0, 1.0]], seen=[True, False])
-        with pytest.raises(StateError):
-            contrastive_loss(np.array([1.0, 0.0]), bank, 1, 1.0)  # own unseen
-        with pytest.raises(StateError):
-            contrastive_loss(np.array([1.0, 0.0]), bank, 0, 1.0)  # no negatives
+    def test_non_positive_tau_rejected(self):
+        bank = seen_bank([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            contrastive_loss(np.array([1.0, 0.0]), bank, 0, 0.0)  # bad tau
+            one_row_cont([1.0, 0.0], bank, 0, 0.0)
 
 
 class TestContrastiveGrad:
     def test_equidistant_hand_value(self):
         bank = seen_bank([[1.0, 0.0], [0.0, 1.0]])
         f = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        np.testing.assert_allclose(
-            contrastive_loss_grad(f, bank, 0, 1.0), [-0.5, 0.5], atol=1e-12
-        )
+        np.testing.assert_allclose(one_row_cont(f, bank, 0, 1.0)[1], [-0.5, 0.5], atol=1e-12)
 
     def test_saturated_softmax_gradient_vanishes(self):
         bank = seen_bank([[1.0, 0.0], [-1.0, 0.0]])
-        grad = contrastive_loss_grad(np.array([1.0, 0.0]), bank, 0, 0.01)
+        _, grad = one_row_cont([1.0, 0.0], bank, 0, 0.01)
         assert np.linalg.norm(grad) < 1e-12
 
     def test_matches_finite_differences(self):
@@ -136,14 +143,14 @@ class TestContrastiveGrad:
             f = unit_rows(rng, 1, dim)[0]
             own = int(rng.integers(0, k))
             tau = float(rng.uniform(0.3, 3.0))
-            grad = contrastive_loss_grad(f, bank, own, tau)
+            _, grad = one_row_cont(f, bank, own, tau)
             fd = np.zeros(dim)
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = h
                 fd[i] = (
-                    contrastive_loss(f + e, bank, own, tau)
-                    - contrastive_loss(f - e, bank, own, tau)
+                    one_row_cont(f + e, bank, own, tau)[0]
+                    - one_row_cont(f - e, bank, own, tau)[0]
                 ) / (2 * h)
             rel = np.linalg.norm(fd - grad) / max(np.linalg.norm(fd), np.linalg.norm(grad))
             assert rel < 1e-5
@@ -151,13 +158,13 @@ class TestContrastiveGrad:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        assert cross_entropy(np.zeros(4), 2) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert one_row_ce(np.zeros(4), 2)[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_saturated_logits_stable(self):
-        assert cross_entropy(np.array([1000.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-12)
+        assert one_row_ce([1000.0, 0.0], 0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        loss = cross_entropy(np.array([2.0, 1.0, 0.0]), 0)
+        loss, _ = one_row_ce([2.0, 1.0, 0.0], 0)
         expect = -math.log(math.exp(2) / (math.exp(2) + math.e + 1.0))
         assert loss == pytest.approx(expect, abs=1e-12)
         assert loss == pytest.approx(0.40761, abs=1e-5)
@@ -168,32 +175,32 @@ class TestCrossEntropy:
             k = int(rng.integers(2, 9))
             logits = rng.uniform(-20, 20, k)
             label = int(rng.integers(0, k))
-            assert cross_entropy(logits, label) == pytest.approx(
+            assert one_row_ce(logits, label)[0] == pytest.approx(
                 oracle_cross_entropy(logits, label), abs=1e-10
             )
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal(6)
-        base = cross_entropy(logits, 3)
+        base, _ = one_row_ce(logits, 3)
         for c in (-50.0, 1e-3, 123.456):
-            assert cross_entropy(logits + c, 3) == pytest.approx(base, abs=1e-10)
+            assert one_row_ce(logits + c, 3)[0] == pytest.approx(base, abs=1e-10)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            cross_entropy(np.array([1.0, 2.0]), 2)
+            one_row_ce([1.0, 2.0], 2)
         with pytest.raises(ValueError):
-            cross_entropy(np.array([1.0, math.inf]), 0)
+            one_row_ce([1.0, math.inf], 0)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         h = 1e-6
         logits = rng.standard_normal(5)
-        grad = cross_entropy_grad(logits, 2)
+        _, grad = one_row_ce(logits, 2)
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            fd = (cross_entropy(logits + e, 2) - cross_entropy(logits - e, 2)) / (2 * h)
+            fd = (one_row_ce(logits + e, 2)[0] - one_row_ce(logits - e, 2)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-8)
 
     def test_softmax_rows_sum_to_one(self):

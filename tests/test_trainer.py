@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,22 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="step"):
                 train(tr, va, config)
+
+    def test_divergence_on_the_last_step_aborts(self):
+        src = generate_blobs(SynthConfig(seed=0, samples_per_class=20), "source")
+        tr, va, _ = split_dataset(src, seed=0)
+        config = TrainConfig(epochs=1, batch_size=len(tr), base_lr=1e300, warmup_epochs=0,
+                             feature_dim=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="after epoch 0, step 0"):
+                train(tr, va, config)
+
+    def test_non_finite_parameters_after_the_last_step_abort(self):
+        tr, _, config = small_run(epochs=1, base_lr=1e160, warmup_epochs=0)
+        huge = Dataset(tr.features * 1e150, tr.labels, tr.domain, tr.num_classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="parameters after epoch 0, step 0"):
+                train(huge, None, replace(config, batch_size=len(tr)))
 
     def test_val_dataset_dim_mismatch(self):
         tr, va, config = small_run()
