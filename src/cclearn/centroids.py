@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codec import floats, read_rows, write_rows
+from .data import check_labels
 from .errors import DegenerateVectorError, StateError
 
 NORM_EPS = 1e-12
@@ -103,16 +104,9 @@ def batch_class_means(
     Feature rows are expected to be unit-norm already.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"features must be a non-empty 2-D array, got shape {features.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.shape != (features.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} does not match batch size {features.shape[0]}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    labels = check_labels(labels, num_classes, "labels", features.shape[0])
     counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
     means = np.zeros((num_classes, features.shape[1]), dtype=np.float64)
     np.add.at(means, labels, features)

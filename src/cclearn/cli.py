@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import centroids, diagnostics, trainer
-from .codec import FLOAT, write_rows
+from .codec import FLOAT, csv_format, write_rows
 from .data import SynthConfig, generate_blobs, load_table, save_table, split_dataset
 from .model import forward, load_model, save_model
 from .trainer import TrainConfig, finetune_config
@@ -40,16 +40,6 @@ def _load_json(path: Path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return data
-
-
-def _synth_config(data: dict) -> SynthConfig:
-    known = {f.name for f in dataclasses.fields(SynthConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown synth config key(s): {sorted(unknown)}")
-    config = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-    config.validate()
-    return config
 
 
 def _echo_config(config, path: Path) -> None:
@@ -105,7 +95,7 @@ def _run_dir(path: str) -> Path:
 
 
 def cmd_synth_data(args) -> None:
-    config = _synth_config(_load_json(Path(args.config)))
+    config = SynthConfig.from_dict(_load_json(Path(args.config)))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out = Path(args.out)
@@ -165,7 +155,8 @@ def cmd_evaluate(args) -> None:
         values += [res.value, *(res.per_class or ())]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("metric,domain,value\n")
-        write_rows(fh, "%s," + ds.domain.replace("%", "%%") + "," + FLOAT + "\n", names, values)
+        row = csv_format(["%s", ds.domain.replace("%", "%%"), FLOAT], "\n")
+        write_rows(fh, row, names, values)
     for res in results:
         print(f"{res.name} [{res.domain}]: {res.value:.6g}")
     print(f"wrote {out_path}")
@@ -184,16 +175,14 @@ def cmd_diagnose(args) -> None:
         bank = centroids.bank_from_features(feats, ds.labels, ds.num_classes)
     heatmap = diagnostics.class_centroid_heatmap(feats, ds.labels, bank, ds.domain)
 
+    fit_feats = feats
     if args.fit_data:
         fit_ds = _model_table(args.fit_data, params, "fit dataset")
         _, fit_feats, _, _ = forward(params, fit_ds.features)
-        basis = diagnostics.pca_2d(fit_feats)
-        coords = diagnostics.project_into(basis, feats)
-        projection = diagnostics.PcaProjection(
-            coords, basis.explained, basis.mean, basis.components, ds.labels, ds.domain
-        )
-    else:
-        projection = diagnostics.pca_2d(feats, ds.labels, ds.domain)
+    basis = diagnostics.pca_2d(fit_feats)
+    projection = dataclasses.replace(
+        basis, coords=diagnostics.project_into(basis, feats), labels=ds.labels, domain=ds.domain
+    )
     spread = diagnostics.feature_spread(feats)
 
     stem = Path(args.data).stem

@@ -8,6 +8,9 @@ more than one chunk at a time.
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 from .errors import StateError
@@ -19,6 +22,14 @@ CHUNK_ROWS = 2048
 def floats(n: int, sep: str) -> str:
     """The %-format of ``n`` float cells joined by ``sep``."""
     return sep.join([FLOAT] * n)
+
+
+def csv_format(cells: list[str], end: str = "\r\n") -> str:
+    """The row of ``cells`` as csv's default writer quotes it, ending in ``end``:
+    a row format when every literal % in a cell is written %%."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)  # "\r\n" ends: "\r" in a cell is quoted too
+    return out.getvalue()[:-2] + end
 
 
 def write_rows(fh, fmt: str, *columns) -> None:

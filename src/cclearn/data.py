@@ -12,17 +12,16 @@ noise) makes source and target bitwise equal.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
-from .codec import FLOAT, write_rows
+from .codec import FLOAT, csv_format, write_rows
 from .errors import TableParseError
 
 # fixed sub-stream tags so every random draw is attributable to the one seed
@@ -45,18 +44,12 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError(f"features must be a non-empty 2-D array, got {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be one integer per row")
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.num_classes}), got "
-                f"[{self.labels.min()}, {self.labels.max()}]"
-            )
+        labels = check_labels(self.labels, self.num_classes, "labels", self.features.shape[0])
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -66,8 +59,38 @@ class Dataset:
         return self.features.shape[1]
 
 
+def check_labels(y, num_classes: int, what: str, n: int | None = None) -> np.ndarray:
+    """``y`` as an array once it is a non-empty 1-D integer array, ``n`` long
+    when ``n`` is given, whose entries lie in [0, num_classes); else ValueError."""
+    y = np.asarray(y)
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError(f"{what} must be a non-empty 1-D array")
+    if n is not None and y.size != n:
+        raise ValueError(f"{what} has {y.size} entries for {n} rows")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {y.dtype}")
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(f"{what} must lie in [0, {num_classes}), got [{y.min()}, {y.max()}]")
+    return y
+
+
+class JsonConfig:
+    """A config dataclass (``SynthConfig``, ``TrainConfig``) read from a JSON object."""
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The validated config of a JSON object: unknown keys are refused and
+        lists become tuples."""
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+        config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+        config.validate()
+        return config
+
+
 @dataclass
-class SynthConfig:
+class SynthConfig(JsonConfig):
     """Knobs for the blob generator; defaults are the desk-scale benchmark."""
 
     num_classes: int = 4
@@ -243,11 +266,10 @@ def save_table(ds: Dataset, path) -> None:
     Lines end with \\r\\n and the domain cell is quoted as the csv module
     quotes it: the csv writer itself builds the header and the row format.
     """
-    row_format = io.StringIO()
-    csv.writer(row_format).writerow([FLOAT] * ds.input_dim + ["%d", ds.domain.replace("%", "%%")])
+    row_format = csv_format([FLOAT] * ds.input_dim + ["%d", ds.domain.replace("%", "%%")])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
-        write_rows(fh, row_format.getvalue(), ds.features, ds.labels)
+        write_rows(fh, row_format, ds.features, ds.labels)
     _write_sidecar(ds, path)
 
 

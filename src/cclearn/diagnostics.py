@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import CentroidBank
-from .codec import floats, write_rows
+from .centroids import CentroidBank, batch_class_means
+from .codec import FLOAT, csv_format, floats, write_rows
 from .errors import StateError, UndefinedProjectionError
 
 _SIGN_EPS = 1e-12
@@ -59,26 +59,17 @@ def class_centroid_heatmap(
 ) -> HeatmapMatrix:
     """Mean cosine similarity of each class's (unit) features to every centroid."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != bank.feature_dim:
         raise ValueError(
             f"features shape {features.shape} does not match bank dim {bank.feature_dim}"
         )
-    if labels.shape != (features.shape[0],):
-        raise ValueError("labels must have one entry per feature row")
-    num_classes = bank.num_classes
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    unseen = np.unique(labels[~bank.seen[labels]])
+    # row i is the mean similarity of class i's features to every centroid
+    values, present = batch_class_means(features @ bank.centroids.T, labels, bank.num_classes)
+    unseen = np.flatnonzero(present & ~bank.seen)
     if unseen.size:
         raise StateError(f"class(es) {unseen.tolist()} have no centroid in the bank")
-    sims = features @ bank.centroids.T
-    values = np.full((num_classes, num_classes), np.nan)
-    counts = np.bincount(labels, minlength=num_classes)
-    for k in range(num_classes):
-        if counts[k]:
-            values[k] = sims[labels == k].mean(axis=0)
-    return HeatmapMatrix(values, counts, counts == 0, domain)
+    values[~present] = np.nan
+    return HeatmapMatrix(values, np.bincount(labels, minlength=bank.num_classes), ~present, domain)
 
 
 def pca_2d(
@@ -145,9 +136,10 @@ def save_heatmap(hm: HeatmapMatrix, path) -> None:
 
 
 def save_projection(proj: PcaProjection, path) -> None:
-    """CSV: pc1,pc2,label,domain rows (label blank when unknown)."""
+    """CSV: pc1,pc2,label,domain rows (label blank when unknown), the domain
+    quoted as the csv module quotes it."""
     labels = proj.labels if proj.labels is not None else [""] * proj.coords.shape[0]
-    row = floats(2, ",") + ",%s," + proj.domain.replace("%", "%%") + "\n"
+    row = csv_format([FLOAT, FLOAT, "%s", proj.domain.replace("%", "%%")], "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pc1,pc2,label,domain\n")
         write_rows(fh, row, proj.coords, labels)

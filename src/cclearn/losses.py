@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import CentroidBank
+from .data import check_labels
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ def combined_loss_and_grads(
     """
     features = np.asarray(features, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if tau <= 0.0:
@@ -97,11 +97,7 @@ def combined_loss_and_grads(
     if not np.isfinite(logits).all():
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
         raise ValueError(f"non-finite logits in sample(s) {bad.tolist()}")
-    if not np.issubdtype(labels.dtype, np.integer) or labels.shape != (batch,):
-        raise ValueError("labels must be a 1-D integer array matching the batch")
-    num_classes = logits.shape[1]
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
+    labels = check_labels(labels, logits.shape[1], "labels", batch)
 
     # cross-entropy branch
     ce_terms, d_logits = _nll_and_softmax(logits, labels)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_labels
 from .errors import UndefinedMetricError
 
 
@@ -25,30 +26,17 @@ class EvalResult:
     per_class: tuple[float, ...] | None = field(default=None)
 
 
-def _check_labels(y: np.ndarray, num_classes: int, what: str) -> np.ndarray:
-    y = np.asarray(y)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError(f"{what} must be a non-empty 1-D array")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError(f"{what} must be integers, got dtype {y.dtype}")
-    if y.min() < 0 or y.max() >= num_classes:
-        raise ValueError(f"{what} must lie in [0, {num_classes})")
-    return y
-
-
 def quadratic_weighted_kappa(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
     """1 - (sum w*O) / (sum w*E): 1 at perfect agreement, 0 at chance level."""
     if num_classes < 2:
         raise ValueError(f"kappa needs at least 2 classes, got {num_classes}")
-    y_true = _check_labels(y_true, num_classes, "y_true")
-    y_pred = _check_labels(y_pred, num_classes, "y_pred")
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have the same length")
-    n = y_true.size
-    observed = np.zeros((num_classes, num_classes))
-    np.add.at(observed, (y_true, y_pred), 1.0)
-    expected = np.outer(np.bincount(y_true, minlength=num_classes),
-                        np.bincount(y_pred, minlength=num_classes)) / n
+    y_true = check_labels(y_true, num_classes, "y_true")
+    y_pred = check_labels(y_pred, num_classes, "y_pred", y_true.size)
+    # the confusion counts, with cell (t, p) at t * K + p, and their margins
+    observed = np.bincount(
+        y_true.astype(np.int64) * num_classes + y_pred, minlength=num_classes**2
+    ).reshape(num_classes, num_classes)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / y_true.size
     grid = np.arange(num_classes)
     weights = (grid[:, None] - grid[None, :]) ** 2 / (num_classes - 1) ** 2
     denom = float((weights * expected).sum())
@@ -107,9 +95,7 @@ def auc_macro_ovr(
     if probabilities.ndim != 2:
         raise ValueError(f"probabilities must be 2-D, got shape {probabilities.shape}")
     n, num_classes = probabilities.shape
-    _check_labels(labels, num_classes, "labels")
-    if labels.shape != (n,):
-        raise ValueError("labels must have one entry per probability row")
+    check_labels(labels, num_classes, "labels", n)
     if (probabilities < 0).any() or np.abs(probabilities.sum(axis=1) - 1.0).max() > 1e-6:
         raise ValueError("rows of probabilities must be probability vectors")
     per_class = np.full(num_classes, np.nan)

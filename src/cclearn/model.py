@@ -26,37 +26,40 @@ from .errors import StateError
 
 
 @dataclass
-class ModelParams:
-    """Backbone affine layers plus the one-layer head.
-
-    ``version`` counts in-place SGD updates so a stale forward cache can be
-    detected in ``backward``.
-    """
+class _Layers:
+    """Backbone affine layers plus the one-layer head."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head_weight: np.ndarray
     head_bias: np.ndarray
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The backbone's (weight, bias) pairs, then the head's."""
+        return [*zip(self.weights, self.biases), (self.head_weight, self.head_bias)]
+
+
+@dataclass
+class ModelParams(_Layers):
+    """The network's parameters.
+
+    ``version`` counts in-place SGD updates so a stale forward cache can be
+    detected in ``backward``.
+    """
+
     version: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("backbone needs matching, non-empty weight/bias lists")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        fan_in = None  # each layer (the head last) consumes the one before
+        for i, (w, b) in enumerate(self.layers):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError(f"layer {i} has inconsistent shapes {w.shape} / {b.shape}")
-            if i > 0 and w.shape[0] != self.weights[i - 1].shape[1]:
-                raise ValueError(
-                    f"layer {i} input dim {w.shape[0]} does not chain from "
-                    f"{self.weights[i - 1].shape[1]}"
-                )
-        if self.head_weight.ndim != 2 or self.head_weight.shape[0] != self.feature_dim:
-            raise ValueError(
-                f"head weight shape {self.head_weight.shape} does not consume "
-                f"{self.feature_dim}-dim features"
-            )
-        if self.head_bias.shape != (self.head_weight.shape[1],):
-            raise ValueError(f"head bias shape {self.head_bias.shape} is wrong")
+            if fan_in is not None and w.shape[0] != fan_in:
+                raise ValueError(f"layer {i} input dim {w.shape[0]} does not chain from {fan_in}")
+            fan_in = w.shape[1]
 
     @property
     def input_dim(self) -> int:
@@ -76,13 +79,8 @@ class ModelParams:
 
 
 @dataclass
-class Gradients:
+class Gradients(_Layers):
     """Same layout as ModelParams, holding d(total loss)/d(parameter)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
 
 
 @dataclass
@@ -207,19 +205,15 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     """In-place p <- p - lr * g over every parameter; returns the same object."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    if len(grads.weights) != len(params.weights):
+    layers, grad_layers = params.layers, grads.layers
+    if len(grads.weights) != len(params.weights) or len(grad_layers) != len(layers):
         raise ValueError("gradient structure does not match parameters")
-    for p, g in zip(params.weights + [params.head_weight], grads.weights + [grads.head_weight]):
+    pairs = [(p, g) for layer in zip(layers, grad_layers) for p, g in zip(*layer)]
+    for p, g in pairs:  # every check runs before any parameter changes
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-    for p, g in zip(params.biases + [params.head_bias], grads.biases + [grads.head_bias]):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-    for i in range(len(params.weights)):
-        params.weights[i] -= lr * grads.weights[i]
-        params.biases[i] -= lr * grads.biases[i]
-    params.head_weight -= lr * grads.head_weight
-    params.head_bias -= lr * grads.head_bias
+    for p, g in pairs:
+        p -= lr * g
     params.version += 1
     return params
 
@@ -277,7 +271,7 @@ def save_model(params: ModelParams, path) -> None:
             f"{params.input_dim} {params.feature_dim} {params.num_classes} {len(params.weights)}\n"
             + " ".join(str(w.shape[1]) for w in params.weights) + "\n"
         )
-        for w, b in zip(params.weights + [params.head_weight], params.biases + [params.head_bias]):
+        for w, b in params.layers:
             row = floats(w.shape[1], " ") + "\n"
             write_rows(fh, row, w)
             write_rows(fh, row, b[None])

@@ -15,14 +15,14 @@ of cross-entropy-only training at a constant 1e-6 rate, bank untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, init_bank, update_smoothing
 from .codec import floats, write_rows
-from .data import Dataset, make_batches, require_numbers
+from .data import Dataset, JsonConfig, make_batches, require_numbers
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
 from .metrics import EvalResult, accuracy, auc_macro_ovr, quadratic_weighted_kappa
@@ -33,7 +33,7 @@ _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     """Hyperparameters; defaults are the source-training recipe."""
 
     alpha: float = 1.0
@@ -72,18 +72,8 @@ class TrainConfig:
             raise ValueError(
                 f"config key 'hidden_dims' must list positive sizes, got {self.hidden_dims!r}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"hidden_dims": list(self.hidden_dims)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-        config.validate()
-        return config
+        if not isinstance(self.shuffle, (bool, np.bool_)):
+            raise ValueError(f"config key 'shuffle' must be true or false, got {self.shuffle!r}")
 
 
 def finetune_config(**overrides) -> TrainConfig:
@@ -113,10 +103,6 @@ class RunReport:
     history: list[EpochRecord] = field(default_factory=list)
     eval_results: list[EvalResult] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
 
 def predict_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
@@ -288,8 +274,8 @@ def _run_epoch(
             ema_samples += len(batch)
         ce_sum += breakdown.ce * len(batch)
         cont_sum += breakdown.cont * len(batch)
-    tensors = [*params.weights, *params.biases, params.head_weight, params.head_bias]
-    if not all(np.isfinite(t).all() for t in tensors):  # the loop checks only each step's input
+    # the loop checks only each step's input
+    if not all(np.isfinite(t).all() for layer in params.layers for t in layer):
         raise TrainingError(f"non-finite parameters after epoch {epoch}, step {opt.step - 1}")
     return EpochRecord(
         epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,

@@ -3,7 +3,11 @@
 The per-sample losses spell out the objective one sample at a time; the
 package computes it only in batch form (``combined_loss_and_grads``). The
 per-class ``ema_update_loop`` is the EMA update the package computes with
-array operations. Each is kept here exactly as it first shipped.
+array operations. ``class_centroid_heatmap_loop`` takes one masked mean per
+class where the package reuses ``batch_class_means``, and
+``quadratic_weighted_kappa_add_at`` counts the confusion matrix with
+``np.add.at`` where the package takes one ``np.bincount``. Each is kept here
+exactly as it first shipped.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from cclearn.centroids import NORM_EPS, CentroidBank
-from cclearn.errors import DegenerateVectorError, StateError
+from cclearn.diagnostics import HeatmapMatrix
+from cclearn.errors import DegenerateVectorError, StateError, UndefinedMetricError
 from cclearn.losses import softmax
 
 
@@ -120,3 +125,66 @@ def ema_update_loop(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) ->
         bank.centroids[k] = row
         bank.seen[k] = True
     return bank
+
+
+def class_centroid_heatmap_loop(
+    features: np.ndarray, labels: np.ndarray, bank: CentroidBank, domain: str = ""
+) -> HeatmapMatrix:
+    """Mean cosine similarity of each class's (unit) features to every centroid."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if features.ndim != 2 or features.shape[1] != bank.feature_dim:
+        raise ValueError(
+            f"features shape {features.shape} does not match bank dim {bank.feature_dim}"
+        )
+    if labels.shape != (features.shape[0],):
+        raise ValueError("labels must have one entry per feature row")
+    num_classes = bank.num_classes
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    unseen = np.unique(labels[~bank.seen[labels]])
+    if unseen.size:
+        raise StateError(f"class(es) {unseen.tolist()} have no centroid in the bank")
+    sims = features @ bank.centroids.T
+    values = np.full((num_classes, num_classes), np.nan)
+    counts = np.bincount(labels, minlength=num_classes)
+    for k in range(num_classes):
+        if counts[k]:
+            values[k] = sims[labels == k].mean(axis=0)
+    return HeatmapMatrix(values, counts, counts == 0, domain)
+
+
+def _check_labels(y: np.ndarray, num_classes: int, what: str) -> np.ndarray:
+    y = np.asarray(y)
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError(f"{what} must be a non-empty 1-D array")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {y.dtype}")
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(f"{what} must lie in [0, {num_classes})")
+    return y
+
+
+def quadratic_weighted_kappa_add_at(
+    y_true: np.ndarray, y_pred: np.ndarray, num_classes: int
+) -> float:
+    """1 - (sum w*O) / (sum w*E): 1 at perfect agreement, 0 at chance level."""
+    if num_classes < 2:
+        raise ValueError(f"kappa needs at least 2 classes, got {num_classes}")
+    y_true = _check_labels(y_true, num_classes, "y_true")
+    y_pred = _check_labels(y_pred, num_classes, "y_pred")
+    if y_true.shape != y_pred.shape:
+        raise ValueError("y_true and y_pred must have the same length")
+    n = y_true.size
+    observed = np.zeros((num_classes, num_classes))
+    np.add.at(observed, (y_true, y_pred), 1.0)
+    expected = np.outer(np.bincount(y_true, minlength=num_classes),
+                        np.bincount(y_pred, minlength=num_classes)) / n
+    grid = np.arange(num_classes)
+    weights = (grid[:, None] - grid[None, :]) ** 2 / (num_classes - 1) ** 2
+    denom = float((weights * expected).sum())
+    if denom == 0.0:
+        raise UndefinedMetricError(
+            "kappa undefined: both label sets are concentrated on one identical class"
+        )
+    return 1.0 - float((weights * observed).sum()) / denom

@@ -1,10 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
 from cclearn.cli import main
-from cclearn.data import load_table
+from cclearn.data import Dataset, load_table, save_table
 
 SYNTH = {
     "num_classes": 3,
@@ -129,7 +130,7 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [
         ("epochs", "5"), ("epochs", 2.5), ("epochs", [5]), ("hidden_dims", 5),
         ("hidden_dims", [12, "x"]),
-        ("alpha", "1"), ("batch_size", False),
+        ("alpha", "1"), ("batch_size", False), ("shuffle", "no"), ("shuffle", 0),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "train.json", dict(TRAIN, **{key: value}))
@@ -228,6 +229,29 @@ class TestDiagnose:
                      "--data", str(data_dir / "target.csv")]) == 0
         spread = (run / "spread_target.txt").read_text()
         assert "centroids empirical" in spread
+
+
+@pytest.mark.parametrize("domain", ['site "A", 5%', "", "line\r\nbreak"])
+def test_eval_and_pca_files_quote_the_domain(tmp_path, data_dir, run_dir, domain):
+    target = load_table(data_dir / "target.csv")
+    table = tmp_path / "odd.csv"
+    save_table(Dataset(target.features, target.labels, domain, target.num_classes), table)
+    assert main(["evaluate", "--run", str(run_dir), "--data", str(table)]) == 0
+    for args in ([], ["--fit-data", str(data_dir / "source.csv")]):
+        assert main(["diagnose", "--run", str(run_dir), "--data", str(table), *args]) == 0
+        for name, width, column in (("eval_odd.csv", 3, 1), ("pca_odd.csv", 4, 3)):
+            text = (run_dir / name).read_bytes().decode()
+            rows = list(csv.reader(text.splitlines(keepends=True)))
+            assert {len(row) for row in rows} == {width}, name
+            assert {row[column] for row in rows[1:]} == {domain}, name
+            assert "\r" not in text.replace(domain, ""), name  # rows end with \n
+
+
+def test_plain_domain_cells_are_written_bare(data_dir, run_dir):
+    assert main(["evaluate", "--run", str(run_dir), "--data", str(data_dir / "target.csv")]) == 0
+    assert main(["diagnose", "--run", str(run_dir), "--data", str(data_dir / "target.csv")]) == 0
+    assert (run_dir / "eval_target.csv").read_text().splitlines()[1].startswith("accuracy,target,")
+    assert (run_dir / "pca_target.csv").read_text().splitlines()[1].endswith(",target")
 
 
 def test_unknown_flag_exits_nonzero():

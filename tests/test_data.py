@@ -144,6 +144,27 @@ class TestSplitDataset:
             split_dataset(ds, fractions=(0.999, 0.0005, 0.0005), seed=0)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("labels", [
+        np.array([0.5, 1.7, 2.9]), np.array([0.0, 1.0, 2.0]), np.array([True, False, True]),
+        [0.0, 1.0, 2.0],
+    ])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="integers"):
+            Dataset(np.ones((3, 2)), labels, "s", 3)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 1, 3]), np.array([0, -1, 2]), np.array([0, 1]), np.array([[0], [1], [2]]),
+    ])
+    def test_bad_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError):
+            Dataset(np.ones((3, 2)), labels, "s", 3)
+
+    def test_integer_labels_become_int64(self):
+        ds = Dataset(np.ones((3, 2)), np.array([0, 2, 1], dtype=np.uint8), "s", 3)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 2, 1]
+        assert Dataset(np.ones((2, 2)), [1, 0], "s", 2).labels.dtype == np.int64
+
 class TestTableIO:
     def test_round_trip_exact(self, tmp_path):
         tricky = np.array(

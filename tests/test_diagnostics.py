@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cclearn.centroids import bank_from_features, ema_update, init_bank
 from cclearn.diagnostics import (
@@ -13,6 +16,7 @@ from cclearn.diagnostics import (
     save_projection,
 )
 from cclearn.errors import StateError, UndefinedProjectionError
+from reference import class_centroid_heatmap_loop
 
 
 def jacobi_eigh(matrix, sweeps=100, tol=1e-14):
@@ -115,6 +119,59 @@ class TestHeatmap:
         lines = path.read_text().splitlines()
         assert lines[0] == "class,count,c0,c1"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0.0, 1.0]), np.array([True, False]), np.array([0, 2]), np.array([0, -1]),
+        np.array([0]), np.array([[0], [1]]),
+    ])
+    def test_bad_labels_rejected(self, labels):
+        bank = init_bank(2, 2, 0.0)
+        ema_update(bank, np.eye(2), np.ones(2, dtype=bool))
+        with pytest.raises(ValueError):
+            class_centroid_heatmap(np.eye(2), labels, bank)
+
+
+def heatmap_outcome(heatmap, features, labels, bank):
+    try:
+        hm = heatmap(features, labels, bank, "d")
+    except StateError as exc:
+        return str(exc)
+    return hm.values.tobytes(), hm.class_counts.tobytes(), hm.missing.tobytes(), hm.domain
+
+
+@st.composite
+def heatmap_cases(draw):
+    k, dim, n = draw(st.integers(2, 6)), draw(st.integers(1, 16)), draw(st.integers(1, 400))
+    bank = init_bank(k, dim, 0.0)
+    bank.centroids = draw(arrays(np.float64, (k, dim), elements=st.floats(-2.0, 2.0)))
+    # in half the cases every class is seen; else a present unseen class raises StateError
+    all_seen = draw(st.booleans())
+    bank.seen = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k))) | all_seen
+    # full-mantissa values, on which a change of summation order shows in the bits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((n, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return features, labels, bank
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=heatmap_cases())
+def test_heatmap_is_bit_equal_to_the_per_class_loop(case):
+    assert heatmap_outcome(class_centroid_heatmap, *case) == heatmap_outcome(
+        class_centroid_heatmap_loop, *case
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_heatmap_is_bit_equal_to_the_per_class_loop_at_size(seed):
+    rng = np.random.default_rng(seed)
+    k, n = 10, 60000
+    features = unit_rows(rng, n, 32)
+    labels = rng.integers(0, k - 1, n)  # the last class stays empty
+    bank = bank_from_features(unit_rows(rng, k, 32), np.arange(k), k)
+    assert heatmap_outcome(class_centroid_heatmap, features, labels, bank) == heatmap_outcome(
+        class_centroid_heatmap_loop, features, labels, bank
+    )
 
 
 class TestPca2d:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cclearn.errors import UndefinedMetricError
 from cclearn.metrics import (
@@ -12,6 +15,7 @@ from cclearn.metrics import (
     auc_macro_ovr,
     quadratic_weighted_kappa,
 )
+from reference import quadratic_weighted_kappa_add_at
 
 
 # ---- independent oracles ----
@@ -121,6 +125,45 @@ class TestKappa:
             quadratic_weighted_kappa(np.array([0.5]), np.array([0]), 2)
         with pytest.raises(ValueError):
             quadratic_weighted_kappa(np.array([0, 1]), np.array([0]), 2)
+
+    def test_narrow_label_dtypes_do_not_overflow_the_cell_index(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 20, 200), rng.integers(0, 20, 200)
+        expect = quadratic_weighted_kappa(a, b, 20)
+        assert quadratic_weighted_kappa(a.astype(np.uint8), b.astype(np.int8), 20) == expect
+
+
+def kappa_outcome(kappa, y_true, y_pred, num_classes):
+    try:
+        return kappa(y_true, y_pred, num_classes).hex()
+    except UndefinedMetricError as exc:
+        return str(exc)
+
+
+@st.composite
+def kappa_cases(draw):
+    k, n = draw(st.integers(2, 9)), draw(st.integers(1, 300))
+    labels = arrays(np.int64, n, elements=st.integers(0, k - 1))
+    return draw(labels), draw(labels), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kappa_cases())
+def test_kappa_is_bit_equal_to_the_add_at_count(case):
+    assert kappa_outcome(quadratic_weighted_kappa, *case) == kappa_outcome(
+        quadratic_weighted_kappa_add_at, *case
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kappa_is_bit_equal_to_the_add_at_count_at_size(seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 11)), 60000
+    y_true = rng.integers(0, k, n)
+    y_pred = np.where(rng.random(n) < 0.8, y_true, rng.integers(0, k, n))
+    assert quadratic_weighted_kappa(y_true, y_pred, k).hex() == (
+        quadratic_weighted_kappa_add_at(y_true, y_pred, k).hex()
+    )
 
 
 class TestAucBinary:

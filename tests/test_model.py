@@ -197,6 +197,49 @@ class TestSgdStep:
             sgd_step(params, Gradients([np.zeros((2, 2))], [np.zeros(2)],
                                        np.zeros((2, 2)), np.zeros(2)), -0.1)
 
+    @pytest.mark.parametrize("grads", [
+        # a wrong head bias, the last tensor sgd_step reaches
+        lambda p: Gradients([np.ones_like(w) for w in p.weights],
+                            [np.ones_like(b) for b in p.biases],
+                            np.ones_like(p.head_weight), np.ones(3)),
+        # one bias gradient short
+        lambda p: Gradients([np.ones_like(w) for w in p.weights], [np.ones_like(p.biases[0])],
+                            np.ones_like(p.head_weight), np.ones_like(p.head_bias)),
+    ])
+    def test_rejection_leaves_every_parameter_unchanged(self, grads):
+        params = init_params(3, (4,), 2, 2, np.random.default_rng(7))
+        before = [t.copy() for t in param_tensors(params)]
+        with pytest.raises(ValueError):
+            sgd_step(params, grads(params), 0.1)
+        for b, t in zip(before, param_tensors(params)):
+            np.testing.assert_array_equal(b, t)
+        assert params.version == 0
+
+
+class TestModelParams:
+    def test_layers_are_the_backbone_then_the_head(self):
+        params = init_params(3, (4, 5), 2, 6, np.random.default_rng(8))
+        layers = params.layers
+        assert [(w.shape, b.shape) for w, b in layers] == [
+            ((3, 4), (4,)), ((4, 5), (5,)), ((5, 2), (2,)), ((2, 6), (6,))
+        ]
+        assert layers[0][0] is params.weights[0] and layers[-1][1] is params.head_bias
+
+    @pytest.mark.parametrize("head_w, head_b", [
+        (np.zeros((3, 2)), np.zeros(2)),  # does not consume the 2-dim features
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((2, 2)), np.zeros(3)),
+        (np.zeros((2, 2)), np.zeros((1, 2))),
+    ])
+    def test_inconsistent_head_rejected(self, head_w, head_b):
+        with pytest.raises(ValueError):
+            ModelParams([np.eye(2)], [np.zeros(2)], head_w, head_b)
+
+    def test_unchained_backbone_rejected(self):
+        with pytest.raises(ValueError):
+            ModelParams([np.zeros((2, 3)), np.zeros((4, 2))], [np.zeros(3), np.zeros(2)],
+                        np.zeros((2, 2)), np.zeros(2))
+
 
 class TestLrSchedule:
     def test_warmup_end_hits_base_lr(self):

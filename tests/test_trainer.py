@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -63,12 +64,23 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(alpha=0.5, hidden_dims=(3, 4), seed=9)
-        again = TrainConfig.from_dict(cfg.to_dict())
+        again = TrainConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="momentum"):
             TrainConfig.from_dict({"momentum": 0.9})
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, [True]])
+    def test_non_bool_shuffle_rejected(self, value):
+        with pytest.raises(ValueError, match="shuffle"):
+            TrainConfig.from_dict({"epochs": 2, "shuffle": value})
+        with pytest.raises(ValueError, match="shuffle"):
+            TrainConfig(shuffle=value).validate()
+
+    def test_bool_shuffle_accepted(self):
+        assert TrainConfig.from_dict({"shuffle": False}).shuffle is False
+        TrainConfig(shuffle=np.bool_(True)).validate()
 
     def test_validation(self):
         with pytest.raises(ValueError):
