@@ -195,7 +195,7 @@ def load_bank(path) -> CentroidBank:
     try:
         num_classes, feature_dim = (int(t) for t in head[0])
         m0, m = (float(t) for t in head[1])
-        seen = np.array([bool(int(t)) for t in head[2]], dtype=bool)
+        seen = np.array([t == "1" for t in head[2]], dtype=bool)
         bank = CentroidBank(num_classes, feature_dim, m0)
     except ValueError as exc:
         raise StateError(f"bank file {path} has a malformed header") from exc
@@ -205,6 +205,8 @@ def load_bank(path) -> CentroidBank:
         raise StateError(
             f"bank file {path} should have {3 + num_classes} lines, found {3 + len(rows)}"
         )
+    if not set(head[2]) <= {"0", "1"}:
+        raise StateError(f"bank file {path} has a seen flag other than 0 or 1")
     if seen.shape != (num_classes,):
         raise StateError(f"bank file {path} has a malformed seen-flag line")
     if any(row.shape != (feature_dim,) for row in rows):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import warnings
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import Sequence
@@ -135,13 +134,18 @@ class SynthConfig(JsonConfig):
 
 
 def require_numbers(config, kind: type, scalars: tuple[str, ...], sequences=()) -> None:
-    """Raise ValueError naming the first field whose value is not a ``kind`` (a
-    bool is not); a field in ``sequences`` may also hold a tuple or list of them."""
+    """Raise ValueError naming the first field whose value is not a finite
+    ``kind`` (a bool is not, nor a JSON NaN or Infinity); a field in
+    ``sequences`` may also hold a tuple or list of them."""
     for name in scalars + sequences:
         value = getattr(config, name)
         items = value if name in sequences and isinstance(value, (tuple, list)) else (value,)
-        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
-            what = "integers" if kind is Integral else "numbers"
+        if not all(
+            isinstance(v, kind) and not isinstance(v, bool)
+            and (isinstance(v, Integral) or math.isfinite(v))
+            for v in items
+        ):
+            what = "integers" if kind is Integral else "finite numbers"
             raise ValueError(f"config key {name!r} must hold {what}, got {value!r}")
 
 
@@ -330,9 +334,10 @@ def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
     """The Dataset ``save_table`` left next to ``path``, or None.
 
     None unless the sidecar's table digest matches the table's current bytes,
-    its own digest matches, its dtypes and shapes are right and the arrays
-    pass the checks of the one-pass read: then the text reader would return
-    exactly these arrays.
+    its own digest matches, its dtypes and shapes are right, its domain is
+    one the table does not quote, and the arrays pass ``Dataset``'s checks
+    with labels in range: then ``_scan_table`` would return exactly these
+    arrays.
     """
     read = np.lib.format.read_array
     try:
@@ -345,27 +350,16 @@ def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
                 return None
         if (domain.dtype, features.dtype, labels.dtype) != (np.uint8, np.float64, np.int64):
             return None
-        if features.ndim != 2 or features.shape[1] < 1:
+        domain = domain.tobytes().decode("utf-8")
+        if features.ndim != 2 or features.shape[1] < 1 or not _SCAN_ONLY.isdisjoint(domain):
             return None
-        return _checked(features, labels, domain.tobytes().decode("utf-8"), num_classes)
+        k = num_classes if num_classes is not None else int(labels.max()) + 1
+        return Dataset(np.ascontiguousarray(features), np.ascontiguousarray(labels), domain, k)
     except Exception:
         # numpy's .npy parser raises many kinds of error on a damaged file (a
-        # tokenize.TokenError among them); any failure leaves the load to the text
+        # tokenize.TokenError among them), and Dataset a ValueError on arrays
+        # the text would not give; any failure leaves the load to the scan
         return None
-
-
-def _checked(features, labels, domain: str, num_classes: int | None) -> Dataset | None:
-    """The Dataset of arrays that pass the checks of the one-pass read, else
-    None: the line-by-line scan must decide."""
-    if (
-        not np.isfinite(features).all()
-        or labels.min() < 0
-        or (num_classes is not None and labels.max() >= num_classes)
-        or not _SCAN_ONLY.isdisjoint(domain)
-    ):
-        return None
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(np.ascontiguousarray(features), np.ascontiguousarray(labels), domain, k)
 
 
 def load_table(path, num_classes: int | None = None) -> Dataset:
@@ -377,29 +371,12 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
     failures name the 1-based line number.
 
     A table that ``save_table`` wrote comes back from its ``.parsed``
-    sidecar when that provably holds what parsing the text gives. Otherwise
-    one ``np.loadtxt`` pass reads the table. It accepts only tables that
-    ``_scan_table`` parses to the same arrays; on anything else (quoted
-    fields, '#' lines, underscores in numbers, any error) the scan reruns.
+    sidecar when that provably holds what parsing the text gives. Any other
+    table (no sidecar, a stale or damaged one, or a table edited since) is
+    parsed line by line by ``_scan_table``.
     """
     cached = _read_sidecar(path, num_classes)
-    if cached is not None:
-        return cached
-    table = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a table with no data lines
-            names = fh.readline().rstrip("\r\n").split(",")
-            dim = len(names) - 2
-            if dim >= 1 and names == [f"f{i}" for i in range(dim)] + ["label", "domain"]:
-                row = np.dtype([("x", np.float64, (dim,)), ("y", np.int64), ("d", object)])
-                table = np.loadtxt(fh, row, delimiter=",", comments=None, quotechar=None, ndmin=1)
-    except ValueError:
-        pass  # the scan names the line at fault
-    if table is None or not table.size or (table["d"] != table["d"][0]).any():
-        return _scan_table(path, num_classes)
-    ds = _checked(table["x"], table["y"], table["d"][0], num_classes)
-    return ds if ds is not None else _scan_table(path, num_classes)
+    return cached if cached is not None else _scan_table(path, num_classes)
 
 
 def _scan_table(path, num_classes: int | None) -> Dataset:

@@ -272,9 +272,7 @@ def save_model(params: ModelParams, path) -> None:
             + " ".join(str(w.shape[1]) for w in params.weights) + "\n"
         )
         for w, b in params.layers:
-            row = floats(w.shape[1], " ") + "\n"
-            write_rows(fh, row, w)
-            write_rows(fh, row, b[None])
+            write_rows(fh, floats(w.shape[1], " ") + "\n", np.vstack((w, b)))
 
 
 def load_model(path) -> ModelParams:

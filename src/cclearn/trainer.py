@@ -6,6 +6,9 @@ run forward, blend the losses, backpropagate, take the SGD step at the
 scheduled rate, and finally fold the batch's (pre-step) normalized features
 into the centroid bank. With alpha = 0 the contrast/centroid machinery is
 never touched, so such a run is bit-for-bit a plain cross-entropy run.
+Each epoch is validated by accuracy and kappa only. A per-epoch AUC would
+change the columns and bytes of history.csv, and report.txt already holds
+the final validation AUC from ``evaluate_model``.
 
 Fine-tuning adapts a trained model to unlabeled target data: pseudo-labels
 are the argmax of the model's logits computed once up front, then one epoch

@@ -283,6 +283,10 @@ class TestBankIO:
         "2 2\n0.9 0.9\n1 1\n1 0\n",
         "2 2\n0.9 0.9\n1\n1 0\n0 1\n",
         "2 2\n0.9 0.9\n",
+        "3 2\n0.9 0.9\n1 2 -1\n1 0\n0 1\n1 0\n",  # three seen classes before
+        "2 2\n0.9 0.9\n0 -1\n1 0\n0 1\n",
+        "2 2\n0.9 0.9\n1 01\n1 0\n0 1\n",
+        "2 2\n0.9 0.9\n1 1.0\n1 0\n0 1\n",
     ])
     def test_malformed_or_non_finite_bank_raises_state_error(self, tmp_path, text):
         path = tmp_path / "bank.txt"

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -86,11 +87,14 @@ class TestSynthData:
     @pytest.mark.parametrize("key, value", [
         ("num_classes", "4"), ("samples_per_class", "40"), ("samples_per_class", [40, 40.5, 40]),
         ("seed", True), ("spread", None), ("translation", ["1"]), ("num_classes", [4]),
+        ("rotation_angle", math.inf), ("rotation_angle", [0.1, -math.inf]),
+        ("spread", math.nan), ("translation", [0.0, 0.0, 0.0, 0.0, math.nan]),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "synth.json", dict(SYNTH, **{key: value}))
         assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # refused before any table is written
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["synth-data", "--config", str(tmp_path / "nope.json"),
@@ -131,6 +135,7 @@ class TestTrain:
         ("epochs", "5"), ("epochs", 2.5), ("epochs", [5]), ("hidden_dims", 5),
         ("hidden_dims", [12, "x"]),
         ("alpha", "1"), ("batch_size", False), ("shuffle", "no"), ("shuffle", 0),
+        ("alpha", math.nan), ("base_lr", math.nan), ("tau", math.inf), ("m0", -math.inf),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "train.json", dict(TRAIN, **{key: value}))
