@@ -98,12 +98,14 @@ def cmd_synth_data(args) -> None:
     config = SynthConfig.from_dict(_load_json(Path(args.config)))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+        config.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for domain in ("source", "target"):
         ds = generate_blobs(config, domain)
         save_table(ds, out / f"{domain}.csv")
         print(f"wrote {out / (domain + '.csv')} ({len(ds)} rows)")
+        del ds  # the source table is freed before the target one is drawn
     _echo_config(config, out / "synth_config.json")
     print(f"wrote {out / 'synth_config.json'}")
 
@@ -166,8 +168,13 @@ def cmd_diagnose(args) -> None:
     run = _run_dir(args.run)
     params = load_model(run / MODEL_FILE)
     bank = centroids.load_bank(run / BANK_FILE)
+    basis = None
+    if args.fit_data:  # fitted first: its table and forward pass are freed before ds loads
+        basis = diagnostics.pca_2d(
+            forward(params, _model_table(args.fit_data, params, "fit dataset").features)[1]
+        )
     ds = _model_table(args.data, params)
-    _, feats, _, _ = forward(params, ds.features)
+    feats = forward(params, ds.features)[1]
 
     labels_seen = bank.seen[ds.labels].all() if bank.seen.any() else False
     use_trained = labels_seen and not args.empirical_centroids
@@ -175,11 +182,8 @@ def cmd_diagnose(args) -> None:
         bank = centroids.bank_from_features(feats, ds.labels, ds.num_classes)
     heatmap = diagnostics.class_centroid_heatmap(feats, ds.labels, bank, ds.domain)
 
-    fit_feats = feats
-    if args.fit_data:
-        fit_ds = _model_table(args.fit_data, params, "fit dataset")
-        _, fit_feats, _, _ = forward(params, fit_ds.features)
-    basis = diagnostics.pca_2d(fit_feats)
+    if basis is None:
+        basis = diagnostics.pca_2d(feats)
     projection = dataclasses.replace(
         basis, coords=diagnostics.project_into(basis, feats), labels=ds.labels, domain=ds.domain
     )

@@ -119,6 +119,8 @@ class SynthConfig(JsonConfig):
                         ("samples_per_class",))
         require_numbers(self, Real, ("spread", "class_std", "scale", "source_noise_std",
                                      "target_noise_std"), ("rotation_angle", "translation"))
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_dim < 1:
@@ -213,15 +215,22 @@ def generate_blobs(config: SynthConfig, domain: str) -> Dataset:
     noise = rng.standard_normal((total, config.input_dim))
 
     labels = np.repeat(np.arange(config.num_classes), counts)
-    x = means[labels] + config.class_std * deviations
+    # each step in place, with the ufuncs and operand order of the whole-array form
+    x = means[labels]
+    deviations *= config.class_std
+    x += deviations
+    del deviations  # freed before x @ rot.T allocates
     if domain == "source":
-        x = x + config.source_noise_std * noise
+        noise *= config.source_noise_std
     else:
         rot = rotation_matrix(
             config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0]
         )
-        x = config.scale * (x @ rot.T) + _translation_vector(config)
-        x = x + config.target_noise_std * noise
+        x = x @ rot.T
+        x *= config.scale
+        x += _translation_vector(config)
+        noise *= config.target_noise_std
+    x += noise
     return Dataset(x, labels, domain, config.num_classes)
 
 

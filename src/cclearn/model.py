@@ -85,10 +85,10 @@ class Gradients(_Layers):
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, consumed by ``backward``."""
+    """Intermediates of one forward pass, consumed by ``backward``. ``layer_inputs``
+    is ``x``, then each hidden ReLU output, which is also each ReLU's mask."""
 
     x: np.ndarray
-    pre_activations: list[np.ndarray]
     layer_inputs: list[np.ndarray]
     raw: np.ndarray
     norms: np.ndarray
@@ -139,19 +139,19 @@ def forward(
         raise ValueError("input contains non-finite values")
     last = len(params.weights) - 1
     layer_inputs = [x]
-    pre_activations = []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre_activations.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
+        a = a @ w  # a new buffer per layer: the caller's x is never written
+        a += b
         if i < last:
+            np.maximum(a, 0.0, out=a)
             layer_inputs.append(a)
     raw = a
     norms = row_norms(raw)
     normalized = raw / norms[:, None]
-    logits = raw @ params.head_weight + params.head_bias
-    cache = ForwardCache(x, pre_activations, layer_inputs, raw, norms, normalized, params.version)
+    logits = raw @ params.head_weight
+    logits += params.head_bias
+    cache = ForwardCache(x, layer_inputs, raw, norms, normalized, params.version)
     return raw, normalized, logits, cache
 
 
@@ -165,7 +165,8 @@ def backward(
 
     ``d_normalized`` is d(loss)/d(normalized features) and ``d_logits`` is
     d(loss)/d(logits); both branches are merged at the raw features and
-    propagated through the backbone.
+    propagated through the backbone. A hidden ReLU's mask is its output > 0,
+    which holds exactly where its pre-activation is > 0 (NaN: False both ways).
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -193,7 +194,7 @@ def backward(
     upstream = d_raw
     for i in range(len(params.weights) - 1, -1, -1):
         if i < len(params.weights) - 1:
-            upstream = upstream * (cache.pre_activations[i] > 0.0)
+            upstream = upstream * (cache.layer_inputs[i + 1] > 0.0)
         g_weights[i] = cache.layer_inputs[i].T @ upstream
         g_biases[i] = upstream.sum(axis=0)
         if i > 0:

@@ -55,6 +55,8 @@ class TrainConfig(JsonConfig):
         require_numbers(self, Integral, ("epochs", "batch_size", "warmup_epochs", "seed",
                                          "feature_dim"), ("hidden_dims",))
         require_numbers(self, Real, ("alpha", "tau", "m0", "base_lr"))
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.tau <= 0:
@@ -113,8 +115,7 @@ def predict_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
         raise ValueError(
             f"dataset dim {ds.input_dim} does not match model input {params.input_dim}"
         )
-    _, _, logits, _ = forward(params, ds.features)
-    return logits
+    return forward(params, ds.features)[2]
 
 
 def pseudo_label(params: ModelParams, ds: Dataset) -> np.ndarray:

@@ -8,8 +8,13 @@ class where the package reuses ``batch_class_means``, and
 ``quadratic_weighted_kappa_add_at`` counts the confusion matrix with
 ``np.add.at`` where the package takes one ``np.bincount``. ``write_rows``
 formats each row with Python's % operator where the codec renders %.17g
-cells with integer array arithmetic. Each is kept here exactly as it first
-shipped.
+cells with integer array arithmetic. ``forward_keeping_pre_activations`` and
+``backward_from_pre_activations`` build three arrays per layer and keep each
+pre-activation for the ReLU mask, where the package builds one buffer per
+layer and takes the mask from the ReLU output. ``generate_blobs_expression``
+applies the synthetic scale, affine map and noise as whole-array expressions
+where the package applies them in place. Each is kept here exactly as it
+first shipped.
 """
 
 from __future__ import annotations
@@ -18,7 +23,14 @@ import io
 
 import numpy as np
 
-from cclearn.centroids import NORM_EPS, CentroidBank
+from cclearn.centroids import NORM_EPS, CentroidBank, row_norms
+from cclearn.data import (
+    _STREAM_AFFINE,
+    _STREAM_BASE,
+    SynthConfig,
+    _translation_vector,
+    rotation_matrix,
+)
 from cclearn.diagnostics import HeatmapMatrix
 from cclearn.errors import DegenerateVectorError, StateError, UndefinedMetricError
 from cclearn.losses import softmax
@@ -207,3 +219,69 @@ def write_rows(fh, fmt: str, *columns) -> None:
         ])
         text = "".join([fmt % tuple(row) for row in block.tolist()])
         fh.write(text if isinstance(fh, io.TextIOBase) else text.encode())
+
+
+def forward_keeping_pre_activations(params, x: np.ndarray):
+    """(raw, normalized, logits, norms, layer_inputs, pre_activations) of one
+    forward pass: ``a @ w + b`` then ``np.maximum`` per hidden layer."""
+    last = len(params.weights) - 1
+    layer_inputs = [x]
+    pre_activations = []
+    a = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w + b
+        pre_activations.append(z)
+        a = np.maximum(z, 0.0) if i < last else z
+        if i < last:
+            layer_inputs.append(a)
+    raw = a
+    norms = row_norms(raw)
+    normalized = raw / norms[:, None]
+    logits = raw @ params.head_weight + params.head_bias
+    return raw, normalized, logits, norms, layer_inputs, pre_activations
+
+
+def backward_from_pre_activations(params, x, d_normalized, d_logits) -> list[np.ndarray]:
+    """Every parameter gradient of ``forward_keeping_pre_activations`` at
+    ``x``, masking each hidden ReLU by its pre-activation: backbone weights,
+    backbone biases, head weight, head bias."""
+    raw, fhat, _, norms, layer_inputs, pre_activations = forward_keeping_pre_activations(params, x)
+    inner = (fhat * d_normalized).sum(axis=1, keepdims=True)
+    d_raw = (d_normalized - inner * fhat) / norms[:, None]
+    d_raw = d_raw + d_logits @ params.head_weight.T
+    g_weights = [None] * len(params.weights)
+    g_biases = [None] * len(params.weights)
+    upstream = d_raw
+    for i in range(len(params.weights) - 1, -1, -1):
+        if i < len(params.weights) - 1:
+            upstream = upstream * (pre_activations[i] > 0.0)
+        g_weights[i] = layer_inputs[i].T @ upstream
+        g_biases[i] = upstream.sum(axis=0)
+        if i > 0:
+            upstream = upstream @ params.weights[i].T
+    return [*g_weights, *g_biases, raw.T @ d_logits, d_logits.sum(axis=0)]
+
+
+def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of ``domain`` from the same draws as
+    ``generate_blobs``, each step a new whole array."""
+    counts = config.class_counts()
+    total = sum(counts)
+    rng = np.random.default_rng([config.seed, _STREAM_BASE])
+    mean_dirs = rng.standard_normal((config.num_classes, config.input_dim))
+    mean_dirs /= np.linalg.norm(mean_dirs, axis=1, keepdims=True)
+    means = config.spread * mean_dirs
+    deviations = rng.standard_normal((total, config.input_dim))
+    noise = rng.standard_normal((total, config.input_dim))
+
+    labels = np.repeat(np.arange(config.num_classes), counts)
+    x = means[labels] + config.class_std * deviations
+    if domain == "source":
+        x = x + config.source_noise_std * noise
+    else:
+        rot = rotation_matrix(
+            config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0]
+        )
+        x = config.scale * (x @ rot.T) + _translation_vector(config)
+        x = x + config.target_noise_std * noise
+    return x, labels

@@ -145,7 +145,9 @@ def test_criterion_2_gradient_correctness():
         except cclearn.DegenerateVectorError:
             continue
         # the FD oracle itself breaks at ReLU kinks and near-zero feature norms
-        if hidden and min(np.abs(z).min() for z in cache.pre_activations[:-1]) < 1e-3:
+        # the hidden pre-activations, recomputed with forward's own arithmetic
+        hidden_z = zip(cache.layer_inputs[:-1], params.weights, params.biases)
+        if any(np.abs(a @ w + b).min() < 1e-3 for a, w, b in hidden_z):
             continue
         if cache.norms.min() < 0.1:
             continue

@@ -88,13 +88,20 @@ class TestSynthData:
         ("num_classes", "4"), ("samples_per_class", "40"), ("samples_per_class", [40, 40.5, 40]),
         ("seed", True), ("spread", None), ("translation", ["1"]), ("num_classes", [4]),
         ("rotation_angle", math.inf), ("rotation_angle", [0.1, -math.inf]),
-        ("spread", math.nan), ("translation", [0.0, 0.0, 0.0, 0.0, math.nan]),
+        ("spread", math.nan), ("translation", [0.0, 0.0, 0.0, 0.0, math.nan]), ("seed", -1),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "synth.json", dict(SYNTH, **{key: value}))
         assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # refused before any table is written
+
+    def test_negative_seed_override_fails_cleanly(self, tmp_path, capsys):
+        config = write_json(tmp_path / "synth.json", SYNTH)
+        assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x"),
+                     "--seed", "-3"]) == 2
+        assert "config key 'seed' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["synth-data", "--config", str(tmp_path / "nope.json"),
@@ -136,6 +143,7 @@ class TestTrain:
         ("hidden_dims", [12, "x"]),
         ("alpha", "1"), ("batch_size", False), ("shuffle", "no"), ("shuffle", 0),
         ("alpha", math.nan), ("base_lr", math.nan), ("tau", math.inf), ("m0", -math.inf),
+        ("seed", -1),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "train.json", dict(TRAIN, **{key: value}))

@@ -14,11 +14,26 @@ from cclearn.data import (
     split_dataset,
 )
 from cclearn.errors import TableParseError
+from reference import generate_blobs_expression
 
 SMALL = dict(num_classes=3, input_dim=5, samples_per_class=12, spread=4.0, class_std=1.0)
 
 
 class TestGenerateBlobs:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(input_dim=6, rotation_angle=(0.1, -0.7, 2.0), source_noise_std=0.4),
+        dict(translation=(1.0, -2.0, 0.5, 0.0, 3.25), scale=0.75, seed=5),
+        dict(target_noise_std=0.0, translation=0.0, samples_per_class=(3, 1, 9)),
+    ])
+    def test_bit_equal_to_the_whole_array_expressions(self, overrides):
+        config = SynthConfig(**dict(SMALL, **overrides))
+        for domain in ("source", "target"):
+            ds = generate_blobs(config, domain)
+            features, labels = generate_blobs_expression(config, domain)
+            assert ds.features.tobytes() == features.tobytes(), domain
+            assert ds.labels.tobytes() == labels.tobytes(), domain
+
     def test_identity_map_makes_domains_bitwise_equal(self):
         config = SynthConfig(
             **SMALL, rotation_angle=0.0, translation=0.0, scale=1.0,

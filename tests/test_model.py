@@ -21,6 +21,7 @@ from cclearn.model import (
     save_model,
     sgd_step,
 )
+from reference import backward_from_pre_activations, forward_keeping_pre_activations
 
 
 def identity_net(dim=2, classes=2):
@@ -150,7 +151,9 @@ class TestBackward:
             except DegenerateVectorError:
                 # tiny ReLU nets can zero out a sample; draw another config
                 continue
-            if hidden and min(np.abs(z).min() for z in cache.pre_activations[:-1]) < 1e-3:
+            # the hidden pre-activations, recomputed with forward's own arithmetic
+            hidden_z = zip(cache.layer_inputs[:-1], params.weights, params.biases)
+            if any(np.abs(a @ w + b).min() < 1e-3 for a, w, b in hidden_z):
                 # a pre-activation this close to the ReLU kink breaks the FD oracle
                 continue
             if cache.norms.min() < 0.1:
@@ -181,6 +184,47 @@ class TestBackward:
                 np.linalg.norm(fd), np.linalg.norm(analytic), 1e-12
             )
             assert rel < 1e-5, f"trial {trial}: relative error {rel}"
+
+
+@st.composite
+def forward_cases(draw):
+    """(params, x, d_normalized, d_logits) of 0-3 hidden layers; one hidden
+    layer may get a bias so negative that all of its pre-activations are <= 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(0, 3))
+    sizes = [draw(st.integers(1, 8)) for _ in range(depth + 2)]  # D, hidden..., F
+    k, batch = draw(st.integers(2, 6)), draw(st.integers(1, 9))
+    weights = [rng.standard_normal(shape) for shape in zip(sizes[:-1], sizes[1:])]
+    biases = [rng.standard_normal(size) for size in sizes[1:]]
+    if depth and draw(st.booleans()):
+        biases[draw(st.integers(0, depth - 1))][:] = -1e6
+    params = ModelParams(weights, biases, rng.standard_normal((sizes[-1], k)),
+                         rng.standard_normal(k))
+    x = rng.standard_normal((batch, sizes[0]))
+    return params, x, rng.standard_normal((batch, sizes[-1])), rng.standard_normal((batch, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=forward_cases())
+def test_forward_and_backward_are_bit_equal_to_the_pre_activation_pass(case):
+    params, x, d_normalized, d_logits = case
+    x_bytes = x.tobytes()
+    try:
+        raw, normalized, logits, cache = forward(params, x)
+    except DegenerateVectorError:
+        with pytest.raises(DegenerateVectorError):
+            forward_keeping_pre_activations(params, x)
+        return
+    assert x.tobytes() == x_bytes  # the caller's rows are never written
+    expected_raw, expected_normalized, expected_logits, expected_norms, _, _ = (
+        forward_keeping_pre_activations(params, x)
+    )
+    g = backward(params, cache, d_normalized, d_logits)
+    got = [raw, normalized, logits, cache.norms,
+           *g.weights, *g.biases, g.head_weight, g.head_bias]
+    expected = [expected_raw, expected_normalized, expected_logits, expected_norms,
+                *backward_from_pre_activations(params, x, d_normalized, d_logits)]
+    assert [(a.shape, a.tobytes()) for a in got] == [(e.shape, e.tobytes()) for e in expected]
 
 
 class TestSgdStep:
