@@ -18,7 +18,7 @@ from pathlib import Path
 from . import centroids, diagnostics, trainer
 from .codec import FLOAT, csv_format, write_rows
 from .data import SynthConfig, generate_blobs, load_table, save_table, split_dataset
-from .model import forward, load_model, save_model
+from .model import load_model, save_model
 from .trainer import TrainConfig, finetune_config
 
 MODEL_FILE = "model.txt"
@@ -115,6 +115,7 @@ def cmd_train(args) -> None:
     config = _apply_overrides(config, args)
     ds = load_table(Path(args.data))
     train_ds, val_ds, test_ds = split_dataset(ds, seed=config.seed)
+    del ds  # the parts are copies
     params, bank, report = trainer.train(train_ds, val_ds, config)
 
     out = Path(args.out)
@@ -169,23 +170,25 @@ def cmd_diagnose(args) -> None:
     params = load_model(run / MODEL_FILE)
     bank = centroids.load_bank(run / BANK_FILE)
     basis = None
-    if args.fit_data:  # fitted first: its table and forward pass are freed before ds loads
+    if args.fit_data:  # fitted first: its table and features are freed before ds loads
         basis = diagnostics.pca_2d(
-            forward(params, _model_table(args.fit_data, params, "fit dataset").features)[1]
+            trainer.infer(params, _model_table(args.fit_data, params, "fit dataset").features, 1)
         )
     ds = _model_table(args.data, params)
-    feats = forward(params, ds.features)[1]
+    feats = trainer.infer(params, ds.features, 1)
+    labels, domain, num_classes = ds.labels, ds.domain, ds.num_classes
+    del ds  # the table's features are not read again
 
-    labels_seen = bank.seen[ds.labels].all() if bank.seen.any() else False
+    labels_seen = bank.seen[labels].all() if bank.seen.any() else False
     use_trained = labels_seen and not args.empirical_centroids
     if not use_trained:
-        bank = centroids.bank_from_features(feats, ds.labels, ds.num_classes)
-    heatmap = diagnostics.class_centroid_heatmap(feats, ds.labels, bank, ds.domain)
+        bank = centroids.bank_from_features(feats, labels, num_classes)
+    heatmap = diagnostics.class_centroid_heatmap(feats, labels, bank, domain)
 
     if basis is None:
         basis = diagnostics.pca_2d(feats)
     projection = dataclasses.replace(
-        basis, coords=diagnostics.project_into(basis, feats), labels=ds.labels, domain=ds.domain
+        basis, coords=diagnostics.project_into(basis, feats), labels=labels, domain=domain
     )
     spread = diagnostics.feature_spread(feats)
 

@@ -211,26 +211,28 @@ def generate_blobs(config: SynthConfig, domain: str) -> Dataset:
     mean_dirs = rng.standard_normal((config.num_classes, config.input_dim))
     mean_dirs /= np.linalg.norm(mean_dirs, axis=1, keepdims=True)
     means = config.spread * mean_dirs
-    deviations = rng.standard_normal((total, config.input_dim))
-    noise = rng.standard_normal((total, config.input_dim))
-
-    labels = np.repeat(np.arange(config.num_classes), counts)
-    # each step in place, with the ufuncs and operand order of the whole-array form
-    x = means[labels]
-    deviations *= config.class_std
-    x += deviations
-    del deviations  # freed before x @ rot.T allocates
-    if domain == "source":
-        noise *= config.source_noise_std
-    else:
+    # In place, with the ufuncs of means[labels] + class_std * deviations (+ noise):
+    # IEEE addition commutes, so each class mean added to its block of rows gives
+    # the same bits. The affine map draws from its own generators, so drawing the
+    # noise after it keeps the base stream's order.
+    x = rng.standard_normal((total, config.input_dim))  # the deviations
+    x *= config.class_std
+    start = 0
+    for mean, count in zip(means, counts):
+        x[start : start + count] += mean
+        start += count
+    if domain == "target":
         rot = rotation_matrix(
             config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0]
         )
         x = x @ rot.T
         x *= config.scale
         x += _translation_vector(config)
-        noise *= config.target_noise_std
+    noise = rng.standard_normal((total, config.input_dim))
+    noise *= config.source_noise_std if domain == "source" else config.target_noise_std
     x += noise
+    del noise  # freed before Dataset checks x
+    labels = np.repeat(np.arange(config.num_classes), counts)
     return Dataset(x, labels, domain, config.num_classes)
 
 

@@ -121,7 +121,8 @@ def feature_spread(features: np.ndarray) -> float:
     if features.ndim != 2 or features.shape[0] < 2:
         raise ValueError(f"spread needs at least 2 rows, got shape {features.shape}")
     centered = features - features.mean(axis=0)
-    return float((centered**2).sum() / features.shape[0])
+    np.square(centered, out=centered)  # the bits of centered**2, without a second copy
+    return float(centered.sum() / features.shape[0])
 
 
 def save_heatmap(hm: HeatmapMatrix, path) -> None:

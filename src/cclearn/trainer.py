@@ -34,6 +34,11 @@ from .model import ModelParams, OptimState, backward, forward, init_params, lr_a
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
+# Inference runs ``forward`` over blocks of INFER_ROWS to 2 * INFER_ROWS - 1
+# rows, so only one block's cache is alive at a time. ``np.array_split`` leaves
+# no short tail: a block of a few rows takes BLAS's small-matrix path and
+# moves the last bits of its logits. Tables under 2 * INFER_ROWS rows are one block.
+INFER_ROWS = 4096
 
 @dataclass
 class TrainConfig(JsonConfig):
@@ -110,12 +115,27 @@ class RunReport:
     artifacts: dict[str, str] = field(default_factory=dict)
 
 
+def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
+    """``forward(params, x)[output]`` (1: normalized features, 2: logits), the
+    same bits computed block by block."""
+    parts, start = [], 0
+    for block in np.array_split(x, max(1, len(x) // INFER_ROWS)):
+        try:
+            parts.append(forward(params, block)[output])
+        except DegenerateVectorError as exc:
+            if start:  # the error numbers the rows of its block
+                raise DegenerateVectorError(f"in the block from row {start}: {exc}") from exc
+            raise
+        start += len(block)
+    return np.concatenate(parts)
+
+
 def predict_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
     if ds.input_dim != params.input_dim:
         raise ValueError(
             f"dataset dim {ds.input_dim} does not match model input {params.input_dim}"
         )
-    return forward(params, ds.features)[2]
+    return infer(params, ds.features, 2)
 
 
 def pseudo_label(params: ModelParams, ds: Dataset) -> np.ndarray:

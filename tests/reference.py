@@ -13,8 +13,10 @@ cells with integer array arithmetic. ``forward_keeping_pre_activations`` and
 pre-activation for the ReLU mask, where the package builds one buffer per
 layer and takes the mask from the ReLU output. ``generate_blobs_expression``
 applies the synthetic scale, affine map and noise as whole-array expressions
-where the package applies them in place. Each is kept here exactly as it
-first shipped.
+where the package applies them in place and adds each class mean to its
+block of rows. ``feature_spread_expression`` squares a second copy of the
+centered features where the package squares them in place. Each is kept
+here exactly as it first shipped.
 """
 
 from __future__ import annotations
@@ -285,3 +287,10 @@ def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndar
         x = config.scale * (x @ rot.T) + _translation_vector(config)
         x = x + config.target_noise_std * noise
     return x, labels
+
+
+def feature_spread_expression(features: np.ndarray) -> float:
+    """The trace of the N-denominator covariance of ``features``, squaring a
+    new array."""
+    centered = features - features.mean(axis=0)
+    return float((centered**2).sum() / features.shape[0])

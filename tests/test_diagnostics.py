@@ -16,7 +16,7 @@ from cclearn.diagnostics import (
     save_projection,
 )
 from cclearn.errors import StateError, UndefinedProjectionError
-from reference import class_centroid_heatmap_loop
+from reference import class_centroid_heatmap_loop, feature_spread_expression
 
 
 def jacobi_eigh(matrix, sweeps=100, tol=1e-14):
@@ -271,3 +271,12 @@ class TestFeatureSpread:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             feature_spread(np.ones((1, 3)))
+
+    # 50000 x 32 is the scale-50k diagnose shape; the in-place square keeps
+    # every summation order of the old expression
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (17, 5), (1000, 8), (50000, 32)])
+    def test_bit_equal_to_the_squared_copy(self, shape):
+        x = np.random.default_rng(shape[0]).standard_normal(shape) * 3.0 + 1.5
+        before = x.copy()
+        assert feature_spread(x).hex() == feature_spread_expression(x).hex()
+        assert x.tobytes() == before.tobytes()

@@ -1,4 +1,5 @@
-"""Peak-memory bounds of the forward pass and the synthetic generator.
+"""Peak-memory bounds of the forward pass, inference, the synthetic generator
+and the spread diagnostic.
 
 ``tracemalloc`` sees numpy's array buffers, so each peak is a byte count that
 comes out the same on every run, not a timing. The peaks count only what the
@@ -9,8 +10,10 @@ import tracemalloc
 
 import numpy as np
 
-from cclearn.data import SynthConfig, generate_blobs
+from cclearn.data import Dataset, SynthConfig, generate_blobs
+from cclearn.diagnostics import feature_spread
 from cclearn.model import forward, init_params
+from cclearn.trainer import predict_logits
 
 
 def peak_bytes(fn, *args) -> int:
@@ -23,17 +26,38 @@ def peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_forward_peaks_at_one_buffer_per_layer():
-    rows = 20000
+ROWS = 20000
+
+
+def scale_model_and_rows():
+    """The scale-50k model shape and ROWS rows of input."""
     params = init_params(64, (64, 64), 32, 10, 0)
-    x = np.random.default_rng(0).standard_normal((rows, 64))
+    return params, np.random.default_rng(0).standard_normal((ROWS, 64))
+
+
+def test_forward_peaks_at_one_buffer_per_layer():
+    params, x = scale_model_and_rows()
     # the cache keeps 64 + 64 + 32 + 32 + 1 float64 per row and the logits 10
-    assert peak_bytes(forward, params, x) / (8 * rows) <= 230
+    assert peak_bytes(forward, params, x) / (8 * ROWS) <= 230
 
 
-def test_generate_blobs_peaks_at_three_tables():
+def test_predict_logits_holds_one_block_of_cache():
+    params, x = scale_model_and_rows()
+    ds = Dataset(x, np.zeros(ROWS, dtype=np.int64), "", 10)
+    # four blocks of 5000 rows: one block's cache is about 51 float64 per
+    # table row, and the logits 10 per row in blocks and 10 joined
+    assert peak_bytes(predict_logits, params, ds) / (8 * ROWS) <= 80
+
+
+def test_generate_blobs_peaks_at_two_tables():
     config = SynthConfig(input_dim=64, samples_per_class=5000)
     table_bytes = 8 * 4 * 5000 * 64
     for domain in ("source", "target"):
-        # the deviations, the noise and the table itself
-        assert peak_bytes(generate_blobs, config, domain) <= 3.5 * table_bytes, domain
+        # the table and the noise, or the table and its affine image
+        assert peak_bytes(generate_blobs, config, domain) <= 2.5 * table_bytes, domain
+
+
+def test_feature_spread_makes_one_copy():
+    features = np.random.default_rng(1).standard_normal((ROWS, 32))
+    # the centered copy, squared in place
+    assert peak_bytes(feature_spread, features) <= 1.5 * features.nbytes

@@ -5,8 +5,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from cclearn import trainer
 from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
-from cclearn.errors import TrainingError
+from cclearn.errors import DegenerateVectorError, TrainingError
 from cclearn.losses import softmax
 from cclearn.model import (
     ModelParams,
@@ -18,10 +19,12 @@ from cclearn.model import (
     sgd_step,
 )
 from cclearn.trainer import (
+    INFER_ROWS,
     TrainConfig,
     evaluate_model,
     finetune,
     finetune_config,
+    infer,
     pseudo_label,
     train,
 )
@@ -345,3 +348,63 @@ class TestEvaluateModel:
         assert by_name["accuracy"] == 1.0
         assert math.isnan(by_name["quadratic_weighted_kappa"])
         assert math.isnan(by_name["auc_macro_ovr"])
+
+
+class TestInfer:
+    """Inference runs ``forward`` block by block and gives the whole-table bits."""
+
+    @pytest.mark.parametrize("rows", [
+        1, INFER_ROWS - 1, INFER_ROWS, INFER_ROWS + 1, 2 * INFER_ROWS - 1, 2 * INFER_ROWS,
+        5 * INFER_ROWS + 848,
+    ])
+    def test_blocks_cover_the_rows_in_order(self, rows, monkeypatch):
+        blocks = []
+
+        def recording_forward(params, x):
+            blocks.append(x)
+            return forward(params, x)
+
+        monkeypatch.setattr(trainer, "forward", recording_forward)
+        x = np.random.default_rng(rows).standard_normal((rows, 3))
+        logits = infer(init_params(3, (), 2, 2, 0), x, 2)
+        assert np.concatenate(blocks).tobytes() == x.tobytes()
+        assert all(np.shares_memory(block, x) for block in blocks)  # views, not copies
+        assert logits.shape == (rows, 2)
+        sizes = [len(block) for block in blocks]
+        if rows < 2 * INFER_ROWS:
+            assert sizes == [rows]
+        else:
+            assert min(sizes) >= INFER_ROWS and max(sizes) < 2 * INFER_ROWS
+
+    @pytest.mark.parametrize("rows", [10000, 50000])
+    def test_bit_equal_to_whole_table_forward_at_the_scale_shape(self, rows):
+        params = init_params(64, (64, 64), 32, 10, 3)
+        x = np.random.default_rng(rows).standard_normal((rows, 64))
+        _, normalized, logits, _ = forward(params, x)
+        assert infer(params, x, 2).tobytes() == logits.tobytes()  # predict_logits
+        assert infer(params, x, 1).tobytes() == normalized.tobytes()  # diagnose features
+
+    def test_evaluate_and_pseudo_label_equal_their_whole_table_results(self, monkeypatch):
+        ds = generate_blobs(SynthConfig(num_classes=10, input_dim=64, samples_per_class=1000),
+                            "target")
+        params = init_params(64, (64, 64), 32, 10, 5)
+        blockwise = evaluate_model(params, ds), pseudo_label(params, ds)
+        monkeypatch.setattr(trainer, "INFER_ROWS", len(ds) + 1)  # one block
+        whole = evaluate_model(params, ds), pseudo_label(params, ds)
+        assert blockwise[0] == whole[0]
+        assert blockwise[1].tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("row", [5, 2 * INFER_ROWS + 5])
+    def test_degenerate_rows_are_numbered_from_their_block(self, row):
+        params = init_params(3, (), 2, 2, 0)  # linear, zero biases: only a zero row is degenerate
+        x = np.random.default_rng(0).standard_normal((3 * INFER_ROWS, 3))
+        x[row] = 0.0
+        with pytest.raises(DegenerateVectorError) as whole:
+            forward(params, x)
+        with pytest.raises(DegenerateVectorError) as blockwise:
+            infer(params, x, 2)
+        if row < INFER_ROWS:
+            assert str(blockwise.value) == str(whole.value)
+        else:
+            assert str(blockwise.value).startswith(f"in the block from row {2 * INFER_ROWS}: ")
+            assert "row(s) [5] " in str(blockwise.value)
