@@ -236,12 +236,19 @@ def _digits(bits: np.ndarray, k: np.ndarray) -> np.ndarray:
 def read_rows(path, n_header: int, what: str) -> tuple[list[list[str]], list[np.ndarray]]:
     """Split a "header, then float rows" file into header tokens and float rows.
 
-    Blank lines are skipped. Raises StateError naming the file when it has
-    fewer than ``n_header`` lines or a row holds a non-numeric or non-finite
-    value.
+    Blank lines are skipped. Raises StateError naming the file when it holds
+    a byte outside ASCII or an underscore (which ``float`` and ``int`` would
+    read as a digit or a separator, but no writer emits), has fewer than
+    ``n_header`` lines, or a row holds a non-numeric or non-finite value.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise StateError(f"{what} file {path} holds a non-ASCII byte") from None
+    if "_" in text:
+        raise StateError(f"{what} file {path} holds an underscore")
+    lines = [ln.split() for ln in text.split("\n") if ln.strip()]
     if len(lines) < n_header:
         raise StateError(f"{what} file {path} is truncated")
     try:

@@ -3,7 +3,10 @@
 Kappa uses the standard quadratic weights w_ij = (i-j)^2 / (K-1)^2 against
 the chance-expected confusion matrix. AUC follows the Mann-Whitney
 formulation (probability a random positive outranks a random negative) with
-ties counted as one half, computed through midranks.
+ties counted as one half: U counts, for each positive, the negatives scored
+below it and half of those scored equal, found by binary search in the
+sorted negative scores. Twice U is an integer, exact while n_pos * n < 2**53,
+so the AUC does not depend on where the sort leaves equal scores.
 """
 
 from __future__ import annotations
@@ -47,19 +50,17 @@ def quadratic_weighted_kappa(y_true: np.ndarray, y_pred: np.ndarray, num_classes
     return 1.0 - float((weights * observed).sum()) / denom
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average rank of their group."""
-    order = values.argsort(kind="stable")
-    sorted_vals = values[order]
-    # a tie group at sorted positions i..j spans searchsorted left i, right j+1,
-    # and its midrank 0.5 * (i + j) + 1 is exactly (i + (j + 1) + 1) * 0.5
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = (
-        sorted_vals.searchsorted(sorted_vals, "left")
-        + sorted_vals.searchsorted(sorted_vals, "right")
-        + 1
-    ) * 0.5
-    return ranks
+def _auc(scores: np.ndarray, positive: np.ndarray) -> float:
+    """AUC of checked finite ``scores`` against the boolean mask ``positive``,
+    which holds at least one positive and one negative."""
+    negatives = np.sort(scores[~positive])
+    # sorted, so that each binary search starts where the last one ended
+    wins = np.sort(scores[positive])
+    # per positive: negatives below it, plus negatives at or below it
+    twice_u = int(negatives.searchsorted(wins, "left").sum()) + int(
+        negatives.searchsorted(wins, "right").sum()
+    )
+    return float(twice_u / 2 / (wins.size * negatives.size))
 
 
 def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -72,13 +73,10 @@ def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("scores contain non-finite values")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    n_pos = int((labels == 1).sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    positive = labels == 1
+    if positive.all() or not positive.any():
         raise UndefinedMetricError("AUC undefined: need at least one positive and one negative")
-    ranks = _midranks(scores)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    return _auc(scores, positive)
 
 
 def auc_macro_ovr(
@@ -98,12 +96,13 @@ def auc_macro_ovr(
     check_labels(labels, num_classes, "labels", n)
     if (probabilities < 0).any() or np.abs(probabilities.sum(axis=1) - 1.0).max() > 1e-6:
         raise ValueError("rows of probabilities must be probability vectors")
+    if not np.isfinite(probabilities).all():
+        raise ValueError("scores contain non-finite values")
     per_class = np.full(num_classes, np.nan)
     for k in range(num_classes):
-        indicator = (labels == k).astype(np.int64)
-        if indicator.sum() == 0 or indicator.sum() == n:
-            continue
-        per_class[k] = auc_binary(probabilities[:, k], indicator)
+        positive = labels == k
+        if positive.any() and not positive.all():
+            per_class[k] = _auc(probabilities[:, k], positive)
     usable = ~np.isnan(per_class)
     if usable.sum() < 2:
         raise UndefinedMetricError(

@@ -6,7 +6,11 @@ per-class ``ema_update_loop`` is the EMA update the package computes with
 array operations. ``class_centroid_heatmap_loop`` takes one masked mean per
 class where the package reuses ``batch_class_means``, and
 ``quadratic_weighted_kappa_add_at`` counts the confusion matrix with
-``np.add.at`` where the package takes one ``np.bincount``. ``write_rows``
+``np.add.at`` where the package takes one ``np.bincount``.
+``auc_binary_midranks`` sums the midranks of the positives (a stable argsort
+of all scores, then a rank scatter), and ``auc_macro_ovr_midranks`` calls it
+once per class with all its checks, where the package counts the negatives
+below each positive in one sort of the negative scores. ``write_rows``
 formats each row with Python's % operator where the codec renders %.17g
 cells with integer array arithmetic. ``forward_keeping_pre_activations`` and
 ``backward_from_pre_activations`` build three arrays per layer and keep each
@@ -31,6 +35,7 @@ from cclearn.data import (
     _STREAM_BASE,
     SynthConfig,
     _translation_vector,
+    check_labels,
     rotation_matrix,
 )
 from cclearn.diagnostics import HeatmapMatrix
@@ -206,6 +211,67 @@ def quadratic_weighted_kappa_add_at(
             "kappa undefined: both label sets are concentrated on one identical class"
         )
     return 1.0 - float((weights * observed).sum()) / denom
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties assigned the average rank of their group."""
+    order = values.argsort(kind="stable")
+    sorted_vals = values[order]
+    # a tie group at sorted positions i..j spans searchsorted left i, right j+1,
+    # and its midrank 0.5 * (i + j) + 1 is exactly (i + (j + 1) + 1) * 0.5
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = (
+        sorted_vals.searchsorted(sorted_vals, "left")
+        + sorted_vals.searchsorted(sorted_vals, "right")
+        + 1
+    ) * 0.5
+    return ranks
+
+
+def auc_binary_midranks(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mann-Whitney AUC of scores against binary labels, ties worth 0.5."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError("scores and labels must be matching 1-D arrays")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores contain non-finite values")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    n_pos = int((labels == 1).sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUC undefined: need at least one positive and one negative")
+    ranks = midranks(scores)
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def auc_macro_ovr_midranks(
+    probabilities: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """One-vs-rest AUC per class (NaN where a class is absent or has no
+    negatives) and the mean over the other classes."""
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    labels = np.asarray(labels)
+    if probabilities.ndim != 2:
+        raise ValueError(f"probabilities must be 2-D, got shape {probabilities.shape}")
+    n, num_classes = probabilities.shape
+    check_labels(labels, num_classes, "labels", n)
+    if (probabilities < 0).any() or np.abs(probabilities.sum(axis=1) - 1.0).max() > 1e-6:
+        raise ValueError("rows of probabilities must be probability vectors")
+    per_class = np.full(num_classes, np.nan)
+    for k in range(num_classes):
+        indicator = (labels == k).astype(np.int64)
+        if indicator.sum() == 0 or indicator.sum() == n:
+            continue
+        per_class[k] = auc_binary_midranks(probabilities[:, k], indicator)
+    usable = ~np.isnan(per_class)
+    if usable.sum() < 2:
+        raise UndefinedMetricError(
+            f"macro AUC undefined: only {int(usable.sum())} usable class(es)"
+        )
+    return float(per_class[usable].mean()), per_class
 
 
 def write_rows(fh, fmt: str, *columns) -> None:

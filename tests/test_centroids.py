@@ -287,6 +287,8 @@ class TestBankIO:
         "2 2\n0.9 0.9\n0 -1\n1 0\n0 1\n",
         "2 2\n0.9 0.9\n1 01\n1 0\n0 1\n",
         "2 2\n0.9 0.9\n1 1.0\n1 0\n0 1\n",
+        "2 2\n0.9 0.9_0\n1 1\n1 0\n0 1\n",
+        "2 2\n0.9 0.9\n1 1\n1 0\n0 \u0661\n",
     ])
     def test_malformed_or_non_finite_bank_raises_state_error(self, tmp_path, text):
         path = tmp_path / "bank.txt"

@@ -387,6 +387,10 @@ def corrupt(lines: list[list[str]], kind: str, row: int, col: int) -> list[list[
         target[-2] = "-1"
     elif kind == "underscore":
         target[col] = "1_0"
+    elif kind == "underscore_label":
+        target[-2] = "0_1"
+    elif kind == "unicode_digit":
+        target[col] = "\u0663"  # ARABIC-INDIC DIGIT THREE, which float() reads as 3
     elif kind == "padded_cell":
         target[col] = f" {target[col]} "
     elif kind == "quoted_cell":
@@ -418,7 +422,7 @@ def corrupt(lines: list[list[str]], kind: str, row: int, col: int) -> list[list[
 
 KINDS = [
     "none", "x_cell", "nan_cell", "inf_cell", "label_2.5", "label_2.0", "label_out_of_range",
-    "negative_label", "underscore", "padded_cell", "quoted_cell", "mixed_domain",
+    "negative_label", "underscore", "underscore_label", "unicode_digit", "padded_cell", "quoted_cell", "mixed_domain",
     "padded_domain", "nul_domain", "extra_field", "missing_field", "comment_line",
     "blank_line", "space_line", "bad_header", "truncated", "huge_label", "oversized_field",
 ]
@@ -450,6 +454,18 @@ def test_fast_reader_returns_what_the_scan_returns(
     save_table(Dataset(features, labels, "source", 3), path)  # leaves a sidecar of the clean table
     path.write_bytes(text.encode("utf-8"))
     assert outcome(load_table, path, num_classes) == outcome(data._scan_table, path, num_classes)
+
+
+@pytest.mark.parametrize("kind, col", [
+    ("underscore", 0), ("underscore", 2), ("underscore_label", 0), ("unicode_digit", 1),
+    ("unicode_digit", 2),
+])
+def test_numeric_cells_no_writer_emits_are_refused(tmp_path, kind, col):
+    lines = [["f0", "f1", "label", "domain"], ["1", "2", "0", "source"], ["3", "4", "1", "source"]]
+    path = tmp_path / "t.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in corrupt(lines, kind, 1, col)))
+    with pytest.raises(TableParseError, match="t.csv: line 3: "):
+        load_table(path)
 
 
 def test_well_formed_tables_never_reach_the_scan(tmp_path, monkeypatch):

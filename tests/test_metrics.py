@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cclearn.errors import UndefinedMetricError
-from cclearn.metrics import (
-    _midranks,
-    accuracy,
-    auc_binary,
-    auc_macro_ovr,
-    quadratic_weighted_kappa,
+from cclearn.losses import softmax
+from cclearn.metrics import accuracy, auc_binary, auc_macro_ovr, quadratic_weighted_kappa
+from reference import (
+    auc_binary_midranks,
+    auc_macro_ovr_midranks,
+    midranks,
+    quadratic_weighted_kappa_add_at,
 )
-from reference import quadratic_weighted_kappa_add_at
 
 
 # ---- independent oracles ----
@@ -232,7 +232,7 @@ class TestAucBinary:
             cases.append(rng.integers(0, int(rng.integers(1, 12)), n) * rng.choice([0.1, -1.0]))
             cases.append(rng.standard_normal(n))
         for values in cases:
-            ours, loop = _midranks(values), loop_midranks(values)
+            ours, loop = midranks(values), loop_midranks(values)
             assert np.array_equal(ours.view(np.uint64), loop.view(np.uint64))
 
     def test_single_class_undefined(self):
@@ -294,6 +294,106 @@ class TestAucMacroOvr:
             auc_macro_ovr(np.array([[0.9, 0.9], [0.1, 0.1]]), labels)
         with pytest.raises(ValueError):
             auc_macro_ovr(np.array([[-0.1, 1.1], [0.5, 0.5]]), labels)
+
+
+def auc_outcome(auc, *args):
+    """The float bits an AUC function returns (the macro and the per-class
+    vector for ``auc_macro_ovr``), or the type and message of what it raised."""
+    try:
+        value = auc(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, tuple):
+        return value[0].hex(), value[1].tobytes()
+    return value.hex()
+
+
+@st.composite
+def scores(draw, shape):
+    """Scores with heavy ties: quantised, all equal, +-0 mixed, or any floats."""
+    kind = draw(st.sampled_from(["quantised", "equal", "signed_zero", "float"]))
+    if kind == "equal":
+        return np.full(shape, draw(st.floats(0, 1)))
+    elements = {
+        "quantised": st.integers(0, 3).map(lambda v: v * 0.25),
+        "signed_zero": st.sampled_from([0.0, -0.0, 0.5]),
+        "float": st.floats(0, 1e3),
+    }[kind]
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+@st.composite
+def binary_cases(draw):
+    n = draw(st.integers(1, 80))
+    n_pos = draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(0, n))
+    labels = np.zeros(n, np.int64)
+    labels[draw(st.permutations(range(n)))[:n_pos]] = 1
+    negate = draw(arrays(np.bool_, n))
+    return np.where(negate, -1.0, 1.0) * draw(scores(n)), labels
+
+
+@st.composite
+def macro_cases(draw):
+    k, n = draw(st.integers(2, 6)), draw(st.integers(1, 60))
+    # classes outside ``present`` are absent from the labels
+    present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    labels = draw(arrays(np.int64, n, elements=st.sampled_from(present)))
+    weights = draw(scores((n, k)))
+    weights[weights.sum(axis=1) == 0] = 1.0
+    probabilities = weights / weights.sum(axis=1, keepdims=True)
+    probabilities[(probabilities == 0) & draw(arrays(np.bool_, (n, k)))] = -0.0
+    return probabilities, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=binary_cases())
+def test_auc_binary_is_bit_equal_to_the_midrank_sum(case):
+    assert auc_outcome(auc_binary, *case) == auc_outcome(auc_binary_midranks, *case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=macro_cases())
+def test_auc_macro_ovr_is_bit_equal_to_the_midrank_sums(case):
+    assert auc_outcome(auc_macro_ovr, *case) == auc_outcome(auc_macro_ovr_midranks, *case)
+
+
+def test_auc_macro_ovr_is_bit_equal_to_the_midrank_sums_at_size():
+    rng = np.random.default_rng(10)
+    labels = rng.integers(0, 10, 50000)
+    probabilities = softmax(3.0 * rng.standard_normal((50000, 10)) + 2.0 * np.eye(10)[labels])
+    assert auc_outcome(auc_macro_ovr, probabilities, labels) == auc_outcome(
+        auc_macro_ovr_midranks, probabilities, labels
+    )
+
+
+@pytest.mark.parametrize("auc, oracle, args", [
+    (auc_binary, auc_binary_midranks, ([0.1, math.nan], [0, 1])),
+    (auc_binary, auc_binary_midranks, ([0.1, -math.inf], [0, 1])),
+    (auc_binary, auc_binary_midranks, ([0.1, 0.2], [0, 2])),
+    (auc_binary, auc_binary_midranks, ([0.1, 0.2], [0, 1, 1])),
+    (auc_binary, auc_binary_midranks, ([[0.1, 0.2]], [[0, 1]])),
+    (auc_binary, auc_binary_midranks, ([0.1, 0.2], [1, 1])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[0.9, 0.9], [0.1, 0.1]], [0, 1])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[-0.1, 1.1], [0.5, 0.5]], [0, 1])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[math.inf, 0.0], [0.5, 0.5]], [0, 1])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[math.nan, 1.0], [0.5, 0.5]], [0, 1])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([0.5, 0.5], [0, 1])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[0.5, 0.5], [0.5, 0.5]], [0, 2])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[0.5, 0.5], [0.5, 0.5]], [0])),
+    (auc_macro_ovr, auc_macro_ovr_midranks, ([[0.5, 0.5], [0.5, 0.5]], [1, 1])),
+])
+def test_refused_inputs_raise_what_the_midrank_oracle_raises(auc, oracle, args):
+    args = [np.array(a) for a in args]
+    refused = auc_outcome(oracle, *args)
+    assert isinstance(refused, tuple) and isinstance(refused[0], type)
+    assert auc_outcome(auc, *args) == refused
+
+
+def test_a_nan_probability_is_refused_in_an_absent_class_too():
+    probabilities = np.array([[0.5, 0.5, math.nan], [0.5, 0.5, math.nan]])
+    with pytest.raises(ValueError, match="non-finite"):
+        auc_macro_ovr(probabilities, np.array([0, 1]))
 
 
 class TestExhaustiveSmall:

@@ -383,7 +383,7 @@ class TestCheckpoint:
         with pytest.raises((StateError, IndexError, ValueError)):
             load_model(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x", "1_0", "\u0663", "\xa01"])
     def test_non_finite_or_non_numeric_weight_names_the_file(self, tmp_path, bad):
         path = tmp_path / "m.txt"
         save_model(init_params(3, (), 2, 2, 0), path)
@@ -395,11 +395,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("text", [
         "", "3 2 2\n2\n", "3 2 2 x\n2\n", "3 2 2 1\n3\n", "0 2 2 1\n2\n", "3 2 2 1\n2\n1 0\n",
-        "1 1 2 1\n1\n1\n1\n1 1\n1 1\n1\n",
+        "1 1 2 1\n1\n1\n1\n1 1\n1 1\n1\n", "1 1 2 1\n1\n1\n1_0\n1 1\n1 1\n",
+        "1 1 2 1\n\u0661\n1\n1\n1 1\n1 1\n", b"1 1 2 1\n1\n1\n1\n1 1\n\xff 1\n",
     ])
     def test_malformed_files_raise_state_error(self, tmp_path, text):
         path = tmp_path / "m.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(StateError, match="m.txt"):
             load_model(path)
 

@@ -24,3 +24,8 @@ def test_a_tree_matches_itself_on_the_desk_walkthrough(tmp_path):
         kept = sorted(work.joinpath("diagnose").iterdir())
         assert len(kept) == 5
         assert all((d / "spread_target.txt").is_file() for d in kept)
+        # the raw float64 logits of both runs: desk has K = 4 classes
+        rows = len(work.joinpath("data", "target.csv").read_text().splitlines()) - 1
+        for run in ("base", "tuned"):
+            logits = work / "logits" / f"{run}.bin"
+            assert logits.stat().st_size == rows * 4 * 8

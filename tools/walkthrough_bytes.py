@@ -11,8 +11,13 @@ workload's configs and stages come from ``perfbench/run.py``. Four more
 ``diagnose`` runs follow it: the base run without ``--fit-data``, with
 ``--empirical-centroids``, with both, and the tuned run. Each ``diagnose``
 leaves a copy of its three files in ``diagnose/<step>/``, since the next one
-overwrites them. Then ``diff -r`` compares the two directories: ``data/``,
-``runs/`` (the ``.parsed`` sidecars included) and ``diagnose/``.
+overwrites them. Last, a process with the tree's ``src`` on its import path
+writes the raw float64 bytes of ``trainer.predict_logits`` of ``runs/base``
+and ``runs/tuned`` on ``data/target.csv`` to ``logits/``: no walkthrough
+file holds logits, only their argmax, kappa and rank-based AUC, so a change
+in their last bits shows only there. Then ``diff -r`` compares the two
+directories: ``data/``, ``runs/`` (the ``.parsed`` sidecars included),
+``diagnose/`` and ``logits/``.
 
 Exits 0 and prints "no difference" when every byte matches, 1 when a byte
 differs or a step fails, and 2 on bad arguments.
@@ -46,6 +51,20 @@ def steps(alpha: float | None) -> list[list[str]]:
     ]
 
 
+# run in the compared directory with that tree's src on the import path
+LOGITS = """
+import os
+from cclearn.data import load_table
+from cclearn.model import load_model
+from cclearn.trainer import predict_logits
+
+os.mkdir("logits")
+target = load_table("data/target.csv")
+for run in ("base", "tuned"):
+    predict_logits(load_model(f"runs/{run}/model.txt"), target).tofile(f"logits/{run}.bin")
+"""
+
+
 def run_walkthrough(src: Path, work: Path, workload: str, seed: int) -> None:
     """Run every step in ``work`` with ``src`` on the import path; SystemExit
     naming the step when one fails."""
@@ -55,12 +74,13 @@ def run_walkthrough(src: Path, work: Path, workload: str, seed: int) -> None:
     (work / "train.json").write_text(json.dumps({**spec.train, "seed": seed}))
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     env.update(dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)))
-    for i, args in enumerate(steps(spec.alpha)):
+    for i, args in enumerate([*steps(spec.alpha), ["logits"]]):
+        code = LOGITS if args == ["logits"] else CLI
         proc = subprocess.run(
-            [sys.executable, "-c", CLI, *args], cwd=work, env=env, capture_output=True, text=True
+            [sys.executable, "-c", code, *args], cwd=work, env=env, capture_output=True, text=True
         )
         if proc.returncode != 0:
-            print(f"{src}: cclearn {' '.join(args)} exited {proc.returncode}\n{proc.stderr}", end="")
+            print(f"{src}: {' '.join(args)} exited {proc.returncode}\n{proc.stderr}", end="")
             raise SystemExit(1)
         if args[0] == "diagnose":
             run = work / args[args.index("--run") + 1]
