@@ -420,9 +420,14 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
                 raise TableParseError(
                     f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
                 )
+            # float and int also read "1_0" as 10 and non-ASCII digits as
+            # digits, which no writer emits
+            numbers = "".join(row[: dim + 1])
+            if "_" in numbers or not numbers.isascii():
+                raise TableParseError(
+                    f"{path}: line {lineno}: a feature or label holds '_' or a non-ASCII character"
+                )
             try:
-                if not _plain("".join(row[:dim])):
-                    raise ValueError
                 values = [float(v) for v in row[:dim]]
             except ValueError:
                 raise TableParseError(
@@ -431,8 +436,6 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
             if not all(math.isfinite(v) for v in values):
                 raise TableParseError(f"{path}: line {lineno}: non-finite feature value")
             try:
-                if not _plain(row[dim]):
-                    raise ValueError
                 label = int(row[dim])
             except ValueError:
                 raise TableParseError(
@@ -456,13 +459,6 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
     labels_arr = np.array(labels, dtype=np.int64)
     k = num_classes if num_classes is not None else int(labels_arr.max()) + 1
     return Dataset(np.array(rows, dtype=np.float64), labels_arr, domain, k)
-
-
-def _plain(cells: str) -> bool:
-    """Whether numeric cells hold only ASCII and no underscore: ``float`` and
-    ``int`` also read "1_0" as 10 and non-ASCII digits as digits, which no
-    writer emits."""
-    return cells.isascii() and "_" not in cells
 
 
 def _records(path, reader):

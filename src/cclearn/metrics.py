@@ -60,7 +60,7 @@ def _auc(scores: np.ndarray, positive: np.ndarray) -> float:
     twice_u = int(negatives.searchsorted(wins, "left").sum()) + int(
         negatives.searchsorted(wins, "right").sum()
     )
-    return float(twice_u / 2 / (wins.size * negatives.size))
+    return twice_u / 2 / (wins.size * negatives.size)
 
 
 def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:

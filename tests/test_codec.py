@@ -422,9 +422,10 @@ def corrupt(lines: list[list[str]], kind: str, row: int, col: int) -> list[list[
 
 KINDS = [
     "none", "x_cell", "nan_cell", "inf_cell", "label_2.5", "label_2.0", "label_out_of_range",
-    "negative_label", "underscore", "underscore_label", "unicode_digit", "padded_cell", "quoted_cell", "mixed_domain",
-    "padded_domain", "nul_domain", "extra_field", "missing_field", "comment_line",
-    "blank_line", "space_line", "bad_header", "truncated", "huge_label", "oversized_field",
+    "negative_label", "underscore", "underscore_label", "unicode_digit", "padded_cell",
+    "quoted_cell", "mixed_domain", "padded_domain", "nul_domain", "extra_field",
+    "missing_field", "comment_line", "blank_line", "space_line", "bad_header", "truncated",
+    "huge_label", "oversized_field",
 ]
 
 
