@@ -309,7 +309,7 @@ def auc_outcome(auc, *args):
 
 
 @st.composite
-def scores(draw, shape):
+def score_arrays(draw, shape):
     """Scores with heavy ties: quantised, all equal, +-0 mixed, or any floats."""
     kind = draw(st.sampled_from(["quantised", "equal", "signed_zero", "float"]))
     if kind == "equal":
@@ -329,7 +329,7 @@ def binary_cases(draw):
     labels = np.zeros(n, np.int64)
     labels[draw(st.permutations(range(n)))[:n_pos]] = 1
     negate = draw(arrays(np.bool_, n))
-    return np.where(negate, -1.0, 1.0) * draw(scores(n)), labels
+    return np.where(negate, -1.0, 1.0) * draw(score_arrays(n)), labels
 
 
 @st.composite
@@ -338,7 +338,7 @@ def macro_cases(draw):
     # classes outside ``present`` are absent from the labels
     present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
     labels = draw(arrays(np.int64, n, elements=st.sampled_from(present)))
-    weights = draw(scores((n, k)))
+    weights = draw(score_arrays((n, k)))
     weights[weights.sum(axis=1) == 0] = 1.0
     probabilities = weights / weights.sum(axis=1, keepdims=True)
     probabilities[(probabilities == 0) & draw(arrays(np.bool_, (n, k)))] = -0.0
