@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import zlib
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import Sequence
@@ -280,7 +281,7 @@ def save_table(ds: Dataset, path) -> None:
 
     Lines end with \\r\\n and the domain cell is quoted as the csv module
     quotes it: the csv writer itself builds the header and the row format.
-    The bytes feed the sidecar's table digest as they are written.
+    The bytes feed the sidecar's table record as they are written.
     """
     row_format = csv_format([FLOAT] * ds.input_dim + ["%d", ds.domain.replace("%", "%%")])
     header = csv_format([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
@@ -288,27 +289,26 @@ def save_table(ds: Dataset, path) -> None:
         table = _Hashed(fh)
         table.write(header.encode())
         write_rows(table, row_format, ds.features, ds.labels)
-    _write_sidecar(ds, path, table.hash.digest())
+    _write_sidecar(ds, path, table.digest())
 
 
 class _Hashed:
-    """A binary file whose reads and writes also feed one BLAKE2b-256 digest."""
+    """A binary file whose reads and writes also feed one CRC-32 and a byte count."""
 
     def __init__(self, fh):
-        try:  # the BLAKE2b of hashlib.blake2b, without the 3.4 MB of OpenSSL that hashlib maps
-            from _blake2 import blake2b
-        except ImportError:  # a build without the builtin hashes
-            from hashlib import blake2b
-        self.fh, self.hash = fh, blake2b(digest_size=32)
+        self.fh, self.crc, self.size = fh, 0, 0
 
     def read(self, size: int) -> bytes:
         data = self.fh.read(size)
-        self.hash.update(data)
+        self.crc, self.size = zlib.crc32(data, self.crc), self.size + len(data)
         return data
 
     def write(self, data) -> int:
-        self.hash.update(data)
+        self.crc, self.size = zlib.crc32(data, self.crc), self.size + len(data)
         return self.fh.write(data)
+
+    def digest(self) -> bytes:  # the CRC-32 in 4 bytes, then the count in 8, little-endian
+        return self.crc.to_bytes(4, "little") + self.size.to_bytes(8, "little")
 
 
 def _file_digest(path) -> bytes:
@@ -316,16 +316,16 @@ def _file_digest(path) -> bytes:
         hashed = _Hashed(fh)
         while hashed.read(1 << 16):  # below the 128 KiB at which malloc maps memory
             pass
-    return hashed.hash.digest()
+    return hashed.digest()
 
 
 def _write_sidecar(ds: Dataset, path, digest: bytes) -> None:
     """Leave the arrays of the table just written at ``path`` in ``<path>.parsed``.
 
-    Consecutive ``np.save`` records: ``digest``, the digest of the table's
-    bytes, the domain's UTF-8 bytes, the features, the labels, then the
-    digest of every byte before it. Not ``np.savez``, whose zip entries carry
-    timestamps.
+    Consecutive ``np.save`` records: ``digest``, the CRC-32 and length of
+    the table's bytes (``_Hashed.digest``), the domain's UTF-8 bytes, the
+    features, the labels, then the same digest of every byte before it. Not
+    ``np.savez``, whose zip entries carry timestamps.
     """
     sidecar = os.fspath(path) + SIDECAR
     with open(sidecar + ".tmp", "wb") as fh:
@@ -337,14 +337,14 @@ def _write_sidecar(ds: Dataset, path, digest: bytes) -> None:
             ds.labels,
         ):
             np.save(hashed, record, allow_pickle=False)
-        np.save(fh, np.frombuffer(hashed.hash.digest(), np.uint8), allow_pickle=False)
+        np.save(fh, np.frombuffer(hashed.digest(), np.uint8), allow_pickle=False)
     os.replace(sidecar + ".tmp", sidecar)
 
 
 def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
     """The Dataset ``save_table`` left next to ``path``, or None.
 
-    None unless the sidecar's table digest matches the table's current bytes,
+    None unless the sidecar's table record matches the table's current bytes,
     its own digest matches, its dtypes and shapes are right, its domain is
     one the table does not quote, and the arrays pass ``Dataset``'s checks
     with labels in range: then ``_scan_table`` would return exactly these
@@ -357,7 +357,7 @@ def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
             if read(hashed, allow_pickle=False).tobytes() != _file_digest(path):
                 return None
             domain, features, labels = (read(hashed, allow_pickle=False) for _ in range(3))
-            if read(fh, allow_pickle=False).tobytes() != hashed.hash.digest():
+            if read(fh, allow_pickle=False).tobytes() != hashed.digest():
                 return None
         if (domain.dtype, features.dtype, labels.dtype) != (np.uint8, np.float64, np.int64):
             return None
@@ -393,8 +393,8 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
 def _scan_table(path, num_classes: int | None) -> Dataset:
     """Line-by-line csv parse: the reference reader and the source of every parse
     error, which names the physical line where the failing record starts."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = csv.reader(fh)
+    with open(path, "rb") as fh:
+        lines = csv.reader(_text_lines(path, fh))
         reader = _records(path, lines)
         try:
             header = next(reader)
@@ -459,6 +459,22 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
     labels_arr = np.array(labels, dtype=np.int64)
     k = num_classes if num_classes is not None else int(labels_arr.max()) + 1
     return Dataset(np.array(rows, dtype=np.float64), labels_arr, domain, k)
+
+
+def _text_lines(path, fh):
+    """The physical lines of a binary file as text, split where ``newline=""``
+    splits them (after \\n, \\r\\n or a lone \\r); a line that is not UTF-8
+    raises a TableParseError naming it."""
+    lineno = 0
+    for chunk in fh:  # a binary file splits only after b"\n"
+        for line in chunk.splitlines(keepends=True):
+            lineno += 1
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TableParseError(
+                    f"{path}: line {lineno}: byte {exc.start + 1} is not UTF-8 ({exc.reason})"
+                ) from None
 
 
 def _records(path, reader):

@@ -6,7 +6,10 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -417,6 +420,8 @@ def corrupt(lines: list[list[str]], kind: str, row: int, col: int) -> list[list[
         target[-2] = "99999999999999999999"
     elif kind == "oversized_field":
         target[col] = '"' + "1" * 140000 + '"'  # over csv's default field size limit
+    elif kind == "non_utf8":
+        target[col] += "\udcff"  # written as the byte 0xff, which UTF-8 never uses
     return lines
 
 
@@ -425,7 +430,7 @@ KINDS = [
     "negative_label", "underscore", "underscore_label", "unicode_digit", "padded_cell",
     "quoted_cell", "mixed_domain", "padded_domain", "nul_domain", "extra_field",
     "missing_field", "comment_line", "blank_line", "space_line", "bad_header", "truncated",
-    "huge_label", "oversized_field",
+    "huge_label", "oversized_field", "non_utf8",
 ]
 
 
@@ -453,7 +458,7 @@ def test_fast_reader_returns_what_the_scan_returns(
         text = text[: cut % (len(text) + 1)]
     path = tmp_path / "t.csv"
     save_table(Dataset(features, labels, "source", 3), path)  # leaves a sidecar of the clean table
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert outcome(load_table, path, num_classes) == outcome(data._scan_table, path, num_classes)
 
 
@@ -552,6 +557,31 @@ def test_a_table_edited_after_saving_reads_as_text(tmp_path, edit):
         assert outcome(load_table, path, num_classes) == text_outcome(path, num_classes)
 
 
+@SETTINGS
+@given(ds=datasets(["source", "target"]), num_classes=st.sampled_from([None, 4]), draw=st.data())
+def test_a_table_damaged_after_saving_reads_as_text(tmp_path, ds, num_classes, draw):
+    """CRC-32 catches every burst of up to 32 flipped bits, and the length
+    every truncation or append, so the sidecar never serves such a table."""
+    path = tmp_path / "t.csv"
+    save_table(ds, path)
+    assert data._read_sidecar(path, num_classes) is not None
+    table = path.read_bytes()
+    kind = draw.draw(st.sampled_from(["burst", "truncate", "append"]))
+    if kind == "burst":
+        # bit i is bit i % 8 of byte i // 8, the order in which zlib's CRC-32 reads them
+        width = draw.draw(st.integers(1, 32))
+        start = draw.draw(st.integers(0, 8 * len(table) - width))
+        flips = 1 | 1 << (width - 1) | draw.draw(st.integers(0, 2**width - 1))
+        damaged = (int.from_bytes(table, "little") ^ flips << start).to_bytes(len(table), "little")
+    elif kind == "truncate":
+        damaged = table[: draw.draw(st.integers(0, len(table) - 1))]
+    else:
+        damaged = table + draw.draw(st.binary(min_size=1, max_size=64))
+    path.write_bytes(damaged)
+    assert data._read_sidecar(path, num_classes) is None
+    assert outcome(load_table, path, num_classes) == outcome(data._scan_table, path, num_classes)
+
+
 def damaged_sidecars(good: bytes, other: bytes):
     yield "copied from another table", other
     yield "garbage", bytes(range(256)) * 4
@@ -581,14 +611,24 @@ LABELS = np.array([0, 1, 2])
 DOMAIN = np.frombuffer(b"target", np.uint8)
 
 
-def craft_sidecar(path, domain, features, labels):
+def crc32_and_length(b: bytes) -> np.ndarray:
+    """A sidecar's digest of ``b``: its CRC-32 in 4 bytes, then its length in
+    8, little-endian."""
+    return np.frombuffer(zlib.crc32(b).to_bytes(4, "little") + len(b).to_bytes(8, "little"), np.uint8)
+
+
+def blake2b_256(b: bytes) -> np.ndarray:
+    """The digest of the sidecars that came before CRC-32."""
+    return np.frombuffer(hashlib.blake2b(b, digest_size=32).digest(), np.uint8)
+
+
+def craft_sidecar(path, domain, features, labels, digest=crc32_and_length):
     """Write a sidecar for the table at ``path``, independently of save_table,
     with valid digests around any arrays."""
-    blake = lambda b: np.frombuffer(hashlib.blake2b(b, digest_size=32).digest(), np.uint8)
     buf = io.BytesIO()
-    for record in (blake(path.read_bytes()), domain, features, labels):
+    for record in (digest(path.read_bytes()), domain, features, labels):
         np.save(buf, record)
-    np.save(buf, blake(buf.getvalue()))
+    np.save(buf, digest(buf.getvalue()))
     sidecar(path).write_bytes(buf.getvalue())
 
 
@@ -598,6 +638,39 @@ def test_the_sidecar_format(tmp_path):
     written = sidecar(path).read_bytes()
     craft_sidecar(path, DOMAIN, TRICKY, LABELS)
     assert sidecar(path).read_bytes() == written
+    assert data._read_sidecar(path, 3) is not None  # so the crafted sidecars below are valid
+
+
+def test_a_blake2b_sidecar_reads_as_text_until_the_next_save(tmp_path):
+    path = tmp_path / "t.csv"
+    ds = Dataset(TRICKY, LABELS, "target", 3)
+    save_table(ds, path)
+    want = text_outcome(path, 3)
+    craft_sidecar(path, DOMAIN, TRICKY, LABELS, blake2b_256)
+    assert data._read_sidecar(path, 3) is None
+    assert outcome(load_table, path, 3) == want
+    save_table(ds, path)
+    assert data._read_sidecar(path, 3) is not None
+
+
+def test_tables_save_and_load_without_openssl(tmp_path):
+    """hashlib maps about 3.5 MB of OpenSSL into a process (README): neither
+    the CLI's imports nor a table's save and load may bring it in."""
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import cclearn.cli",
+        "from cclearn.data import Dataset, load_table, save_table",
+        "save_table(Dataset(np.ones((2, 2)), np.array([0, 1]), 's', 2), 't.csv')",
+        "assert load_table('t.csv').labels.tolist() == [0, 1]",
+        "print(sorted({'_hashlib', 'hashlib', '_blake2'} & set(sys.modules)))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("what, domain, features, labels", [

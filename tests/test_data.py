@@ -234,6 +234,20 @@ class TestTableIO:
         with pytest.raises(TableParseError, match="multi.csv: line 6: non-numeric"):
             load_table(path)
 
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"f0,label,domain\r\n1,0,source\r\n2,0,caf\xe9\r\n")
+        with pytest.raises(TableParseError, match="latin.csv: line 3: byte 8 is not UTF-8"):
+            load_table(path)
+
+    def test_a_lone_carriage_return_ends_a_line(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"f0,label,domain\r1,0,source\r2,1,source\r")
+        assert load_table(path).labels.tolist() == [0, 1]
+        path.write_bytes(b"f0,label,domain\r1,0,source\rx,1,source\r")
+        with pytest.raises(TableParseError, match="cr.csv: line 3: non-numeric"):
+            load_table(path)
+
     def test_header_only_is_no_samples(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("f0,f1,label,domain\n")
