@@ -13,9 +13,7 @@ from .centroids import (
     bank_from_features,
     batch_class_means,
     ema_update,
-    init_bank,
     load_bank,
-    normalize_rows,
     save_bank,
     update_smoothing,
 )
@@ -38,7 +36,6 @@ from .errors import (
 )
 from .losses import (
     LossBreakdown,
-    combined_loss,
     combined_loss_and_grads,
     softmax,
 )

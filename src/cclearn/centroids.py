@@ -23,14 +23,6 @@ NORM_EPS = 1e-12
 UNIT_TOL = 1e-9  # how far a loaded seen centroid's norm may stray from 1
 
 
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise l2 normalization of a 2-D array."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {x.shape}")
-    return x / row_norms(x)[:, None]
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of the 2-D float64 array ``x``; raises
     DegenerateVectorError when a row cannot be normalized."""
@@ -80,11 +72,6 @@ class CentroidBank:
             f"CentroidBank(K={self.num_classes}, F={self.feature_dim}, "
             f"m0={self.m0}, m={self.m}, seen={int(self.seen.sum())})"
         )
-
-
-def init_bank(num_classes: int, feature_dim: int, m0: float) -> CentroidBank:
-    """Fresh bank: zero placeholder centroids, nothing seen, m = m0."""
-    return CentroidBank(num_classes, feature_dim, m0)
 
 
 def update_smoothing(bank: CentroidBank, epoch: int, total_epochs: int) -> float:
@@ -138,6 +125,9 @@ def ema_update(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) -> Cent
     if mask.shape != (bank.num_classes,):
         raise ValueError(f"mask shape {mask.shape} does not match K={bank.num_classes}")
 
+    bad = np.flatnonzero(mask & ~np.isfinite(f_mean).all(axis=1))
+    if bad.size:  # a NaN row would pass the norm check below
+        raise ValueError(f"masked f_mean row(s) {bad.tolist()} are not finite")
     mean_norms = np.linalg.norm(f_mean, axis=1)
     bad = np.flatnonzero(mask & (mean_norms < NORM_EPS))
     if bad.size:
@@ -168,7 +158,7 @@ def bank_from_features(
     Useful for diagnosing models trained without the contrastive term, where
     no EMA bank exists.
     """
-    bank = init_bank(num_classes, np.asarray(features).shape[1], 0.0)
+    bank = CentroidBank(num_classes, np.asarray(features).shape[1], 0.0)
     means, mask = batch_class_means(features, labels, num_classes)
     return ema_update(bank, means, mask)
 

@@ -48,16 +48,12 @@ def _echo_config(config, path: Path) -> None:
         fh.write("\n")
 
 
-def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "alpha", None) is not None:
-        updates["alpha"] = args.alpha
-    if getattr(args, "epochs", None) is not None:
-        updates["epochs"] = args.epochs
-    if updates:
-        config = dataclasses.replace(config, **updates)
+def _command_config(args, cls, default=None):
+    """The --config JSON file's config (``default`` without one) with the
+    command's given --seed, --alpha and --epochs overrides; validated."""
+    config = cls.from_dict(_load_json(Path(args.config))) if args.config else default
+    given = {key: getattr(args, key, None) for key in ("seed", "alpha", "epochs")}
+    config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
     config.validate()
     return config
 
@@ -95,10 +91,7 @@ def _run_dir(path: str) -> Path:
 
 
 def cmd_synth_data(args) -> None:
-    config = SynthConfig.from_dict(_load_json(Path(args.config)))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-        config.validate()
+    config = _command_config(args, SynthConfig)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for domain in ("source", "target"):
@@ -111,8 +104,7 @@ def cmd_synth_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    config = TrainConfig.from_dict(_load_json(Path(args.config))) if args.config else TrainConfig()
-    config = _apply_overrides(config, args)
+    config = _command_config(args, TrainConfig, TrainConfig())
     ds = load_table(Path(args.data))
     train_ds, val_ds, test_ds = split_dataset(ds, seed=config.seed)
     del ds  # the parts are copies
@@ -127,10 +119,7 @@ def cmd_train(args) -> None:
 
 def cmd_finetune(args) -> None:
     run = _run_dir(args.run)
-    config = (
-        TrainConfig.from_dict(_load_json(Path(args.config))) if args.config else finetune_config()
-    )
-    config = _apply_overrides(config, args)
+    config = _command_config(args, TrainConfig, finetune_config())
     params = load_model(run / MODEL_FILE)
     bank = centroids.load_bank(run / BANK_FILE)
     config = dataclasses.replace(
@@ -187,9 +176,7 @@ def cmd_diagnose(args) -> None:
 
     if basis is None:
         basis = diagnostics.pca_2d(feats)
-    projection = dataclasses.replace(
-        basis, coords=diagnostics.project_into(basis, feats), labels=labels, domain=domain
-    )
+    coords = diagnostics.project_into(basis, feats)
     spread = diagnostics.feature_spread(feats)
 
     stem = Path(args.data).stem
@@ -197,11 +184,11 @@ def cmd_diagnose(args) -> None:
     pca_path = run / f"pca_{stem}.csv"
     spread_path = run / f"spread_{stem}.txt"
     diagnostics.save_heatmap(heatmap, heat_path)
-    diagnostics.save_projection(projection, pca_path)
+    diagnostics.save_projection(coords, labels, domain, pca_path)
     with open(spread_path, "w", encoding="utf-8") as fh:
         fh.write(f"spread {spread:.17g}\n")
-        fh.write(f"explained_pc1 {projection.explained[0]:.17g}\n")
-        fh.write(f"explained_pc2 {projection.explained[1]:.17g}\n")
+        fh.write(f"explained_pc1 {basis.explained[0]:.17g}\n")
+        fh.write(f"explained_pc2 {basis.explained[1]:.17g}\n")
         fh.write(f"centroids {'trained' if use_trained else 'empirical'}\n")
         fh.write(f"mean_heatmap_diagonal {heatmap.mean_diagonal:.17g}\n")
     for path in (heat_path, pca_path, spread_path):

@@ -40,18 +40,13 @@ class HeatmapMatrix:
 
 @dataclass
 class PcaProjection:
-    """Coordinates in the top-2 principal basis plus the basis itself.
+    """A top-2 principal basis: the explained variance fractions, the mean of
+    the fitted rows and the two components. ``project_into`` maps the fitted
+    rows or another dataset's (e.g. the target domain's) into it."""
 
-    Keeping ``mean`` and ``components`` makes it possible to project another
-    dataset (e.g. the target domain) into the same basis.
-    """
-
-    coords: np.ndarray
     explained: tuple[float, float]
     mean: np.ndarray
     components: np.ndarray
-    labels: np.ndarray | None = None
-    domain: str = ""
 
 
 def class_centroid_heatmap(
@@ -72,10 +67,8 @@ def class_centroid_heatmap(
     return HeatmapMatrix(values, np.bincount(labels, minlength=bank.num_classes), ~present, domain)
 
 
-def pca_2d(
-    features: np.ndarray, labels: np.ndarray | None = None, domain: str = ""
-) -> PcaProjection:
-    """Project onto the top-2 eigenvectors of the covariance matrix.
+def pca_2d(features: np.ndarray) -> PcaProjection:
+    """Fit the basis of the top-2 eigenvectors of the covariance matrix.
 
     Eigenvectors get a deterministic sign (first loading with magnitude above
     1e-12 made positive); explained fractions are each eigenvalue over the
@@ -100,9 +93,8 @@ def pca_2d(
         lead = row[np.abs(row) > _SIGN_EPS]
         if lead.size and lead[0] < 0:
             row *= -1.0
-    coords = centered @ components.T
     explained = (float(eigvals[0] / total), float(eigvals[1] / total))
-    return PcaProjection(coords, explained, features.mean(axis=0), components, labels, domain)
+    return PcaProjection(explained, features.mean(axis=0), components)
 
 
 def project_into(basis: PcaProjection, features: np.ndarray) -> np.ndarray:
@@ -136,11 +128,10 @@ def save_heatmap(hm: HeatmapMatrix, path) -> None:
         )
 
 
-def save_projection(proj: PcaProjection, path) -> None:
-    """CSV: pc1,pc2,label,domain rows (label blank when unknown), the domain
-    quoted as the csv module quotes it."""
-    labels = proj.labels if proj.labels is not None else [""] * proj.coords.shape[0]
-    row = csv_format([FLOAT, FLOAT, "%s", proj.domain.replace("%", "%%")], "\n")
+def save_projection(coords: np.ndarray, labels: np.ndarray, domain: str, path) -> None:
+    """CSV: pc1,pc2,label,domain rows, the domain quoted as the csv module
+    quotes it."""
+    row = csv_format([FLOAT, FLOAT, "%s", domain.replace("%", "%%")], "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pc1,pc2,label,domain\n")
-        write_rows(fh, row, proj.coords, labels)
+        write_rows(fh, row, coords, labels)

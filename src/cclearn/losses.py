@@ -51,19 +51,6 @@ def _nll_and_softmax(scores: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     return np.log(sums) - shifted[np.arange(len(scores)), target], exps / sums[:, None]
 
 
-def combined_loss(
-    features: np.ndarray,
-    logits: np.ndarray,
-    labels: np.ndarray,
-    bank: CentroidBank,
-    alpha: float,
-    tau: float,
-) -> LossBreakdown:
-    """Batch-mean cross-entropy plus alpha times batch-mean contrast loss."""
-    breakdown, _, _ = combined_loss_and_grads(features, logits, labels, bank, alpha, tau)
-    return breakdown
-
-
 def combined_loss_and_grads(
     features: np.ndarray,
     logits: np.ndarray,
@@ -85,10 +72,10 @@ def combined_loss_and_grads(
     """
     features = np.asarray(features, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if not 0.0 <= alpha < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"features must be a non-empty 2-D array, got shape {features.shape}")
     batch = features.shape[0]

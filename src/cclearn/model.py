@@ -27,17 +27,47 @@ from .errors import StateError
 
 @dataclass
 class _Layers:
-    """Backbone affine layers plus the one-layer head."""
+    """Backbone affine layers plus the one-layer head, held in one float64
+    vector ``flat``. Each layer is a (fan_in + 1) x fan_out block of it: the
+    weight rows, then the bias row, in ``save_model``'s order. The tensors are
+    C-contiguous views into the blocks, so update them in place: assigning a
+    new array to one detaches it. The constructor copies its arrays in."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head_weight: np.ndarray
     head_bias: np.ndarray
 
-    @property
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The backbone's (weight, bias) pairs, then the head's."""
-        return [*zip(self.weights, self.biases), (self.head_weight, self.head_bias)]
+    def __post_init__(self):
+        if len(self.weights) != len(self.biases) or not self.weights:
+            raise ValueError("backbone needs matching, non-empty weight/bias lists")
+        layers = [*zip(self.weights, self.biases), (self.head_weight, self.head_bias)]
+        for i, (w, b) in enumerate(layers):
+            if w.ndim != 2 or b.shape != (w.shape[1],):
+                raise ValueError(f"layer {i} has inconsistent shapes {w.shape} / {b.shape}")
+        self._bind([w.shape for w, _ in layers])
+        for block, (w, b) in zip(self.blocks, layers):
+            block[:-1], block[-1] = w, b
+
+    def __reduce__(self):  # copied or pickled one by one, the views would leave ``flat``
+        return type(self), (self.weights, self.biases, self.head_weight, self.head_bias)
+
+    @classmethod
+    def zeros(cls, shapes):
+        """Zeroed layers of these (fan_in, fan_out) shapes, the head's last."""
+        layers = cls.__new__(cls)
+        layers._bind(shapes)
+        return layers
+
+    def _bind(self, shapes) -> None:
+        """Allocate a zeroed ``flat`` and point every tensor at its block."""
+        self.shapes, self.blocks, end = tuple(shapes), [], 0
+        self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in self.shapes))
+        for fan_in, fan_out in self.shapes:
+            start, end = end, end + (fan_in + 1) * fan_out
+            self.blocks.append(self.flat[start:end].reshape(fan_in + 1, fan_out))
+        *backbone, (self.head_weight, self.head_bias) = [(b[:-1], b[-1]) for b in self.blocks]
+        self.weights, self.biases = [w for w, _ in backbone], [b for _, b in backbone]
 
 
 @dataclass
@@ -51,15 +81,10 @@ class ModelParams(_Layers):
     version: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("backbone needs matching, non-empty weight/bias lists")
-        fan_in = None  # each layer (the head last) consumes the one before
-        for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError(f"layer {i} has inconsistent shapes {w.shape} / {b.shape}")
-            if fan_in is not None and w.shape[0] != fan_in:
-                raise ValueError(f"layer {i} input dim {w.shape[0]} does not chain from {fan_in}")
-            fan_in = w.shape[1]
+        super().__post_init__()
+        for i, ((_, out), (fan_in, _)) in enumerate(zip(self.shapes, self.shapes[1:]), 1):
+            if fan_in != out:  # each layer (the head last) consumes the one before
+                raise ValueError(f"layer {i} input dim {fan_in} does not chain from {out}")
 
     @property
     def input_dim(self) -> int:
@@ -88,7 +113,6 @@ class ForwardCache:
     """Intermediates of one forward pass, consumed by ``backward``. ``layer_inputs``
     is ``x``, then each hidden ReLU output, which is also each ReLU's mask."""
 
-    x: np.ndarray
     layer_inputs: list[np.ndarray]
     raw: np.ndarray
     norms: np.ndarray
@@ -104,23 +128,15 @@ def init_params(
     rng: np.random.Generator | int,
 ) -> ModelParams:
     """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    if input_dim < 1 or feature_dim < 1 or num_classes < 2:
-        raise ValueError(
-            f"bad dims: input={input_dim}, feature={feature_dim}, classes={num_classes}"
-        )
-    sizes = [int(input_dim), *[int(h) for h in hidden_dims], int(feature_dim)]
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"layer sizes must be positive, got {sizes}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    bound = 1.0 / math.sqrt(feature_dim)
-    head_w = rng.uniform(-bound, bound, size=(feature_dim, num_classes))
-    return ModelParams(weights, biases, head_w, np.zeros(num_classes))
+    rng = np.random.default_rng(rng)  # a Generator comes back unaltered
+    sizes = [int(input_dim), *[int(h) for h in hidden_dims], int(feature_dim), int(num_classes)]
+    if any(s < 1 for s in sizes) or num_classes < 2:
+        raise ValueError(f"layer sizes must be positive and classes >= 2, got {sizes}")
+    params = ModelParams.zeros(list(zip(sizes[:-1], sizes[1:])))
+    for w in [*params.weights, params.head_weight]:
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(
@@ -151,7 +167,7 @@ def forward(
     normalized = raw / norms[:, None]
     logits = raw @ params.head_weight
     logits += params.head_bias
-    cache = ForwardCache(x, layer_inputs, raw, norms, normalized, params.version)
+    cache = ForwardCache(layer_inputs, raw, norms, normalized, params.version)
     return raw, normalized, logits, cache
 
 
@@ -186,35 +202,27 @@ def backward(
     d_raw = (d_normalized - inner * fhat) / cache.norms[:, None]
     d_raw = d_raw + d_logits @ params.head_weight.T
 
-    g_head_w = cache.raw.T @ d_logits
-    g_head_b = d_logits.sum(axis=0)
-
-    g_weights: list[np.ndarray | None] = [None] * len(params.weights)
-    g_biases: list[np.ndarray | None] = [None] * len(params.weights)
+    grads = Gradients.zeros(params.shapes)
+    np.matmul(cache.raw.T, d_logits, out=grads.head_weight)
+    np.sum(d_logits, axis=0, out=grads.head_bias)
     upstream = d_raw
     for i in range(len(params.weights) - 1, -1, -1):
         if i < len(params.weights) - 1:
             upstream = upstream * (cache.layer_inputs[i + 1] > 0.0)
-        g_weights[i] = cache.layer_inputs[i].T @ upstream
-        g_biases[i] = upstream.sum(axis=0)
+        np.matmul(cache.layer_inputs[i].T, upstream, out=grads.weights[i])
+        np.sum(upstream, axis=0, out=grads.biases[i])
         if i > 0:
             upstream = upstream @ params.weights[i].T
-    return Gradients(g_weights, g_biases, g_head_w, g_head_b)
+    return grads
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     """In-place p <- p - lr * g over every parameter; returns the same object."""
-    if lr < 0.0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
-    layers, grad_layers = params.layers, grads.layers
-    if len(grads.weights) != len(params.weights) or len(grad_layers) != len(layers):
-        raise ValueError("gradient structure does not match parameters")
-    pairs = [(p, g) for layer in zip(layers, grad_layers) for p, g in zip(*layer)]
-    for p, g in pairs:  # every check runs before any parameter changes
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-    for p, g in pairs:
-        p -= lr * g
+    if not 0.0 <= lr < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
+    if grads.shapes != params.shapes:
+        raise ValueError(f"gradient layers {grads.shapes} do not match parameters {params.shapes}")
+    params.flat -= lr * grads.flat
     params.version += 1
     return params
 
@@ -272,8 +280,8 @@ def save_model(params: ModelParams, path) -> None:
             f"{params.input_dim} {params.feature_dim} {params.num_classes} {len(params.weights)}\n"
             + " ".join(str(w.shape[1]) for w in params.weights) + "\n"
         )
-        for w, b in params.layers:
-            write_rows(fh, floats(w.shape[1], " ") + "\n", np.vstack((w, b)))
+        for block in params.blocks:
+            write_rows(fh, floats(block.shape[1], " ") + "\n", block)
 
 
 def load_model(path) -> ModelParams:
@@ -292,9 +300,6 @@ def load_model(path) -> ModelParams:
     # each tensor is fan_in weight rows, then one bias row, all fan_out wide
     if [row.size for row in rows] != [out for fan_in, out in shapes for _ in range(fan_in + 1)]:
         raise StateError(f"model file {path} does not hold the tensors its header names")
-    tensors, pos = [], 0
-    for fan_in, _ in shapes:
-        tensors.append((np.array(rows[pos : pos + fan_in]), rows[pos + fan_in]))
-        pos += fan_in + 1
-    head_w, head_b = tensors.pop()
-    return ModelParams([w for w, _ in tensors], [b for _, b in tensors], head_w, head_b)
+    params = ModelParams.zeros(shapes)
+    params.flat[:] = np.concatenate(rows)
+    return params

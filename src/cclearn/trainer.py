@@ -23,7 +23,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .centroids import CentroidBank, batch_class_means, ema_update, init_bank, update_smoothing
+from .centroids import CentroidBank, batch_class_means, ema_update, update_smoothing
 from .codec import floats, write_rows
 from .data import Dataset, JsonConfig, make_batches, require_numbers
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
@@ -131,11 +131,7 @@ def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
 
 
 def predict_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
-    if ds.input_dim != params.input_dim:
-        raise ValueError(
-            f"dataset dim {ds.input_dim} does not match model input {params.input_dim}"
-        )
-    return infer(params, ds.features, 2)
+    return infer(params, ds.features, 2)  # forward refuses a dataset of another dim
 
 
 def pseudo_label(params: ModelParams, ds: Dataset) -> np.ndarray:
@@ -200,7 +196,7 @@ def train(
         num_classes,
         np.random.default_rng([config.seed, _STREAM_INIT]),
     )
-    bank = init_bank(num_classes, config.feature_dim, config.m0)
+    bank = CentroidBank(num_classes, config.feature_dim, config.m0)
     steps_per_epoch = math.ceil(len(train_ds) / config.batch_size)
     opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs, steps_per_epoch)
     report = RunReport(config=config)
@@ -299,7 +295,7 @@ def _run_epoch(
         ce_sum += breakdown.ce * len(batch)
         cont_sum += breakdown.cont * len(batch)
     # the loop checks only each step's input
-    if not all(np.isfinite(t).all() for layer in params.layers for t in layer):
+    if not np.isfinite(params.flat).all():
         raise TrainingError(f"non-finite parameters after epoch {epoch}, step {opt.step - 1}")
     return EpochRecord(
         epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,

@@ -16,16 +16,16 @@ import pytest
 
 import cclearn
 from cclearn.centroids import (
+    CentroidBank,
     bank_from_features,
     ema_update,
-    init_bank,
     update_smoothing,
 )
 from cclearn.cli import main as cli_main
 from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
 from cclearn.diagnostics import class_centroid_heatmap
 from cclearn.errors import UndefinedMetricError
-from cclearn.losses import combined_loss, combined_loss_and_grads, softmax
+from cclearn.losses import combined_loss_and_grads, softmax
 from cclearn.metrics import accuracy, auc_binary, auc_macro_ovr, quadratic_weighted_kappa
 from cclearn.model import (
     OptimState,
@@ -54,7 +54,7 @@ def unit_rows(rng, n, dim):
 
 def seen_bank(rows):
     rows = np.asarray(rows, dtype=np.float64)
-    bank = init_bank(rows.shape[0], rows.shape[1], 0.0)
+    bank = CentroidBank(rows.shape[0], rows.shape[1], 0.0)
     ema_update(bank, rows, np.ones(rows.shape[0], dtype=bool))
     return bank
 
@@ -82,18 +82,18 @@ def test_criterion_1_loss_oracle_equivalence():
         cents = unit_rows(rng, k, dim)
         f = unit_rows(rng, 1, dim)[0]
         own = int(rng.integers(0, k))
-        ours = combined_loss(
+        ours = combined_loss_and_grads(
             f[None], np.zeros((1, k)), np.array([own]), seen_bank(cents), 1.0, tau
-        ).cont
+        )[0].cont
         assert abs(ours - oracle_contrastive(f, cents, own, tau)) < 1e-10
 
     for _ in range(1000):
         k = int(rng.integers(2, 9))
         logits = rng.uniform(-25, 25, k)
         label = int(rng.integers(0, k))
-        ours = combined_loss(
-            np.ones((1, 1)), logits[None], np.array([label]), init_bank(k, 1, 0.0), 0.0, 1.0
-        ).ce
+        ours = combined_loss_and_grads(
+            np.ones((1, 1)), logits[None], np.array([label]), CentroidBank(k, 1, 0.0), 0.0, 1.0
+        )[0].ce
         assert abs(ours - oracle_cross_entropy(logits, label)) < 1e-10
 
     for _ in range(1000):
@@ -107,7 +107,7 @@ def test_criterion_1_loss_oracle_equivalence():
         feats = unit_rows(rng, batch, dim)
         logits = rng.uniform(-25, 25, (batch, k))
         labels = rng.integers(0, k, batch)
-        ours = combined_loss(feats, logits, labels, bank, alpha, tau)
+        ours = combined_loss_and_grads(feats, logits, labels, bank, alpha, tau)[0]
         ce = sum(oracle_cross_entropy(logits[i], labels[i]) for i in range(batch)) / batch
         cont = sum(
             oracle_contrastive(feats[i], cents, labels[i], tau) for i in range(batch)
@@ -163,7 +163,7 @@ def test_criterion_2_gradient_correctness():
 
         def total():
             _, nf, lg, _ = forward(params, x)
-            return combined_loss(nf, lg, y, bank, alpha, tau).total
+            return combined_loss_and_grads(nf, lg, y, bank, alpha, tau)[0].total
 
         fd = []
         for tensor in params.weights + params.biases + [params.head_weight, params.head_bias]:
@@ -192,7 +192,7 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_ema_and_schedule_exactness():
     # smoothing schedule: exact endpoints, affine in between
     for m0, total in [(0.999, 200), (0.999, 50), (0.5, 7), (0.0, 3), (0.96, 18)]:
-        bank = init_bank(2, 2, m0)
+        bank = CentroidBank(2, 2, m0)
         assert update_smoothing(bank, 0, total) == m0
         assert update_smoothing(bank, total, total) == 1.0
         for epoch in range(total + 1):
@@ -200,7 +200,7 @@ def test_criterion_3_ema_and_schedule_exactness():
 
     # EMA update against hand-computed vectors at m in {0, 0.5, 1}
     def bank_with(centroid, m):
-        bank = init_bank(2, 2, 0.0)
+        bank = CentroidBank(2, 2, 0.0)
         ema_update(bank, np.array([centroid, [0.0, 1.0]]), np.ones(2, dtype=bool))
         bank.m = m
         return bank
@@ -476,7 +476,7 @@ def test_criterion_7_finetune_procedure_fidelity():
     }
 
     tuned, report = finetune(
-        params, init_bank(k, f, 0.999), target,
+        params, CentroidBank(k, f, 0.999), target,
         finetune_config(batch_size=32, shuffle=False, feature_dim=f),
     )
     assert report.config.alpha == 0.0

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from cclearn.centroids import (
     bank_from_features,
     batch_class_means,
     ema_update,
-    init_bank,
     load_bank,
-    normalize_rows,
+    row_norms,
     save_bank,
     update_smoothing,
 )
@@ -26,16 +26,16 @@ def random_unit_rows(rng, n, dim):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-class TestNormalizeRows:
+class TestRowNorms:
     def test_three_four_five(self):
-        np.testing.assert_allclose(normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], rtol=0, atol=1e-15)
+        assert row_norms(np.array([[3.0, 4.0]])).tolist() == [5.0]
 
     def test_axis_vector(self):
-        np.testing.assert_allclose(normalize_rows([[0.0, 0.0, 5.0]]), [[0, 0, 1]], rtol=0, atol=0)
+        assert row_norms(np.array([[0.0, 0.0, 5.0]])).tolist() == [5.0]
 
     def test_zero_vector_raises(self):
         with pytest.raises(DegenerateVectorError):
-            normalize_rows([[0.0, 0.0]])
+            row_norms(np.array([[0.0, 0.0]]))
 
     def test_unit_output_norm(self):
         rng = np.random.default_rng(0)
@@ -43,57 +43,57 @@ class TestNormalizeRows:
             v = rng.standard_normal(rng.integers(1, 12))
             if np.linalg.norm(v) < 1e-9:
                 continue
-            assert abs(np.linalg.norm(normalize_rows(v[None])) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(v / row_norms(v[None])[0]) - 1.0) < 1e-12
 
     def test_rows_variant_reports_bad_row(self):
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateVectorError, match="1"):
-            normalize_rows(x)
+            row_norms(x)
 
 
 class TestInitBank:
     def test_fresh_bank_state(self):
-        bank = init_bank(3, 4, 0.999)
+        bank = CentroidBank(3, 4, 0.999)
         assert bank.centroids.shape == (3, 4)
         np.testing.assert_array_equal(bank.centroids, np.zeros((3, 4)))
         assert not bank.seen.any()
         assert bank.m == 0.999 == bank.m0
 
     def test_boundary_m0_zero(self):
-        bank = init_bank(2, 1, 0.0)
+        bank = CentroidBank(2, 1, 0.0)
         assert bank.m == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            init_bank(1, 4, 0.9)
+            CentroidBank(1, 4, 0.9)
 
     @pytest.mark.parametrize("k,f,m0", [(0, 4, 0.5), (2, 0, 0.5), (2, 4, 1.0), (2, 4, -0.1)])
     def test_invalid_arguments(self, k, f, m0):
         with pytest.raises(ValueError):
-            init_bank(k, f, m0)
+            CentroidBank(k, f, m0)
 
 
 class TestUpdateSmoothing:
     def test_epoch_zero_returns_m0(self):
-        bank = init_bank(2, 2, 0.999)
+        bank = CentroidBank(2, 2, 0.999)
         assert update_smoothing(bank, 0, 200) == 0.999
 
     def test_final_epoch_is_exactly_one(self):
-        bank = init_bank(2, 2, 0.999)
+        bank = CentroidBank(2, 2, 0.999)
         assert update_smoothing(bank, 200, 200) == 1.0
 
     def test_hand_midpoint(self):
-        bank = init_bank(2, 2, 0.8)
+        bank = CentroidBank(2, 2, 0.8)
         assert update_smoothing(bank, 100, 200) == pytest.approx(0.9, abs=1e-15)
 
     @pytest.mark.parametrize("m0", [0.0, 0.123456789, 0.5, 0.999, 0.9999999])
     def test_exact_endpoints_any_m0(self, m0):
-        bank = init_bank(2, 2, m0)
+        bank = CentroidBank(2, 2, m0)
         assert update_smoothing(bank, 0, 37) == m0
         assert update_smoothing(bank, 37, 37) == 1.0
 
     def test_affine_and_monotone(self):
-        bank = init_bank(2, 2, 0.7)
+        bank = CentroidBank(2, 2, 0.7)
         total = 13
         values = [update_smoothing(bank, e, total) for e in range(total + 1)]
         for e, m in enumerate(values):
@@ -101,7 +101,7 @@ class TestUpdateSmoothing:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_epoch_past_total_rejected(self):
-        bank = init_bank(2, 2, 0.5)
+        bank = CentroidBank(2, 2, 0.5)
         with pytest.raises(ValueError):
             update_smoothing(bank, 5, 4)
         with pytest.raises(ValueError):
@@ -152,10 +152,20 @@ class TestBatchClassMeans:
 class TestEmaUpdate:
     def make_seen_bank(self, centroids, m):
         centroids = np.asarray(centroids, dtype=np.float64)
-        bank = init_bank(centroids.shape[0], centroids.shape[1], 0.0)
+        bank = CentroidBank(centroids.shape[0], centroids.shape[1], 0.0)
         ema_update(bank, centroids, np.ones(centroids.shape[0], dtype=bool))
         bank.m = m
         return bank
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_masked_row_refused_and_bank_unchanged(self, bad):
+        bank = CentroidBank(3, 2, 0.5)
+        ema_update(bank, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1, 1, 0], bool))
+        centroids, seen = bank.centroids.tobytes(), bank.seen.tolist()
+        means = np.array([[1.0, 1.0], [1.0, bad], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"row\(s\) \[1\]"):
+            ema_update(bank, means, np.ones(3, bool))
+        assert bank.centroids.tobytes() == centroids and bank.seen.tolist() == seen
 
     def test_m_one_is_identity(self):
         rng = np.random.default_rng(1)
@@ -177,7 +187,7 @@ class TestEmaUpdate:
         np.testing.assert_allclose(bank.centroids[0], [r, r], atol=1e-15)
 
     def test_first_sight_normalizes_and_flags(self):
-        bank = init_bank(2, 2, 0.9)
+        bank = CentroidBank(2, 2, 0.9)
         ema_update(bank, np.array([[3.0, 4.0], [0.0, 0.0]]), np.array([True, False]))
         np.testing.assert_allclose(bank.centroids[0], [0.6, 0.8], atol=1e-15)
         assert bank.seen.tolist() == [True, False]
@@ -199,7 +209,7 @@ class TestEmaUpdate:
 
     def test_seen_rows_unit_norm_after_random_updates(self):
         rng = np.random.default_rng(3)
-        bank = init_bank(4, 6, 0.8)
+        bank = CentroidBank(4, 6, 0.8)
         for step in range(40):
             bank.m = float(rng.uniform(0, 1))
             means = random_unit_rows(rng, 4, 6)
@@ -229,7 +239,7 @@ class TestEmaUpdate:
 def ema_cases(draw):
     classes, dim = draw(st.integers(2, 6)), draw(st.integers(1, 64))
     flags = st.lists(st.booleans(), min_size=classes, max_size=classes)
-    bank = init_bank(classes, dim, 0.0)
+    bank = CentroidBank(classes, dim, 0.0)
     bank.m = draw(st.floats(0.0, 1.0, exclude_max=True))
     bank.seen = np.array(draw(flags))
     bank.centroids = draw(arrays(np.float64, (classes, dim), elements=st.floats(-2.0, 2.0)))
@@ -259,7 +269,7 @@ def test_ema_update_is_bit_equal_to_the_per_class_loop(case):
 class TestBankIO:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        bank = init_bank(3, 4, 0.999)
+        bank = CentroidBank(3, 4, 0.999)
         ema_update(bank, rng.standard_normal((3, 4)), np.array([True, False, True]))
         bank.m = 0.99912345678901234
         path = tmp_path / "bank.txt"
@@ -316,7 +326,7 @@ class TestBankIO:
 
     def test_trained_banks_load(self, tmp_path):
         rng = np.random.default_rng(8)
-        bank = init_bank(5, 7, 0.5)
+        bank = CentroidBank(5, 7, 0.5)
         for _ in range(200):
             labels = rng.integers(0, 5, 16)
             means, mask = batch_class_means(random_unit_rows(rng, 16, 7), labels, 5)

@@ -23,7 +23,7 @@ import reference
 from cclearn import centroids, codec, data, diagnostics, model, trainer
 from cclearn.centroids import CentroidBank, load_bank, save_bank
 from cclearn.data import Dataset, load_table, save_table
-from cclearn.diagnostics import HeatmapMatrix, PcaProjection, save_heatmap, save_projection
+from cclearn.diagnostics import HeatmapMatrix, save_heatmap, save_projection
 from cclearn.errors import TableParseError
 from cclearn.model import ModelParams, load_model, save_model
 from cclearn.trainer import EpochRecord, RunReport, TrainConfig, write_history_csv
@@ -88,9 +88,6 @@ def golden_writers():
         np.array([[1.0 / 3.0, math.nan], [-0.0, 0.1]]), np.array([3, 0]),
         np.array([False, True]), "target",
     )
-    projection = PcaProjection(
-        TRICKY[:, :2].copy(), (0.5, 0.25), np.zeros(3), np.eye(2, 3), np.array([0, 2, 1]), "target"
-    )
     quoted = Dataset(np.array([[1.5], [-2.0]]), np.array([1, 0]), 'site "A", 5%', 2)
     return {
         "table": lambda p: save_table(Dataset(TRICKY, np.array([0, 1, 2]), "target", 3), p),
@@ -99,7 +96,7 @@ def golden_writers():
         "bank": lambda p: save_bank(bank, p),
         "history": lambda p: write_history_csv(report, p),
         "heatmap": lambda p: save_heatmap(heatmap, p),
-        "projection": lambda p: save_projection(projection, p),
+        "projection": lambda p: save_projection(TRICKY[:, :2], np.array([0, 2, 1]), "target", p),
     }
 
 
@@ -239,14 +236,15 @@ def test_every_writer_matches_the_reference_writer(tmp_path, reference_writers, 
     features = rng.standard_normal((9, 3)) * 10.0 ** rng.integers(-6, 17, (9, 3))
     features[0] = [0.0, -0.0, 1e-4]
     ds = Dataset(features, rng.integers(0, 3, 9), domain, 3)
-    projection = PcaProjection(features[:, :2], (0.5, 0.25), np.zeros(3), np.eye(2, 3), None, domain)
     writers = golden_writers()
     if "\0" in domain and sys.version_info < (3, 11):  # csv before 3.11 cannot write NUL
         with pytest.raises(csv.Error):
             save_table(ds, tmp_path / "t.csv")
     else:
         writers["domain_table"] = lambda p: save_table(ds, p)
-        writers["domain_projection"] = lambda p: save_projection(projection, p)
+        writers["domain_projection"] = (
+            lambda p: save_projection(features[:, :2], ds.labels, domain, p)
+        )
         evaluate_row = codec.csv_format(["%s", domain.replace("%", "%%"), codec.FLOAT], "\n")
         names, values = ["accuracy", "auc_macro"], [0.5, 1 / 3]
         assert codec_text(evaluate_row, names, values) == reference_text(evaluate_row, names, values)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cclearn.centroids import bank_from_features, ema_update, init_bank
+from cclearn.centroids import CentroidBank, bank_from_features, ema_update
 from cclearn.diagnostics import (
     class_centroid_heatmap,
     feature_spread,
@@ -55,7 +55,7 @@ def unit_rows(rng, n, dim):
 class TestHeatmap:
     def test_features_on_orthogonal_centroids_identity(self):
         cents = np.eye(3)
-        bank = init_bank(3, 3, 0.0)
+        bank = CentroidBank(3, 3, 0.0)
         ema_update(bank, cents, np.ones(3, dtype=bool))
         feats = cents[np.array([0, 1, 2, 0])]
         hm = class_centroid_heatmap(feats, np.array([0, 1, 2, 0]), bank)
@@ -64,7 +64,7 @@ class TestHeatmap:
     def test_constant_features_give_constant_rows(self):
         rng = np.random.default_rng(0)
         cents = unit_rows(rng, 3, 4)
-        bank = init_bank(3, 4, 0.0)
+        bank = CentroidBank(3, 4, 0.0)
         ema_update(bank, cents, np.ones(3, dtype=bool))
         feats = np.tile(cents[0], (6, 1))
         labels = np.array([0, 0, 1, 1, 2, 2])
@@ -74,7 +74,7 @@ class TestHeatmap:
             np.testing.assert_allclose(row, expect, atol=1e-12)
 
     def test_two_class_hand_case(self):
-        bank = init_bank(2, 2, 0.0)
+        bank = CentroidBank(2, 2, 0.0)
         ema_update(bank, np.eye(2), np.ones(2, dtype=bool))
         feats = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.8, 0.6]])
         labels = np.array([0, 0, 1, 1])
@@ -85,7 +85,7 @@ class TestHeatmap:
     def test_empty_class_row_flagged(self):
         rng = np.random.default_rng(1)
         cents = unit_rows(rng, 3, 4)
-        bank = init_bank(3, 4, 0.0)
+        bank = CentroidBank(3, 4, 0.0)
         ema_update(bank, cents, np.ones(3, dtype=bool))
         feats = unit_rows(rng, 4, 4)
         labels = np.array([0, 0, 1, 1])  # class 2 empty
@@ -95,7 +95,7 @@ class TestHeatmap:
         assert not math.isnan(hm.mean_diagonal)
 
     def test_unseen_label_class_rejected(self):
-        bank = init_bank(2, 2, 0.0)
+        bank = CentroidBank(2, 2, 0.0)
         ema_update(bank, np.eye(2), np.array([True, False]))
         with pytest.raises(StateError):
             class_centroid_heatmap(np.eye(2), np.array([0, 1]), bank)
@@ -111,7 +111,7 @@ class TestHeatmap:
         assert np.nanmin(hm.values) >= -1.0 - 1e-12
 
     def test_save_heatmap(self, tmp_path):
-        bank = init_bank(2, 2, 0.0)
+        bank = CentroidBank(2, 2, 0.0)
         ema_update(bank, np.eye(2), np.ones(2, dtype=bool))
         hm = class_centroid_heatmap(np.eye(2), np.array([0, 1]), bank)
         path = tmp_path / "hm.csv"
@@ -125,7 +125,7 @@ class TestHeatmap:
         np.array([0]), np.array([[0], [1]]),
     ])
     def test_bad_labels_rejected(self, labels):
-        bank = init_bank(2, 2, 0.0)
+        bank = CentroidBank(2, 2, 0.0)
         ema_update(bank, np.eye(2), np.ones(2, dtype=bool))
         with pytest.raises(ValueError):
             class_centroid_heatmap(np.eye(2), labels, bank)
@@ -142,7 +142,7 @@ def heatmap_outcome(heatmap, features, labels, bank):
 @st.composite
 def heatmap_cases(draw):
     k, dim, n = draw(st.integers(2, 6)), draw(st.integers(1, 16)), draw(st.integers(1, 400))
-    bank = init_bank(k, dim, 0.0)
+    bank = CentroidBank(k, dim, 0.0)
     bank.centroids = draw(arrays(np.float64, (k, dim), elements=st.floats(-2.0, 2.0)))
     # in half the cases every class is seen; else a present unseen class raises StateError
     all_seen = draw(st.booleans())
@@ -181,7 +181,7 @@ class TestPca2d:
         x = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         proj = pca_2d(x)
         np.testing.assert_allclose(proj.components, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(proj.coords, x, atol=1e-12)
+        np.testing.assert_allclose(project_into(proj, x), x, atol=1e-12)
         assert proj.explained[0] == pytest.approx(2.0 / 2.5, abs=1e-12)
 
     def test_collinear_points_have_zero_second_variance(self):
@@ -198,7 +198,7 @@ class TestPca2d:
         cov = centered.T @ centered / x.shape[0]
         oracle_vals, _ = jacobi_eigh(cov)
         proj = pca_2d(x)
-        reconstruction = proj.coords @ proj.components
+        reconstruction = project_into(proj, x) @ proj.components
         residual = ((centered - reconstruction) ** 2).sum() / x.shape[0]
         assert residual == pytest.approx(oracle_vals[2:].sum(), abs=1e-10)
 
@@ -220,7 +220,9 @@ class TestPca2d:
         x = rng.standard_normal((15, 5))
         proj_a = pca_2d(x)
         proj_b = pca_2d(x + 42.0)
-        np.testing.assert_allclose(proj_a.coords, proj_b.coords, atol=1e-9)
+        np.testing.assert_allclose(
+            project_into(proj_a, x), project_into(proj_b, x + 42.0), atol=1e-9
+        )
 
     def test_rank_zero_rejected(self):
         with pytest.raises(UndefinedProjectionError):
@@ -244,9 +246,9 @@ class TestPca2d:
 
     def test_save_projection(self, tmp_path):
         rng = np.random.default_rng(8)
-        proj = pca_2d(rng.standard_normal((5, 3)), labels=np.arange(5), domain="source")
+        x = rng.standard_normal((5, 3))
         path = tmp_path / "p.csv"
-        save_projection(proj, path)
+        save_projection(project_into(pca_2d(x), x), np.arange(5), "source", path)
         lines = path.read_text().splitlines()
         assert lines[0] == "pc1,pc2,label,domain"
         assert len(lines) == 6

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cclearn.centroids import ema_update, init_bank
-from cclearn.losses import combined_loss, combined_loss_and_grads, softmax
+from cclearn.centroids import CentroidBank, ema_update
+from cclearn.losses import combined_loss_and_grads, softmax
 from reference import contrastive_loss, contrastive_loss_grad, cross_entropy, cross_entropy_grad
 
 
@@ -30,7 +30,7 @@ def unit_rows(rng, n, dim):
 def one_row_ce(logits, label):
     """(.ce, d_logits) of the one-row batch, read at alpha 0."""
     logits = np.asarray(logits, dtype=np.float64)
-    bank = init_bank(logits.shape[0], 1, 0.0)
+    bank = CentroidBank(logits.shape[0], 1, 0.0)
     breakdown, _, d_logits = combined_loss_and_grads(
         np.ones((1, 1)), logits[None], np.array([label]), bank, 0.0, 1.0
     )
@@ -48,7 +48,7 @@ def one_row_cont(f, bank, own, tau):
 
 def seen_bank(centroid_rows, seen=None):
     rows = np.asarray(centroid_rows, dtype=np.float64)
-    bank = init_bank(rows.shape[0], rows.shape[1], 0.0)
+    bank = CentroidBank(rows.shape[0], rows.shape[1], 0.0)
     mask = np.ones(rows.shape[0], dtype=bool) if seen is None else np.asarray(seen)
     ema_update(bank, rows, mask)
     return bank
@@ -222,7 +222,7 @@ class TestCombinedLoss:
     def test_alpha_zero_is_exactly_mean_ce(self):
         rng = np.random.default_rng(9)
         bank, feats, logits, labels = self.full_setup(rng)
-        breakdown = combined_loss(feats, logits, labels, bank, 0.0, 1.0)
+        breakdown = combined_loss_and_grads(feats, logits, labels, bank, 0.0, 1.0)[0]
         expect = np.array(
             [cross_entropy(logits[i], labels[i]) for i in range(len(labels))]
         ).mean()
@@ -232,7 +232,7 @@ class TestCombinedLoss:
     def test_single_sample_alpha_one(self):
         rng = np.random.default_rng(10)
         bank, feats, logits, labels = self.full_setup(rng, batch=1)
-        breakdown = combined_loss(feats, logits, labels, bank, 1.0, 1.0)
+        breakdown = combined_loss_and_grads(feats, logits, labels, bank, 1.0, 1.0)[0]
         ce = cross_entropy(logits[0], labels[0])
         cont = contrastive_loss(feats[0], bank, labels[0], 1.0)
         assert breakdown.total == pytest.approx(ce + cont, abs=1e-12)
@@ -241,7 +241,7 @@ class TestCombinedLoss:
         rng = np.random.default_rng(11)
         bank, feats, logits, labels = self.full_setup(rng, batch=2)
         alpha = 0.7
-        breakdown = combined_loss(feats, logits, labels, bank, alpha, 1.0)
+        breakdown = combined_loss_and_grads(feats, logits, labels, bank, alpha, 1.0)[0]
         a = [cross_entropy(logits[i], labels[i]) for i in range(2)]
         b = [contrastive_loss(feats[i], bank, labels[i], 1.0) for i in range(2)]
         assert breakdown.ce == pytest.approx(sum(a) / 2, abs=1e-12)
@@ -252,14 +252,14 @@ class TestCombinedLoss:
         rng = np.random.default_rng(12)
         bank, feats, logits, labels = self.full_setup(rng, batch=8)
         for alpha in (0.0, 0.3, 1.0, 2.5):
-            breakdown = combined_loss(feats, logits, labels, bank, alpha, 0.9)
+            breakdown = combined_loss_and_grads(feats, logits, labels, bank, alpha, 0.9)[0]
             assert breakdown.total == breakdown.ce + alpha * breakdown.cont
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(13)
         bank, feats, logits, labels = self.full_setup(rng, batch=6)
         alphas = [0.0, 0.5, 1.0, 2.0, 4.0]
-        totals = [combined_loss(feats, logits, labels, bank, a, 1.0).total for a in alphas]
+        totals = [combined_loss_and_grads(feats, logits, labels, bank, a, 1.0)[0].total for a in alphas]
         assert all(x <= y + 1e-15 for x, y in zip(totals, totals[1:]))
 
     def test_cold_start_unseen_class_contributes_ce_only(self):
@@ -276,11 +276,11 @@ class TestCombinedLoss:
 
     def test_empty_bank_degenerates_to_ce(self):
         rng = np.random.default_rng(15)
-        bank = init_bank(3, 4, 0.5)
+        bank = CentroidBank(3, 4, 0.5)
         feats = unit_rows(rng, 3, 4)
         logits = rng.standard_normal((3, 3))
         labels = rng.integers(0, 3, 3)
-        breakdown = combined_loss(feats, logits, labels, bank, 1.0, 1.0)
+        breakdown = combined_loss_and_grads(feats, logits, labels, bank, 1.0, 1.0)[0]
         assert breakdown.cont == 0.0
 
     def test_gradients_match_per_sample_formulas(self):
@@ -303,10 +303,19 @@ class TestCombinedLoss:
         rng = np.random.default_rng(17)
         bank, feats, logits, labels = self.full_setup(rng)
         with pytest.raises(ValueError):
-            combined_loss(feats, logits, labels, bank, -0.1, 1.0)
+            combined_loss_and_grads(feats, logits, labels, bank, -0.1, 1.0)[0]
         with pytest.raises(ValueError):
-            combined_loss(feats, logits, labels, bank, 1.0, 0.0)
+            combined_loss_and_grads(feats, logits, labels, bank, 1.0, 0.0)[0]
         bad = logits.copy()
         bad[0, 0] = math.nan
         with pytest.raises(ValueError):
-            combined_loss(feats, bad, labels, bank, 1.0, 1.0)
+            combined_loss_and_grads(feats, bad, labels, bank, 1.0, 1.0)[0]
+
+    @pytest.mark.parametrize("alpha, tau", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_alpha_or_tau_rejected(self, alpha, tau):
+        rng = np.random.default_rng(18)
+        bank, feats, logits, labels = self.full_setup(rng)
+        with pytest.raises(ValueError, match="alpha" if tau == 1.0 else "tau"):
+            combined_loss_and_grads(feats, logits, labels, bank, alpha, tau)

@@ -1,14 +1,17 @@
+import copy
 import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cclearn.centroids import ema_update, init_bank, normalize_rows
+from cclearn.centroids import CentroidBank, ema_update, row_norms
 from cclearn.errors import DegenerateVectorError, StateError
-from cclearn.losses import combined_loss, combined_loss_and_grads
+from cclearn.losses import combined_loss_and_grads
 from cclearn.model import (
     Gradients,
     ModelParams,
@@ -32,7 +35,7 @@ def identity_net(dim=2, classes=2):
 def random_seen_bank(rng, k, dim):
     rows = rng.standard_normal((k, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    bank = init_bank(k, dim, 0.0)
+    bank = CentroidBank(k, dim, 0.0)
     ema_update(bank, rows, np.ones(k, dtype=bool))
     return bank
 
@@ -69,7 +72,7 @@ class TestForward:
         params = init_params(3, (), 4, 2, seed)
         raw = x @ params.weights[0] + params.biases[0]
         try:
-            want = normalize_rows(raw)
+            want = raw / row_norms(raw)[:, None]
         except DegenerateVectorError as exc:
             with pytest.raises(DegenerateVectorError) as got:
                 forward(params, x)
@@ -166,7 +169,7 @@ class TestBackward:
 
             def total():
                 _, nf, lg, _ = forward(params, x)
-                return combined_loss(nf, lg, y, bank, alpha, tau).total
+                return combined_loss_and_grads(nf, lg, y, bank, alpha, tau)[0].total
 
             fd = []
             for tensor in param_tensors(params):
@@ -227,6 +230,55 @@ def test_forward_and_backward_are_bit_equal_to_the_pre_activation_pass(case):
     assert [(a.shape, a.tobytes()) for a in got] == [(e.shape, e.tobytes()) for e in expected]
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=forward_cases())
+def test_views_at_odd_offsets_are_bit_equal_to_fresh_copies(case):
+    """BLAS reads and writes the tensors as views into ``flat``, most of which
+    start at an odd float offset, i.e. not on a 16-byte boundary."""
+    params, x, d_normalized, d_logits = case
+    start = params.flat.ctypes.data
+    assume(any((t.ctypes.data - start) // 8 % 2 for t in param_tensors(params)))
+    copies = SimpleNamespace(
+        weights=[w.copy() for w in params.weights], biases=[b.copy() for b in params.biases],
+        head_weight=params.head_weight.copy(), head_bias=params.head_bias.copy(),
+    )
+    try:
+        raw, normalized, logits, cache = forward(params, x)
+    except DegenerateVectorError:
+        with pytest.raises(DegenerateVectorError):
+            forward_keeping_pre_activations(copies, x)
+        return
+    g = backward(params, cache, d_normalized, d_logits)
+    got = [raw, normalized, logits, *g.weights, *g.biases, g.head_weight, g.head_bias]
+    expected = [*forward_keeping_pre_activations(copies, x)[:3],
+                *backward_from_pre_activations(copies, x, d_normalized, d_logits)]
+    assert [(a.shape, a.tobytes()) for a in got] == [(e.shape, e.tobytes()) for e in expected]
+
+
+def test_tensors_are_views_into_flat_in_checkpoint_order(tmp_path):
+    rng = np.random.default_rng(9)
+    params = init_params(5, (7, 3), 4, 3, rng)
+    tensors = param_tensors(params)
+    assert all(np.shares_memory(t, params.flat) and t.flags.c_contiguous for t in tensors)
+    grads = Gradients.zeros(params.shapes)
+    grads.flat[:] = rng.standard_normal(grads.flat.size) + 4.0
+    before = [t.copy() for t in tensors]
+    sgd_step(params, grads, 0.25)
+    for t, b, g in zip(tensors, before, param_tensors(grads)):  # every view moved
+        assert t.tobytes() == (b - 0.25 * g).tobytes() and not np.array_equal(t, b)
+    save_model(params, tmp_path / "model.txt")
+    rows = (tmp_path / "model.txt").read_text().splitlines()[2:]
+    assert params.flat.tobytes() == np.array(" ".join(rows).split(), dtype=float).tobytes()
+
+
+def test_a_copy_has_its_own_flat_and_views_into_it():
+    params = init_params(3, (4,), 2, 2, 0)
+    for copied in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert copied.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copied.flat, params.flat)
+        assert all(np.shares_memory(t, copied.flat) for t in param_tensors(copied))
+
+
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
         rng = np.random.default_rng(5)
@@ -283,14 +335,27 @@ class TestSgdStep:
         assert params.version == 0
 
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_rate_rejected_before_any_change(self, lr):
+        params = init_params(3, (4,), 2, 2, np.random.default_rng(7))
+        before = [t.copy() for t in param_tensors(params)]
+        grads = Gradients([np.ones_like(w) for w in params.weights],
+                          [np.ones_like(b) for b in params.biases],
+                          np.ones_like(params.head_weight), np.ones_like(params.head_bias))
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(params, grads, lr)
+        for b, t in zip(before, param_tensors(params)):
+            assert b.tobytes() == t.tobytes()
+        assert params.version == 0
+
+
 class TestModelParams:
     def test_layers_are_the_backbone_then_the_head(self):
         params = init_params(3, (4, 5), 2, 6, np.random.default_rng(8))
-        layers = params.layers
-        assert [(w.shape, b.shape) for w, b in layers] == [
-            ((3, 4), (4,)), ((4, 5), (5,)), ((5, 2), (2,)), ((2, 6), (6,))
-        ]
-        assert layers[0][0] is params.weights[0] and layers[-1][1] is params.head_bias
+        assert params.shapes == ((3, 4), (4, 5), (5, 2), (2, 6))
+        assert [block.shape for block in params.blocks] == [(4, 4), (5, 5), (6, 2), (3, 6)]
+        assert np.shares_memory(params.blocks[0][:-1], params.weights[0])
+        assert np.shares_memory(params.blocks[-1][-1], params.head_bias)
 
     @pytest.mark.parametrize("head_w, head_b", [
         (np.zeros((3, 2)), np.zeros(2)),  # does not consume the 2-dim features

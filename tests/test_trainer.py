@@ -303,10 +303,10 @@ class TestFinetune:
         g_b1 = d_raw.sum(axis=0)
         lr = 1e-6
 
-        from cclearn.centroids import init_bank
+        from cclearn.centroids import CentroidBank
 
         tuned, report = finetune(
-            params, init_bank(k, f, 0.999), ds,
+            params, CentroidBank(k, f, 0.999), ds,
             finetune_config(batch_size=32, shuffle=False, feature_dim=f),
         )
         np.testing.assert_allclose(tuned.weights[0], w1 - lr * g_w1, atol=1e-10)
