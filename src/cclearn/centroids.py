@@ -25,13 +25,17 @@ UNIT_TOL = 1e-9  # how far a loaded seen centroid's norm may stray from 1
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of the 2-D float64 array ``x``; raises
-    DegenerateVectorError when a row cannot be normalized."""
+    DegenerateVectorError when a row cannot be normalized: its norm is near
+    zero, or its sum of squares overflows (or is NaN)."""
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(norms < NORM_EPS)
     if bad.size:
         raise DegenerateVectorError(
             f"row(s) {bad.tolist()} have near-zero norm and cannot be normalized"
         )
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise DegenerateVectorError(f"row(s) {bad.tolist()} have a norm that overflows (or is NaN)")
     return norms
 
 
@@ -66,12 +70,6 @@ class CentroidBank:
     def seen_classes(self) -> np.ndarray:
         """Indices of classes that have received at least one update."""
         return np.flatnonzero(self.seen)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"CentroidBank(K={self.num_classes}, F={self.feature_dim}, "
-            f"m0={self.m0}, m={self.m}, seen={int(self.seen.sum())})"
-        )
 
 
 def update_smoothing(bank: CentroidBank, epoch: int, total_epochs: int) -> float:
@@ -139,12 +137,11 @@ def ema_update(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) -> Cent
     # one dot product per row, as np.linalg.norm takes it for a single row;
     # norm(..., axis=1) and einsum sum in another order and change the bits
     norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]
-    bad = np.flatnonzero(norms < NORM_EPS)
+    bad = np.flatnonzero((norms < NORM_EPS) | (norms == np.inf))  # finite rows: no NaN norm
     if bad.size:
-        raise DegenerateVectorError(
-            f"class {rows[bad[0]]} blend collapses to norm {norms[bad[0]]:.3e}; "
-            "refusing EMA update"
-        )
+        k, norm = rows[bad[0]], norms[bad[0]]
+        why = "overflows" if norm == np.inf else f"collapses to norm {norm:.3e}"
+        raise DegenerateVectorError(f"class {k} blend {why}; refusing EMA update")
     bank.centroids[rows] = blended / norms[:, None]
     bank.seen[rows] = True
     return bank

@@ -208,23 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_synth_data)
 
-    p = sub.add_parser("train", help="train on a source dataset (70/10/20 split)")
+    overrides = argparse.ArgumentParser(add_help=False)  # what _command_config overrides
+    overrides.add_argument("--seed", type=int, help="override the config seed")
+    overrides.add_argument("--alpha", type=float, help="override the contrast weight")
+    overrides.add_argument("--epochs", type=int, help="override the epoch count")
+
+    p = sub.add_parser("train", parents=[overrides], help="train on a source dataset (70/10/20 split)")
     p.add_argument("--config", help="TrainConfig JSON file (defaults if omitted)")
     p.add_argument("--data", required=True, help="source dataset CSV")
     p.add_argument("--out", required=True, help="run directory to create")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--alpha", type=float, help="override the contrast weight")
-    p.add_argument("--epochs", type=int, help="override the epoch count")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("finetune", help="pseudo-label fine-tune a trained run")
+    p = sub.add_parser("finetune", parents=[overrides], help="pseudo-label fine-tune a trained run")
     p.add_argument("--run", required=True, help="existing run directory")
     p.add_argument("--data", required=True, help="target dataset CSV (labels ignored)")
     p.add_argument("--out", required=True, help="new run directory")
     p.add_argument("--config", help="TrainConfig JSON overriding the fine-tune defaults")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--alpha", type=float, help="override the contrast weight")
-    p.add_argument("--epochs", type=int, help="override the epoch count")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="compute metrics for a run on a dataset")

@@ -122,10 +122,7 @@ class SynthConfig(JsonConfig):
                                      "target_noise_std"), ("rotation_angle", "translation"))
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        require_at_least(self, num_classes=2, input_dim=1)
         if any(c < 1 for c in self.class_counts()):
             raise ValueError("every per-class sample count must be >= 1")
         if self.spread <= 0:
@@ -150,6 +147,14 @@ def require_numbers(config, kind: type, scalars: tuple[str, ...], sequences=()) 
         ):
             what = "integers" if kind is Integral else "finite numbers"
             raise ValueError(f"config key {name!r} must hold {what}, got {value!r}")
+
+
+def require_at_least(config, **bounds) -> None:
+    """Raise ValueError naming the first field of ``bounds`` whose value lies
+    below its bound there."""
+    for name, bound in bounds.items():
+        if getattr(config, name) < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {getattr(config, name)}")
 
 
 def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:

@@ -80,7 +80,8 @@ def pca_2d(features: np.ndarray) -> PcaProjection:
     n, dim = features.shape
     if n < 3 or dim < 2:
         raise ValueError(f"PCA needs N >= 3 and F >= 2, got N={n}, F={dim}")
-    centered = features - features.mean(axis=0)
+    mean = features.mean(axis=0)
+    centered = features - mean
     cov = centered.T @ centered / n
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = np.clip(eigvals[::-1], 0.0, None)
@@ -94,7 +95,7 @@ def pca_2d(features: np.ndarray) -> PcaProjection:
         if lead.size and lead[0] < 0:
             row *= -1.0
     explained = (float(eigvals[0] / total), float(eigvals[1] / total))
-    return PcaProjection(explained, features.mean(axis=0), components)
+    return PcaProjection(explained, mean, components)
 
 
 def project_into(basis: PcaProjection, features: np.ndarray) -> np.ndarray:

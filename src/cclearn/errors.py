@@ -2,7 +2,7 @@
 
 
 class DegenerateVectorError(ValueError):
-    """A vector that must be normalizable has (near-)zero norm."""
+    """A vector that must be normalizable has a (near-)zero or overflowing norm."""
 
 
 class StateError(RuntimeError):

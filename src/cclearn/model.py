@@ -145,8 +145,8 @@ def forward(
     """Run the network on a batch.
 
     Returns (raw_features, normalized_features, logits, cache). Raises
-    DegenerateVectorError when any raw feature row has near-zero norm, since
-    the contrast branch cannot normalize it.
+    DegenerateVectorError when any raw feature row has a near-zero or
+    overflowing norm, since the contrast branch cannot normalize it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:

@@ -12,7 +12,8 @@ the final validation AUC from ``evaluate_model``.
 
 Fine-tuning adapts a trained model to unlabeled target data: pseudo-labels
 are the argmax of the model's logits computed once up front, then one epoch
-of cross-entropy-only training at a constant 1e-6 rate, bank untouched.
+of cross-entropy-only training at a constant 1e-6 rate, bank untouched. Both
+run through one loop, ``_fit``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, update_smoothing
 from .codec import floats, write_rows
-from .data import Dataset, JsonConfig, make_batches, require_numbers
+from .data import Dataset, JsonConfig, make_batches, require_at_least, require_numbers
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
 from .metrics import EvalResult, accuracy, auc_macro_ovr, quadratic_weighted_kappa
@@ -62,22 +63,12 @@ class TrainConfig(JsonConfig):
         require_numbers(self, Real, ("alpha", "tau", "m0", "base_lr"))
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        require_at_least(self, alpha=0, epochs=0, batch_size=1, base_lr=0, warmup_epochs=0,
+                         feature_dim=1)
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not 0.0 <= self.m0 < 1.0:
             raise ValueError(f"m0 must lie in [0, 1), got {self.m0}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr < 0:
-            raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if not isinstance(self.hidden_dims, (tuple, list)) or any(h < 1 for h in self.hidden_dims):
             raise ValueError(
                 f"config key 'hidden_dims' must list positive sizes, got {self.hidden_dims!r}"
@@ -185,36 +176,15 @@ def train(
     config.validate()
     if val_ds is not None and val_ds.input_dim != train_ds.input_dim:
         raise ValueError("train and val datasets disagree on input dimension")
-    num_classes = train_ds.num_classes
-    if num_classes < 2:
-        raise ValueError(f"training needs >= 2 classes, got {num_classes}")
-
-    params = init_params(
+    params = init_params(  # it and the bank refuse fewer than 2 classes
         train_ds.input_dim,
         config.hidden_dims,
         config.feature_dim,
-        num_classes,
+        train_ds.num_classes,
         np.random.default_rng([config.seed, _STREAM_INIT]),
     )
-    bank = CentroidBank(num_classes, config.feature_dim, config.m0)
-    steps_per_epoch = math.ceil(len(train_ds) / config.batch_size)
-    opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs, steps_per_epoch)
-    report = RunReport(config=config)
-
-    for epoch in range(config.epochs):
-        update_smoothing(bank, epoch, config.epochs)
-        record = _run_epoch(params, bank, train_ds, config, opt, epoch, source=True)
-        if val_ds is not None:
-            logits = predict_logits(params, val_ds)
-            if not np.isfinite(logits).all():
-                raise TrainingError(
-                    f"non-finite validation logits after epoch {epoch}, step {opt.step - 1}"
-                )
-            record.val_accuracy, record.val_kappa = _accuracy_and_kappa(logits, val_ds)
-        report.history.append(record)
-        if epoch_callback is not None:
-            epoch_callback(epoch, params, bank, record)
-
+    bank = CentroidBank(train_ds.num_classes, config.feature_dim, config.m0)
+    report = _fit(params, bank, train_ds, val_ds, config, epoch_callback, source=True)
     if val_ds is not None and config.epochs > 0:
         report.eval_results = evaluate_model(params, val_ds)
     return params, bank, report
@@ -238,69 +208,75 @@ def finetune(
     config.validate()
     labels = pseudo_label(params, target_ds)
     ds = Dataset(target_ds.features, labels, target_ds.domain, target_ds.num_classes)
+    return params, _fit(params, bank, ds, None, config, epoch_callback, source=False)
+
+
+def _fit(
+    params: ModelParams, bank: CentroidBank, ds: Dataset, val_ds: Dataset | None,
+    config: TrainConfig, epoch_callback, source: bool,
+) -> RunReport:
+    """The epochs of ``train`` and ``finetune`` over ``ds``, each validated on
+    ``val_ds`` when given. Only ``source`` runs advance the smoothing, follow
+    ``lr_at``'s schedule and, when alpha > 0, fold features into the bank."""
+    n = len(ds)
+    opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs,
+                     math.ceil(n / config.batch_size))
     report = RunReport(config=config)
-    opt = OptimState(config.base_lr, 0, config.epochs, math.ceil(len(ds) / config.batch_size))
     for epoch in range(config.epochs):
-        record = _run_epoch(params, bank, ds, config, opt, epoch, source=False)
+        if source:
+            update_smoothing(bank, epoch, config.epochs)
+        ce_sum = cont_sum = 0.0
+        ema_samples = 0
+        lr = config.base_lr
+        batches = make_batches(
+            ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch],
+            shuffle=config.shuffle,
+        )
+        for batch in batches:
+            y = ds.labels[batch]
+            try:  # ds is finite and of the model's input dim, so forward only refuses a norm
+                _, fhat, logits, cache = forward(params, ds.features[batch])
+                breakdown, d_feat, d_logits = combined_loss_and_grads(
+                    fhat, logits, y, bank, config.alpha, config.tau
+                )
+            except ValueError as exc:
+                if not isinstance(exc, DegenerateVectorError) and np.isfinite(logits).all():
+                    raise  # not a divergence: the error keeps its type
+                raise TrainingError(f"diverged at epoch {epoch}, step {opt.step}: {exc}") from exc
+            if not math.isfinite(breakdown.total):
+                raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
+            grads = backward(params, cache, d_feat, d_logits)
+            if source:
+                lr = lr_at(opt, opt.step)
+            opt.step += 1
+            sgd_step(params, grads, lr)
+            if source and config.alpha > 0:
+                # the EMA sees the same features the loss saw (pre-step)
+                means, mask = batch_class_means(fhat, y, ds.num_classes)
+                ema_update(bank, means, mask)
+                ema_samples += len(batch)
+            ce_sum += breakdown.ce * len(batch)
+            cont_sum += breakdown.cont * len(batch)
+        after = f"after epoch {epoch}, step {opt.step - 1}"
+        # the loop checks only each step's input
+        if not np.isfinite(params.flat).all():
+            raise TrainingError(f"non-finite parameters {after}")
+        record = EpochRecord(
+            epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,
+            total=ce_sum / n + config.alpha * cont_sum / n, ema_samples=ema_samples,
+        )
+        if val_ds is not None:
+            try:
+                logits = predict_logits(params, val_ds)
+            except DegenerateVectorError as exc:  # finite parameters may still overflow a norm
+                raise TrainingError(f"degenerate validation features {after}: {exc}") from exc
+            if not np.isfinite(logits).all():
+                raise TrainingError(f"non-finite validation logits {after}")
+            record.val_accuracy, record.val_kappa = _accuracy_and_kappa(logits, val_ds)
         report.history.append(record)
         if epoch_callback is not None:
             epoch_callback(epoch, params, bank, record)
-    return params, report
-
-
-def _run_epoch(
-    params: ModelParams, bank: CentroidBank, ds: Dataset, config: TrainConfig,
-    opt: OptimState, epoch: int, source: bool,
-) -> EpochRecord:
-    """One pass over ``ds``: forward, blended loss, backward and an SGD step per batch.
-
-    Source training (``source``) takes the rate from ``opt``'s schedule and,
-    when alpha > 0, folds each batch's features into the bank. Fine-tuning
-    runs at the constant ``opt.base_lr`` and never updates the bank.
-    """
-    n = len(ds)
-    ce_sum = cont_sum = 0.0
-    ema_samples = 0
-    lr = opt.base_lr
-    batches = make_batches(
-        ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch], shuffle=config.shuffle
-    )
-    for batch in batches:
-        y = ds.labels[batch]
-        try:
-            _, fhat, logits, cache = forward(params, ds.features[batch])
-        except DegenerateVectorError as exc:
-            raise TrainingError(
-                f"degenerate features at epoch {epoch}, step {opt.step}: {exc}"
-            ) from exc
-        if not np.isfinite(logits).all():
-            raise TrainingError(
-                f"non-finite logits at epoch {epoch}, step {opt.step}; training has diverged"
-            )
-        breakdown, d_feat, d_logits = combined_loss_and_grads(
-            fhat, logits, y, bank, config.alpha, config.tau
-        )
-        if not math.isfinite(breakdown.total):
-            raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
-        grads = backward(params, cache, d_feat, d_logits)
-        if source:
-            lr = lr_at(opt, opt.step)
-        opt.step += 1
-        sgd_step(params, grads, lr)
-        if source and config.alpha > 0:
-            # the EMA sees the same features the loss saw (pre-step)
-            means, mask = batch_class_means(fhat, y, ds.num_classes)
-            ema_update(bank, means, mask)
-            ema_samples += len(batch)
-        ce_sum += breakdown.ce * len(batch)
-        cont_sum += breakdown.cont * len(batch)
-    # the loop checks only each step's input
-    if not np.isfinite(params.flat).all():
-        raise TrainingError(f"non-finite parameters after epoch {epoch}, step {opt.step - 1}")
-    return EpochRecord(
-        epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,
-        total=ce_sum / n + config.alpha * cont_sum / n, ema_samples=ema_samples,
-    )
+    return report
 
 
 def write_history_csv(report: RunReport, path) -> None:

@@ -207,6 +207,13 @@ class TestEmaUpdate:
             ema_update(bank, f_mean, np.array([True, True]))
         np.testing.assert_array_equal(bank.centroids, before)
 
+    def test_overflowing_blend_refused_and_bank_unchanged(self):
+        bank = CentroidBank(2, 2, 0.5)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError, match="overflows"):
+            ema_update(bank, np.array([[1e200, 1e200], [0.0, 1.0]]), np.array([True, True]))
+        assert bank.centroids.tobytes() == np.zeros((2, 2)).tobytes()
+        assert bank.seen.tolist() == [False, False]
+
     def test_seen_rows_unit_norm_after_random_updates(self):
         rng = np.random.default_rng(3)
         bank = CentroidBank(4, 6, 0.8)

@@ -58,6 +58,11 @@ class TestForward:
         with pytest.raises(DegenerateVectorError):
             forward(params, np.ones((1, 3)))
 
+    def test_overflowing_feature_norm_refused(self):
+        # the squares overflow, so the norm is inf and x / norm would be a zero row
+        with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError, match="overflows"):
+            forward(identity_net(), np.array([[1e200, 1e200]]))
+
     def test_identity_passthrough_normalizes(self):
         _, normalized, _, _ = forward(identity_net(), np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(normalized, [[0.6, 0.8]], atol=1e-15)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cclearn import trainer
+from cclearn.centroids import CentroidBank
 from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
 from cclearn.errors import DegenerateVectorError, TrainingError
 from cclearn.losses import softmax
@@ -265,15 +266,27 @@ class TestFinetune:
         assert len(report.history) == 1
         assert report.history[0].lr == 1e-6
 
-    def test_bank_untouched(self):
+    # alpha > 0 (cclearn finetune --alpha) feeds the bank to the contrast loss,
+    # yet fine-tuning never updates it, and a warm-up never moves its rate
+    @pytest.mark.parametrize("config", [None, finetune_config(alpha=1.0, warmup_epochs=2)],
+                             ids=["defaults", "alpha-warmup"])
+    def test_bank_untouched(self, config):
         params, bank, tgt = self.trained()
         cents = bank.centroids.copy()
         seen = bank.seen.copy()
         m = bank.m
-        finetune(params, bank, tgt)
-        np.testing.assert_array_equal(bank.centroids, cents)
-        np.testing.assert_array_equal(bank.seen, seen)
+        _, report = finetune(params, bank, tgt, config)
+        assert bank.centroids.tobytes() == cents.tobytes()  # bit for bit
+        assert bank.seen.tobytes() == seen.tobytes()
         assert bank.m == m
+        assert [r.lr for r in report.history] == [report.config.base_lr] * report.config.epochs
+
+    def test_a_caller_error_keeps_its_type(self):
+        params = init_params(6, (12,), 8, 4, np.random.default_rng(0))
+        tgt = generate_blobs(SynthConfig(**{**SMALL_GEOM, "num_classes": 4}, seed=0), "target")
+        config = finetune_config(alpha=1.0, feature_dim=8)
+        with pytest.raises(ValueError, match="^feature dim 8 does not match bank dim 4$"):
+            finetune(params, CentroidBank(4, 4, 0.9), tgt, config)
 
     def test_single_batch_matches_manual_sgd_step(self):
         """Hand-computed oracle: linear backbone (no hidden layer), one batch,
