@@ -27,14 +27,14 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of the 2-D float64 array ``x``; raises
     DegenerateVectorError when a row cannot be normalized: its norm is near
     zero, or its sum of squares overflows (or is NaN)."""
-    norms = np.linalg.norm(x, axis=1)
-    bad = np.flatnonzero(norms < NORM_EPS)
-    if bad.size:
-        raise DegenerateVectorError(
-            f"row(s) {bad.tolist()} have near-zero norm and cannot be normalized"
-        )
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1) for real x
+    if not ((norms >= NORM_EPS) & (norms < np.inf)).all():  # NaN fails both
+        bad = np.flatnonzero(norms < NORM_EPS)
+        if bad.size:
+            raise DegenerateVectorError(
+                f"row(s) {bad.tolist()} have near-zero norm and cannot be normalized"
+            )
+        bad = np.flatnonzero(~np.isfinite(norms))
         raise DegenerateVectorError(f"row(s) {bad.tolist()} have a norm that overflows (or is NaN)")
     return norms
 
@@ -102,7 +102,8 @@ def batch_class_means(
     means = np.zeros((num_classes, features.shape[1]), dtype=np.float64)
     np.add.at(means, labels, features)
     mask = counts > 0
-    means[mask] /= counts[mask, None]
+    rows = slice(None) if mask.all() else mask  # every class in the batch: no gather
+    means[rows] /= counts[rows, None]
     return means, mask
 
 
@@ -123,23 +124,27 @@ def ema_update(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) -> Cent
     if mask.shape != (bank.num_classes,):
         raise ValueError(f"mask shape {mask.shape} does not match K={bank.num_classes}")
 
-    bad = np.flatnonzero(mask & ~np.isfinite(f_mean).all(axis=1))
-    if bad.size:  # a NaN row would pass the norm check below
-        raise ValueError(f"masked f_mean row(s) {bad.tolist()} are not finite")
-    mean_norms = np.linalg.norm(f_mean, axis=1)
-    bad = np.flatnonzero(mask & (mean_norms < NORM_EPS))
-    if bad.size:
-        raise DegenerateVectorError(f"masked f_mean row(s) {bad.tolist()} have near-zero norm")
-    rows = np.flatnonzero(mask)
-    blended = f_mean[rows]
+    mean_norms = np.sqrt(np.add.reduce(f_mean * f_mean, axis=1))
+    # a row with a NaN or an inf has a NaN or inf norm, so this fails on every refusal below
+    if not (((mean_norms >= NORM_EPS) & (mean_norms < np.inf)) | ~mask).all():
+        bad = np.flatnonzero(mask & ~np.isfinite(f_mean).all(axis=1))
+        if bad.size:  # a NaN row would pass the norm check below
+            raise ValueError(f"masked f_mean row(s) {bad.tolist()} are not finite")
+        bad = np.flatnonzero(mask & (mean_norms < NORM_EPS))
+        if bad.size:
+            raise DegenerateVectorError(f"masked f_mean row(s) {bad.tolist()} have near-zero norm")
+    rows = slice(None) if mask.all() else np.flatnonzero(mask)  # every class in the batch: no gather
     old = bank.seen[rows]
-    blended[old] = bank.m * bank.centroids[rows[old]] + (1.0 - bank.m) * blended[old]
+    blended = bank.m * bank.centroids[rows] + (1.0 - bank.m) * f_mean[rows]
+    if not old.all():  # a class seen for the first time adopts its mean as it is
+        blended = np.where(old[:, None], blended, f_mean[rows])
     # one dot product per row, as np.linalg.norm takes it for a single row;
     # norm(..., axis=1) and einsum sum in another order and change the bits
     norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]
-    bad = np.flatnonzero((norms < NORM_EPS) | (norms == np.inf))  # finite rows: no NaN norm
-    if bad.size:
-        k, norm = rows[bad[0]], norms[bad[0]]
+    bad = (norms < NORM_EPS) | (norms == np.inf)  # finite rows: no NaN norm
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        k, norm = np.flatnonzero(mask)[i], norms[i]
         why = "overflows" if norm == np.inf else f"collapses to norm {norm:.3e}"
         raise DegenerateVectorError(f"class {k} blend {why}; refusing EMA update")
     bank.centroids[rows] = blended / norms[:, None]

@@ -67,7 +67,7 @@ def check_labels(y, num_classes: int, what: str, n: int | None = None) -> np.nda
         raise ValueError(f"{what} must be a non-empty 1-D array")
     if n is not None and y.size != n:
         raise ValueError(f"{what} has {y.size} entries for {n} rows")
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":  # np.issubdtype(..., np.integer) also admits timedelta64
         raise ValueError(f"{what} must be integers, got dtype {y.dtype}")
     if y.min() < 0 or y.max() >= num_classes:
         raise ValueError(f"{what} must lie in [0, {num_classes}), got [{y.min()}, {y.max()}]")

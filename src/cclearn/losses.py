@@ -70,7 +70,7 @@ def combined_loss_and_grads(
     unseen, that sample contributes cross-entropy only; its contrast term and
     gradient are zero.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64, order="C")  # the layout a row gather gives
     logits = np.asarray(logits, dtype=np.float64)
     if not 0.0 <= alpha < np.inf:  # NaN fails both comparisons
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -88,7 +88,7 @@ def combined_loss_and_grads(
 
     # cross-entropy branch
     ce_terms, d_logits = _nll_and_softmax(logits, labels)
-    ce = float(ce_terms.mean())
+    ce = float(ce_terms.sum() / batch)  # ce_terms.mean()
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
 
@@ -102,11 +102,15 @@ def combined_loss_and_grads(
             )
         if labels.max() >= bank.num_classes:
             raise ValueError(f"labels exceed bank classes {bank.num_classes}")
-        seen_idx = bank.seen_classes()
-        rows = np.flatnonzero(bank.seen[labels])
-        if seen_idx.size >= 2 and rows.size:
-            cents = bank.centroids[seen_idx]
+        if bank.seen.all():  # the gathers below are identities
+            seen_idx = rows = slice(None)
+            own_pos = labels
+        else:
+            seen_idx = bank.seen_classes()
+            rows = np.flatnonzero(bank.seen[labels])
             own_pos = np.searchsorted(seen_idx, labels[rows])
+        cents = bank.centroids[seen_idx]
+        if cents.shape[0] >= 2 and own_pos.size:
             cont_terms, p = _nll_and_softmax(features[rows] @ cents.T / tau, own_pos)
             cont = float(cont_terms.sum() / batch)
             d_features[rows] = (p @ cents - cents[own_pos]) * (alpha / (tau * batch))

@@ -198,19 +198,19 @@ def backward(
         raise ValueError(f"d_logits shape {d_logits.shape} mismatches forward batch")
 
     fhat = cache.normalized
-    inner = (fhat * d_normalized).sum(axis=1, keepdims=True)
+    inner = np.add.reduce(fhat * d_normalized, axis=1, keepdims=True)
     d_raw = (d_normalized - inner * fhat) / cache.norms[:, None]
     d_raw = d_raw + d_logits @ params.head_weight.T
 
     grads = Gradients.zeros(params.shapes)
     np.matmul(cache.raw.T, d_logits, out=grads.head_weight)
-    np.sum(d_logits, axis=0, out=grads.head_bias)
+    np.add.reduce(d_logits, axis=0, out=grads.head_bias)
     upstream = d_raw
     for i in range(len(params.weights) - 1, -1, -1):
         if i < len(params.weights) - 1:
             upstream = upstream * (cache.layer_inputs[i + 1] > 0.0)
         np.matmul(cache.layer_inputs[i].T, upstream, out=grads.weights[i])
-        np.sum(upstream, axis=0, out=grads.biases[i])
+        np.add.reduce(upstream, axis=0, out=grads.biases[i])
         if i > 0:
             upstream = upstream @ params.weights[i].T
     return grads

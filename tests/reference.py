@@ -19,8 +19,15 @@ layer and takes the mask from the ReLU output. ``generate_blobs_expression``
 applies the synthetic scale, affine map and noise as whole-array expressions
 where the package applies them in place and adds each class mean to its
 block of rows. ``feature_spread_expression`` squares a second copy of the
-centered features where the package squares them in place. Each is kept
-here exactly as it first shipped.
+centered features where the package squares them in place.
+``row_norms_flatnonzero``, ``contrast_branch_gathered``,
+``batch_class_means_masked`` and ``ema_update_gathered`` take
+``np.linalg.norm``, run ``np.flatnonzero`` before each refusal and gather the
+seen or masked rows on every call, where the package sums the squares with
+``np.add.reduce``, tests one combined condition per refusal and skips the
+gathers once they are identities (every class seen, or every class in the
+batch). Each is kept here exactly as it first shipped, or, for these four,
+as it stood before those fast paths.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from cclearn.data import (
 )
 from cclearn.diagnostics import HeatmapMatrix
 from cclearn.errors import DegenerateVectorError, StateError, UndefinedMetricError
-from cclearn.losses import softmax
+from cclearn.losses import _nll_and_softmax, softmax
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -360,3 +367,108 @@ def feature_spread_expression(features: np.ndarray) -> float:
     new array."""
     centered = features - features.mean(axis=0)
     return float((centered**2).sum() / features.shape[0])
+
+
+def row_norms_flatnonzero(x: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of the 2-D float64 array ``x``; raises
+    DegenerateVectorError when a row cannot be normalized: its norm is near
+    zero, or its sum of squares overflows (or is NaN)."""
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(norms < NORM_EPS)
+    if bad.size:
+        raise DegenerateVectorError(
+            f"row(s) {bad.tolist()} have near-zero norm and cannot be normalized"
+        )
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise DegenerateVectorError(f"row(s) {bad.tolist()} have a norm that overflows (or is NaN)")
+    return norms
+
+
+def contrast_branch_gathered(
+    features: np.ndarray, labels: np.ndarray, bank: CentroidBank, alpha: float, tau: float
+) -> tuple[float, np.ndarray]:
+    """(batch-mean contrast term, d_total/d_features) of ``combined_loss_and_grads``
+    for checked ``features`` and ``labels``: the seen rows, the seen centroids
+    and each row's own-centroid position are gathered on every call."""
+    batch = features.shape[0]
+    cont = 0.0
+    d_features = np.zeros_like(features)
+    if alpha > 0.0:
+        if features.shape[1] != bank.feature_dim:
+            raise ValueError(
+                f"feature dim {features.shape[1]} does not match bank dim {bank.feature_dim}"
+            )
+        if labels.max() >= bank.num_classes:
+            raise ValueError(f"labels exceed bank classes {bank.num_classes}")
+        seen_idx = bank.seen_classes()
+        rows = np.flatnonzero(bank.seen[labels])
+        if seen_idx.size >= 2 and rows.size:
+            cents = bank.centroids[seen_idx]
+            own_pos = np.searchsorted(seen_idx, labels[rows])
+            cont_terms, p = _nll_and_softmax(features[rows] @ cents.T / tau, own_pos)
+            cont = float(cont_terms.sum() / batch)
+            d_features[rows] = (p @ cents - cents[own_pos]) * (alpha / (tau * batch))
+    return cont, d_features
+
+
+def batch_class_means_masked(
+    features: np.ndarray, labels: np.ndarray, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class mean of the feature rows present in a batch.
+
+    Returns (means, mask) where means is K x F and mask marks the classes
+    that actually appear; rows of absent classes are zero and masked out.
+    Feature rows are expected to be unit-norm already.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 1:
+        raise ValueError(f"features must be a non-empty 2-D array, got shape {features.shape}")
+    labels = check_labels(labels, num_classes, "labels", features.shape[0])
+    counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
+    means = np.zeros((num_classes, features.shape[1]), dtype=np.float64)
+    np.add.at(means, labels, features)
+    mask = counts > 0
+    means[mask] /= counts[mask, None]
+    return means, mask
+
+
+def ema_update_gathered(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) -> CentroidBank:
+    """Fold per-class batch means into the bank.
+
+    Seen classes blend, c <- m*c + (1-m)*f_mean, then renormalize; classes
+    seen for the first time adopt the normalized mean directly. Classes not
+    in the mask are untouched. The update is atomic: validation failures
+    leave the bank unchanged.
+    """
+    f_mean = np.asarray(f_mean, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if f_mean.shape != bank.centroids.shape:
+        raise ValueError(
+            f"f_mean shape {f_mean.shape} does not match bank shape {bank.centroids.shape}"
+        )
+    if mask.shape != (bank.num_classes,):
+        raise ValueError(f"mask shape {mask.shape} does not match K={bank.num_classes}")
+
+    bad = np.flatnonzero(mask & ~np.isfinite(f_mean).all(axis=1))
+    if bad.size:  # a NaN row would pass the norm check below
+        raise ValueError(f"masked f_mean row(s) {bad.tolist()} are not finite")
+    mean_norms = np.linalg.norm(f_mean, axis=1)
+    bad = np.flatnonzero(mask & (mean_norms < NORM_EPS))
+    if bad.size:
+        raise DegenerateVectorError(f"masked f_mean row(s) {bad.tolist()} have near-zero norm")
+    rows = np.flatnonzero(mask)
+    blended = f_mean[rows]
+    old = bank.seen[rows]
+    blended[old] = bank.m * bank.centroids[rows[old]] + (1.0 - bank.m) * blended[old]
+    # one dot product per row, as np.linalg.norm takes it for a single row;
+    # norm(..., axis=1) and einsum sum in another order and change the bits
+    norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero((norms < NORM_EPS) | (norms == np.inf))  # finite rows: no NaN norm
+    if bad.size:
+        k, norm = rows[bad[0]], norms[bad[0]]
+        why = "overflows" if norm == np.inf else f"collapses to norm {norm:.3e}"
+        raise DegenerateVectorError(f"class {k} blend {why}; refusing EMA update")
+    bank.centroids[rows] = blended / norms[:, None]
+    bank.seen[rows] = True
+    return bank
