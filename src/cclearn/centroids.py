@@ -24,9 +24,11 @@ UNIT_TOL = 1e-9  # how far a loaded seen centroid's norm may stray from 1
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """The l2 norm of each row of the 2-D float64 array ``x``; raises
+    """The l2 norm of each row of the 2-D real array ``x``; raises
     DegenerateVectorError when a row cannot be normalized: its norm is near
     zero, or its sum of squares overflows (or is NaN)."""
+    if x.dtype.kind not in "fc":  # as np.linalg.norm: integer squares would wrap
+        x = x.astype(float)
     norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1) for real x
     if not ((norms >= NORM_EPS) & (norms < np.inf)).all():  # NaN fails both
         bad = np.flatnonzero(norms < NORM_EPS)

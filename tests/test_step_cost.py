@@ -11,7 +11,7 @@ STEP = ["forward", "combined_loss_and_grads", "backward", "sgd_step", "step"]
 
 def test_prints_the_machine_and_a_cost_per_step_function():
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "step_cost.py"), "--number", "1", "--repeat", "1"],
+        [sys.executable, str(ROOT / "tools" / "step_cost.py"), "--number", "1"],
         capture_output=True, text=True, check=True,
     )
     head, *lines = proc.stdout.splitlines()

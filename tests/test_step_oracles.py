@@ -85,13 +85,24 @@ def outcome(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=step_cases(), fault=st.sampled_from([None, *FAULTS]), scale=st.sampled_from([1.0, 1e-13]))
-def test_row_norms_match_the_oracle(case, fault, scale):
+@given(case=step_cases(), fault=st.sampled_from([None, *FAULTS]), scale=st.sampled_from([1.0, 1e-13]),
+       dtype=st.sampled_from([np.float64, np.int64, np.int32]))
+def test_row_norms_match_the_oracle(case, fault, scale, dtype):
+    """Integer rows are normed as float64, as ``np.linalg.norm`` norms them:
+    near half the dtype's largest value their squares would wrap around."""
     _, features, _, rng = case
-    x = features * scale  # 1e-13: every unit row is near zero
-    if fault is not None:
-        inject(x, rng.integers(x.shape[0]), fault, rng)
+    if dtype is np.float64:
+        x = features * scale  # 1e-13: every unit row is near zero
+        if fault is not None:
+            inject(x, rng.integers(x.shape[0]), fault, rng)
+    else:  # 1e-13: int32 rows are all zero, int64 entries reach about 5e5
+        x = np.rint(features * (scale * (np.iinfo(dtype).max // 2))).astype(dtype)
     assert outcome(row_norms, x) == outcome(row_norms_flatnonzero, x)
+
+
+@pytest.mark.parametrize("x", [np.array([[2**32, 0]]), np.full((1, 3), 50000, dtype=np.int32)])
+def test_integer_rows_are_normed_as_floats(x):
+    assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,7 @@
 
 Usage (from the root of a source checkout):
 
-    python3 tools/step_cost.py [--number N] [--repeat R] [SRC]
+    python3 tools/step_cost.py [--number N] [SRC]
 
 SRC is the ``src`` tree whose ``cclearn`` is timed (default: this
 checkout's). The process pins itself to one CPU and runs one BLAS thread,
@@ -10,7 +10,7 @@ as the benchmark's stages do. It prints a ``machine:`` line (Python, numpy,
 CPU), then one JSON line per shape set: the microseconds per call of
 ``forward``, ``combined_loss_and_grads``, ``backward``, ``sgd_step``,
 ``batch_class_means`` and ``ema_update``, and of one whole step, each the
-best of R ``timeit`` repeats of N calls.
+best of 7 ``timeit`` repeats of N calls.
 
 The shape sets are the ``desk`` workload's training step at alpha 1 and at
 alpha 0, and the ``scale-50k`` workload's fine-tune step (alpha 0, the
@@ -34,6 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import BLAS_ENV, BLAS_THREADS, WORKLOADS  # noqa: E402
 
+REPEAT = 7  # timeit repeats; the best is kept
+
 
 def shape_sets() -> list[dict]:
     """Name, layer sizes, batch and alpha of each timed step."""
@@ -54,7 +56,7 @@ def shape_sets() -> list[dict]:
     ]
 
 
-def time_step(shape: dict, number: int, repeat: int) -> dict:
+def time_step(shape: dict, number: int) -> dict:
     """Microseconds per call of each step function at ``shape``."""
     import numpy as np
 
@@ -94,7 +96,7 @@ def time_step(shape: dict, number: int, repeat: int) -> dict:
     calls["sgd_step"] = lambda: sgd_step(params, grads, lr)
     calls["step"] = step
     return {
-        name: round(min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6, 2)
+        name: round(min(timeit.repeat(fn, number=number, repeat=REPEAT)) / number * 1e6, 2)
         for name, fn in calls.items()
     }
 
@@ -102,11 +104,10 @@ def time_step(shape: dict, number: int, repeat: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
-    parser.add_argument("--repeat", type=int, default=7, help="timeit repeats; the best is kept")
     parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src")
     args = parser.parse_args()
-    if args.number < 1 or args.repeat < 1:
-        parser.error("--number and --repeat must be >= 1")
+    if args.number < 1:
+        parser.error("--number must be >= 1")
 
     os.environ.update(dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)))  # before numpy loads
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -122,10 +123,10 @@ def main() -> int:
     print("machine: " + json.dumps({
         "python": platform.python_version(), "numpy": np.__version__, "cpu": cpu,
         "pinned_cpu": sorted(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
-        "number": args.number, "repeat": args.repeat,
+        "number": args.number, "repeat": REPEAT,
     }, sort_keys=True))
     for shape in shape_sets():
-        us = time_step(shape, args.number, args.repeat)
+        us = time_step(shape, args.number)
         print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
                           "batch": shape["batch"], "us_per_call": us}))
     return 0
