@@ -69,10 +69,6 @@ class CentroidBank:
     def feature_dim(self) -> int:
         return self.centroids.shape[1]
 
-    def seen_classes(self) -> np.ndarray:
-        """Indices of classes that have received at least one update."""
-        return np.flatnonzero(self.seen)
-
 
 def update_smoothing(bank: CentroidBank, epoch: int, total_epochs: int) -> float:
     """Advance the smoothing coefficient to its epoch-e value and return it.

@@ -18,6 +18,7 @@ from pathlib import Path
 from . import centroids, diagnostics, trainer
 from .codec import FLOAT, csv_format, write_rows
 from .data import SynthConfig, generate_blobs, load_table, save_table, split_dataset
+from .errors import StateError
 from .model import load_model, save_model
 from .trainer import TrainConfig, finetune_config
 
@@ -72,22 +73,30 @@ def _write_run(out: Path, config, params, bank, report, **artifacts: str) -> Non
         fh.write(trainer.render_report(report))
 
 
-def _model_table(path: str, params, what: str = "dataset"):
-    """The table at ``path``, checked against the model's classes and input dimension."""
+def _model_table(path: str, run: Path, params, what: str = "dataset"):
+    """The table at ``path``, checked against the classes and input dimension of ``run``'s model."""
     ds = load_table(Path(path), num_classes=params.num_classes)
     if ds.input_dim != params.input_dim:
         raise ValueError(
-            f"dimension mismatch: {what} has {ds.input_dim} features, "
-            f"model expects {params.input_dim}"
+            f"dimension mismatch: {what} {path} has {ds.input_dim} features, "
+            f"model {run / MODEL_FILE} expects {params.input_dim}"
         )
     return ds
 
 
-def _run_dir(path: str) -> Path:
+def _open_run(path: str):
+    """(run directory, model, bank) at ``path``; refuses a bank whose K or F is not the model's."""
     run = Path(path)
     if not (run / MODEL_FILE).exists():
         raise ValueError(f"{run} is not a run directory (missing {MODEL_FILE})")
-    return run
+    params = load_model(run / MODEL_FILE)
+    bank = centroids.load_bank(run / BANK_FILE)
+    if (bank.num_classes, bank.feature_dim) != (params.num_classes, params.feature_dim):
+        raise StateError(
+            f"bank file {run / BANK_FILE} holds K={bank.num_classes}, F={bank.feature_dim}; "
+            f"model file {run / MODEL_FILE} has K={params.num_classes}, F={params.feature_dim}"
+        )
+    return run, params, bank
 
 
 def cmd_synth_data(args) -> None:
@@ -118,26 +127,25 @@ def cmd_train(args) -> None:
 
 
 def cmd_finetune(args) -> None:
-    run = _run_dir(args.run)
+    out = Path(args.out)
+    if out.resolve() == Path(args.run).resolve():  # it would overwrite the run it tunes
+        raise ValueError(f"finetune --out {out} is its --run; give a new run directory")
+    run, params, bank = _open_run(args.run)
     config = _command_config(args, TrainConfig, finetune_config())
-    params = load_model(run / MODEL_FILE)
-    bank = centroids.load_bank(run / BANK_FILE)
     config = dataclasses.replace(
         config, hidden_dims=params.hidden_dims, feature_dim=params.feature_dim
     )
-    target = load_table(Path(args.data), num_classes=params.num_classes)
+    target = _model_table(args.data, run, params)
     params, report = trainer.finetune(params, bank, target, config)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_run(out, config, params, bank, report)
     print(f"fine-tuned on {len(target)} pseudo-labeled samples; run dir: {out}")
 
 
 def cmd_evaluate(args) -> None:
-    run = _run_dir(args.run)
-    params = load_model(run / MODEL_FILE)
-    ds = _model_table(args.data, params)
+    run, params, _ = _open_run(args.run)
+    ds = _model_table(args.data, run, params)
     results = trainer.evaluate_model(params, ds)
     stem = Path(args.data).stem
     out_path = run / f"eval_{stem}.csv"
@@ -155,24 +163,22 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_diagnose(args) -> None:
-    run = _run_dir(args.run)
-    params = load_model(run / MODEL_FILE)
-    bank = centroids.load_bank(run / BANK_FILE)
+    run, params, bank = _open_run(args.run)
     basis = None
     if args.fit_data:  # fitted first: its table and features are freed before ds loads
         basis = diagnostics.pca_2d(
-            trainer.infer(params, _model_table(args.fit_data, params, "fit dataset").features, 1)
+            trainer.infer(params, _model_table(args.fit_data, run, params, "fit dataset").features, 1)
         )
-    ds = _model_table(args.data, params)
+    ds = _model_table(args.data, run, params)
     feats = trainer.infer(params, ds.features, 1)
     labels, domain, num_classes = ds.labels, ds.domain, ds.num_classes
     del ds  # the table's features are not read again
 
-    labels_seen = bank.seen[labels].all() if bank.seen.any() else False
+    labels_seen = bank.seen[labels].all()
     use_trained = labels_seen and not args.empirical_centroids
     if not use_trained:
         bank = centroids.bank_from_features(feats, labels, num_classes)
-    heatmap = diagnostics.class_centroid_heatmap(feats, labels, bank, domain)
+    heatmap = diagnostics.class_centroid_heatmap(feats, labels, bank)
 
     if basis is None:
         basis = diagnostics.pca_2d(feats)

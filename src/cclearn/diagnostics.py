@@ -30,7 +30,6 @@ class HeatmapMatrix:
     values: np.ndarray
     class_counts: np.ndarray
     missing: np.ndarray
-    domain: str = ""
 
     @property
     def mean_diagonal(self) -> float:
@@ -50,7 +49,7 @@ class PcaProjection:
 
 
 def class_centroid_heatmap(
-    features: np.ndarray, labels: np.ndarray, bank: CentroidBank, domain: str = ""
+    features: np.ndarray, labels: np.ndarray, bank: CentroidBank
 ) -> HeatmapMatrix:
     """Mean cosine similarity of each class's (unit) features to every centroid."""
     features = np.asarray(features, dtype=np.float64)
@@ -64,7 +63,7 @@ def class_centroid_heatmap(
     if unseen.size:
         raise StateError(f"class(es) {unseen.tolist()} have no centroid in the bank")
     values[~present] = np.nan
-    return HeatmapMatrix(values, np.bincount(labels, minlength=bank.num_classes), ~present, domain)
+    return HeatmapMatrix(values, np.bincount(labels, minlength=bank.num_classes), ~present)
 
 
 def pca_2d(features: np.ndarray) -> PcaProjection:

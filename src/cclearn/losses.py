@@ -31,8 +31,6 @@ class LossBreakdown:
     ce: float
     cont: float
     total: float
-    alpha: float
-    tau: float
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -106,7 +104,7 @@ def combined_loss_and_grads(
             seen_idx = rows = slice(None)
             own_pos = labels
         else:
-            seen_idx = bank.seen_classes()
+            seen_idx = np.flatnonzero(bank.seen)
             rows = np.flatnonzero(bank.seen[labels])
             own_pos = np.searchsorted(seen_idx, labels[rows])
         cents = bank.centroids[seen_idx]
@@ -116,4 +114,4 @@ def combined_loss_and_grads(
             d_features[rows] = (p @ cents - cents[own_pos]) * (alpha / (tau * batch))
 
     total = ce + alpha * cont
-    return LossBreakdown(ce=ce, cont=cont, total=total, alpha=float(alpha), tau=float(tau)), d_features, d_logits
+    return LossBreakdown(ce=ce, cont=cont, total=total), d_features, d_logits

@@ -88,7 +88,7 @@ def _contrast_context(bank: CentroidBank, own_class: int, tau: float):
         raise ValueError(f"own_class {own_class} out of range [0, {bank.num_classes})")
     if not bank.seen[own_class]:
         raise StateError(f"class {own_class} has no centroid yet")
-    seen_idx = bank.seen_classes()
+    seen_idx = np.flatnonzero(bank.seen)
     if seen_idx.size < 2:
         raise StateError("contrast needs at least one seen negative class")
     own_pos = int(np.searchsorted(seen_idx, own_class))
@@ -158,7 +158,7 @@ def ema_update_loop(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) ->
 
 
 def class_centroid_heatmap_loop(
-    features: np.ndarray, labels: np.ndarray, bank: CentroidBank, domain: str = ""
+    features: np.ndarray, labels: np.ndarray, bank: CentroidBank
 ) -> HeatmapMatrix:
     """Mean cosine similarity of each class's (unit) features to every centroid."""
     features = np.asarray(features, dtype=np.float64)
@@ -181,7 +181,7 @@ def class_centroid_heatmap_loop(
     for k in range(num_classes):
         if counts[k]:
             values[k] = sims[labels == k].mean(axis=0)
-    return HeatmapMatrix(values, counts, counts == 0, domain)
+    return HeatmapMatrix(values, counts, counts == 0)
 
 
 def _check_labels(y: np.ndarray, num_classes: int, what: str) -> np.ndarray:
@@ -401,7 +401,7 @@ def contrast_branch_gathered(
             )
         if labels.max() >= bank.num_classes:
             raise ValueError(f"labels exceed bank classes {bank.num_classes}")
-        seen_idx = bank.seen_classes()
+        seen_idx = np.flatnonzero(bank.seen)
         rows = np.flatnonzero(bank.seen[labels])
         if seen_idx.size >= 2 and rows.size:
             cents = bank.centroids[seen_idx]

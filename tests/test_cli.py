@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cclearn.centroids import CentroidBank, load_bank, save_bank
 from cclearn.cli import main
 from cclearn.data import Dataset, load_table, save_table
 
@@ -190,6 +197,7 @@ class TestEvaluate:
         assert main(["evaluate", "--run", str(run_dir), "--data", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "dimension" in err and "Traceback" not in err
+        assert str(bad) in err and str(run_dir / "model.txt") in err
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["evaluate", "--run", str(tmp_path / "ghost"),
@@ -218,6 +226,14 @@ class TestFinetune:
         assert (out / "model.txt").read_bytes() != (run_dir / "model.txt").read_bytes()
         assert main(["evaluate", "--run", str(out),
                      "--data", str(data_dir / "target.csv")]) == 0
+
+    def test_refuses_to_write_into_its_own_run(self, data_dir, run_dir, capsys):
+        before = read_all_bytes(run_dir)
+        for out in (run_dir, run_dir / ".." / run_dir.name):
+            assert main(["finetune", "--run", str(run_dir),
+                         "--data", str(data_dir / "target.csv"), "--out", str(out)]) == 2
+            assert f"--out {out} is its --run" in capsys.readouterr().err
+        assert read_all_bytes(run_dir) == before
 
 
 class TestDiagnose:
@@ -274,6 +290,101 @@ def test_train_with_no_epochs_writes_a_header_only_history(tmp_path, data_dir):
     assert (out / "history.csv").read_bytes() == (
         b"epoch,m,lr,ce,cont,total,ema_samples,val_accuracy,val_kappa\n"
     )
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """A trained run and its data, plus the model and bank files of a run with
+    another F and of one with another D."""
+    root = tmp_path_factory.mktemp("run_files")
+    for data, input_dim in (("data", SYNTH["input_dim"]), ("data_d", 6)):
+        config = write_json(root / f"{data}.json", dict(SYNTH, input_dim=input_dim))
+        assert main(["synth-data", "--config", str(config), "--out", str(root / data)]) == 0
+    runs = (("run", "data", 4), ("run_f", "data", 5), ("run_d", "data_d", 4))
+    for run, data, feature_dim in runs:
+        config = write_json(root / f"{run}.json", dict(TRAIN, feature_dim=feature_dim))
+        assert main(["train", "--config", str(config), "--data", str(root / data / "source.csv"),
+                     "--out", str(root / run)]) == 0
+    return root
+
+
+def resize_bank(path: Path, num_classes: int) -> None:
+    """Rewrite the bank at ``path`` with ``num_classes`` classes, consistently:
+    a dropped class loses its row, an added one is an unseen zero row."""
+    bank = load_bank(path)
+    resized = CentroidBank(num_classes, bank.feature_dim, bank.m0)
+    kept = min(num_classes, bank.num_classes)
+    resized.centroids[:kept], resized.seen[:kept] = bank.centroids[:kept], bank.seen[:kept]
+    resized.m = bank.m
+    save_bank(resized, path)
+
+
+def corrupt(root: Path, run: Path, name: str, corruption: str, position: int) -> None:
+    path = run / name
+    if corruption == "truncate":
+        path.write_bytes(path.read_bytes()[: position % path.stat().st_size])
+    elif corruption == "flip":
+        data = bytearray(path.read_bytes())
+        data[position // 8 % len(data)] ^= 1 << position % 8
+        path.write_bytes(bytes(data))
+    elif corruption in ("delete", "directory"):
+        path.unlink()
+        if corruption == "directory":
+            path.mkdir()
+    elif corruption in ("other F", "other D"):
+        shutil.copyfile(root / ("run_f" if corruption == "other F" else "run_d") / name, path)
+    else:  # "K-1" or "K+1": only the bank has a class count of its own
+        resize_bank(run / "bank.txt", SYNTH["num_classes"] + (1 if corruption == "K+1" else -1))
+
+
+def input_bytes(*dirs: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for d in dirs for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+@st.composite
+def run_file_cases(draw):
+    command = draw(st.sampled_from(["evaluate", "diagnose", "finetune"]))
+    corruption = draw(st.sampled_from(
+        ["truncate", "flip", "delete", "directory", "other F", "other D", "K-1", "K+1"]
+    ))
+    files = ["bank.txt"] if corruption in ("K-1", "K+1") else ["model.txt", "bank.txt"]
+    name = draw(st.sampled_from(files))
+    return command, name, corruption, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=run_file_cases())
+@example(case=("diagnose", "bank.txt", "K-1", 0))
+@example(case=("finetune", "bank.txt", "other F", 0))
+@example(case=("evaluate", "bank.txt", "K+1", 0))
+@example(case=("diagnose", "model.txt", "other D", 0))
+def test_run_file_errors_name_a_path(run_files, case):
+    """Each corrupt model or bank file ends in exit 0, or in exit 2 with an
+    ``error:`` line naming the file's run; no input file changes. A bank
+    whose K or F is not the model's is refused, naming both files."""
+    command, name, corruption, position = case
+    with tempfile.TemporaryDirectory(dir=run_files) as tmp:
+        run, data = Path(tmp) / "run", run_files / "data"
+        shutil.copytree(run_files / "run", run)
+        corrupt(run_files, run, name, corruption, position)
+        argv = [command, "--run", str(run), "--data", str(data / "target.csv")]
+        argv += {"evaluate": [], "diagnose": ["--fit-data", str(data / "source.csv")],
+                 "finetune": ["--out", str(Path(tmp) / "tuned")]}[command]
+        before = input_bytes(run, data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        err = err.getvalue()
+        assert input_bytes(run, data).items() >= before.items()
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors and str(run) in errors[0], err
+    if corruption in ("K-1", "K+1") or corruption == "other F" and name == "bank.txt":
+        assert code == 2 and str(run / "bank.txt") in err and str(run / "model.txt") in err, err
+    if corruption in ("other F", "other D") and name == "model.txt":
+        assert code == 2 and str(run / "model.txt") in err, err
 
 
 def test_unknown_flag_exits_nonzero():

@@ -85,8 +85,7 @@ def golden_writers():
         EpochRecord(1, 0.95, 5e-4, 0.1, math.pi, 0.2, 12, 0.5, math.nan),
     ])
     heatmap = HeatmapMatrix(
-        np.array([[1.0 / 3.0, math.nan], [-0.0, 0.1]]), np.array([3, 0]),
-        np.array([False, True]), "target",
+        np.array([[1.0 / 3.0, math.nan], [-0.0, 0.1]]), np.array([3, 0]), np.array([False, True])
     )
     quoted = Dataset(np.array([[1.5], [-2.0]]), np.array([1, 0]), 'site "A", 5%', 2)
     return {

@@ -133,10 +133,10 @@ class TestHeatmap:
 
 def heatmap_outcome(heatmap, features, labels, bank):
     try:
-        hm = heatmap(features, labels, bank, "d")
+        hm = heatmap(features, labels, bank)
     except StateError as exc:
         return str(exc)
-    return hm.values.tobytes(), hm.class_counts.tobytes(), hm.missing.tobytes(), hm.domain
+    return hm.values.tobytes(), hm.class_counts.tobytes(), hm.missing.tobytes()
 
 
 @st.composite
