@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import floats, read_rows, write_rows
+from .codec import read_rows, write_rows
 from .data import check_labels
 from .errors import DegenerateVectorError, StateError
 
@@ -172,9 +172,9 @@ def save_bank(bank: CentroidBank, path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{bank.num_classes} {bank.feature_dim}\n")
-        write_rows(fh, floats(2, " ") + "\n", [[bank.m0, bank.m]])
+        write_rows(fh, " ", "\n", [[bank.m0, bank.m]])
         fh.write(" ".join(str(int(s)) for s in bank.seen) + "\n")
-        write_rows(fh, floats(bank.feature_dim, " ") + "\n", bank.centroids)
+        write_rows(fh, " ", "\n", bank.centroids)
 
 
 def load_bank(path) -> CentroidBank:
@@ -185,10 +185,9 @@ def load_bank(path) -> CentroidBank:
     try:
         num_classes, feature_dim = (int(t) for t in head[0])
         m0, m = (float(t) for t in head[1])
-        seen = np.array([t == "1" for t in head[2]], dtype=bool)
-        bank = CentroidBank(num_classes, feature_dim, m0)
     except ValueError as exc:
         raise StateError(f"bank file {path} has a malformed header") from exc
+    seen = np.array([t == "1" for t in head[2]], dtype=bool)
     if not 0.0 <= m <= 1.0:
         raise StateError(f"bank file {path} has smoothing m={m} outside [0, 1]")
     if len(rows) != num_classes:
@@ -201,6 +200,10 @@ def load_bank(path) -> CentroidBank:
         raise StateError(f"bank file {path} has a malformed seen-flag line")
     if any(row.shape != (feature_dim,) for row in rows):
         raise StateError(f"bank file {path} has a centroid row without {feature_dim} values")
+    try:  # only now: the rows bound the size that the header claims
+        bank = CentroidBank(num_classes, feature_dim, m0)
+    except ValueError as exc:
+        raise StateError(f"bank file {path} has a malformed header") from exc
     bank.m = m
     bank.seen = seen
     bank.centroids = np.array(rows)

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import centroids, diagnostics, trainer
-from .codec import FLOAT, csv_format, write_rows
+from .codec import csv_cell, write_rows
 from .data import SynthConfig, generate_blobs, load_table, save_table, split_dataset
 from .errors import StateError
 from .model import load_model, save_model
@@ -155,8 +155,7 @@ def cmd_evaluate(args) -> None:
         values += [res.value, *(res.per_class or ())]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("metric,domain,value\n")
-        row = csv_format(["%s", ds.domain.replace("%", "%%"), FLOAT], "\n")
-        write_rows(fh, row, names, values)
+        write_rows(fh, ",", "\n", names, csv_cell(ds.domain), values)
     for res in results:
         print(f"{res.name} [{res.domain}]: {res.value:.6g}")
     print(f"wrote {out_path}")

@@ -1,29 +1,26 @@
 """The text codec behind the dataset tables, checkpoints and CSV run files.
 
-Floats are written as %.17g, which round-trips every float64 exactly. A
-writer builds one %-format per row and streams the rows through it in
-chunks of CHUNK_ROWS. A chunk is laid out as a byte matrix with one row per
-line, unused bytes holding _PAD, which is deleted before the write. The
-%.17g cells are rendered by integer array arithmetic (``_render_floats``),
-the %d and %s cells by Python's formatter; either way every byte is that of
-``fmt % row``.
+A row is its cells joined by one separator, then a line end. Float cells
+are written as %.17g, which round-trips every float64 exactly; every other
+cell is ``str(v)``. A writer streams its rows in chunks of CHUNK_ROWS. A
+chunk is laid out as a byte matrix with one row per line, unused bytes
+holding _PAD, which is deleted before the write. The float cells are
+rendered by integer array arithmetic (``_render_floats``), byte for byte
+as Python's ``'%.17g' % v``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import re
 
 import numpy as np
 
 from .errors import StateError
 
-FLOAT = "%.17g"
 CHUNK_ROWS = 512  # keeps a wide table's per-chunk arrays small enough to stay in cache
 
 _PAD = 0xFF  # never a byte of UTF-8 text, so deleting it leaves exactly the text
-_CONVERSION = re.compile(r"%(%|\.17g|d|s)?")
 
 # A rendered float is 40 bytes, 5 uint64 words: the sign and the "0.000"
 # prefix in bytes 0-5, digit p of 17 at byte 2p+6 and the point after it at
@@ -72,88 +69,62 @@ _GLYPH_MASKS = _glyph_masks()
 _TRAILING = sum(np.arange(10000) % p == 0 for p in (10, 100, 1000, 10000)).astype(np.uint8)
 
 
-def floats(n: int, sep: str) -> str:
-    """The %-format of ``n`` float cells joined by ``sep``."""
-    return sep.join([FLOAT] * n)
-
-
-def csv_format(cells: list[str], end: str = "\r\n") -> str:
-    """The row of ``cells`` as csv's default writer quotes it, ending in ``end``:
-    a row format when every literal % in a cell is written %%."""
+def csv_cell(text: str) -> str:
+    """``text`` as a cell of a row that csv's default writer quotes: a cell
+    holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, an empty one stays empty."""
     out = io.StringIO()
-    csv.writer(out).writerow(cells)  # "\r\n" ends: "\r" in a cell is quoted too
-    return out.getvalue()[:-2] + end
+    csv.writer(out).writerow([text, ""])  # of two cells: a lone empty cell is written ""
+    return out.getvalue()[:-3]
 
 
-def write_rows(fh, fmt: str, *columns) -> None:
-    """Write ``fmt % row`` for every row, a row being the cells of all columns.
+def write_rows(fh, sep: str, end: str, *columns) -> None:
+    """Write each row's cells joined by ``sep``, then ``end``.
 
-    ``fmt`` holds text, %% and the conversions %.17g, %d and %s. A column is
-    a 1-D sequence (one cell per row) or a 2-D one (a run of cells per row);
-    every column has the same number of rows. A text file is written str,
-    any other file the UTF-8 bytes.
+    A column is a 1-D array (one cell per row), a 2-D one (a run of cells
+    per row) or a str, the same cell in every row. Float cells are written
+    %.17g, every other cell ``str(v)``. ``sep`` is one ASCII character. A
+    text file is written str, any other file the UTF-8 bytes.
     """
-    lead, cells = _parse(fmt)
+    if len(sep) != 1 or not sep.isascii():
+        raise ValueError(f"the separator must be one ASCII character, got {sep!r}")
     text = isinstance(fh, io.TextIOBase)
-    n = len(columns[0])
+    n = len(next(c for c in columns if not isinstance(c, str)))
     for start in range(0, n, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, n - start)
-        block = [np.asarray(c[start : start + rows]).reshape(rows, -1) for c in columns]
-        chunk = _render_rows(lead, cells, block)
+        block = [c if isinstance(c, str) else np.asarray(c[start : start + rows]).reshape(rows, -1)
+                 for c in columns]
+        chunk = _render_rows(sep, end, rows, block)
         fh.write(chunk.decode("utf-8") if text else chunk)
 
 
-def _parse(fmt: str) -> tuple[str, list[tuple[str, str]]]:
-    """``fmt`` read left to right as the % operator reads it: the text before
-    the first conversion, then each conversion with the text after it."""
-    texts, conversions, at = [""], [], 0
-    for match in _CONVERSION.finditer(fmt):
-        texts[-1] += fmt[at : match.start()]
-        at = match.end()
-        if match.group(1) is None:
-            raise ValueError(f"unsupported conversion at {match.start()} in {fmt!r}")
-        if match.group(1) == "%":
-            texts[-1] += "%"
+def _render_rows(sep: str, end: str, rows: int, block: list) -> bytes:
+    """The UTF-8 bytes of ``rows`` rows of the str cells and 2-D arrays
+    ``block``, each row's cells joined by ``sep`` and followed by ``end``."""
+    # in row order: uint8 matrices (one row, or one per row) and (float array, byte after it)
+    pieces: list = []
+    for i, col in enumerate(block):
+        tail = end if i == len(block) - 1 else sep
+        if isinstance(col, str):
+            pieces.append(_padded([col + tail]))
+        elif col.dtype.kind == "f":
+            last = tail.encode()
+            pieces.append((col, last[0] if last else _PAD))
+            if len(last) > 1:
+                pieces.append(np.frombuffer(last[1:], np.uint8)[None])
         else:
-            conversions.append(match.group())
-            texts.append("")
-    texts[-1] += fmt[at:]
-    return texts[0], list(zip(conversions, texts[1:]))
-
-
-def _render_rows(lead: str, cells: list[tuple[str, str]], block: list[np.ndarray]) -> bytes:
-    """The UTF-8 bytes of ``fmt % row`` for each row of the 2-D arrays ``block``,
-    ``fmt`` being ``lead`` and the (conversion, text after it) ``cells``."""
-    sources = [(a, j) for a in block for j in range(a.shape[1])]
-    if len(sources) != len(cells):
-        raise TypeError(f"the format converts {len(cells)} cells, a row holds {len(sources)}")
-    rows = len(block[0])
-    # each row in order: byte pieces, a uint8 matrix (one row, or one per row),
-    # and runs [array, first, stop, text after each] of float cells
-    pieces: list = [np.frombuffer(lead.encode(), np.uint8)[None]] if lead else []
-    for (conversion, after), (a, j) in zip(cells, sources):
-        if conversion != FLOAT:
-            pieces.append(_padded([conversion % v + after for v in a[:, j].astype(object).tolist()]))
-            continue
-        tail = after.encode()
-        run = pieces[-1] if pieces and isinstance(pieces[-1], list) else None
-        if run and run[0] is a and run[2] == j:
-            run[2] += 1
-            run[3].append(tail[:1])
-        else:
-            pieces.append([a, j, j + 1, [tail[:1]]])
-        if len(tail) > 1:
-            pieces.append(np.frombuffer(tail[1:], np.uint8)[None])
-    words = [_GLYPH // 8 * (p[2] - p[1]) if isinstance(p, list) else -(-p.shape[1] // 8) for p in pieces]
+            tails = [sep] * (col.shape[1] - 1) + [tail]
+            pieces += [_padded([f"{v}{t}" for v in cells]) for cells, t in zip(col.T.tolist(), tails)]
+    words = [_GLYPH // 8 * p[0].shape[1] if isinstance(p, tuple) else -(-p.shape[1] // 8) for p in pieces]
     raw = np.full((rows, 8 * sum(words)), _PAD, np.uint8)
     at = 0
     for piece, width in zip(pieces, words):
-        if isinstance(piece, list):
-            a, first, stop, tails = piece
-            glyphs = raw.view(np.uint64)[:, at : at + width].reshape(rows, stop - first, -1)
-            _render_floats(np.ascontiguousarray(a[:, first:stop], dtype=np.float64), glyphs)
-            ends = b"".join(t or bytes([_PAD]) for t in tails)
-            raw[:, 8 * at + _GLYPH - 1 : 8 * (at + width) : _GLYPH] = np.frombuffer(ends, np.uint8)
+        if isinstance(piece, tuple):
+            a, last = piece
+            glyphs = raw.view(np.uint64)[:, at : at + width].reshape(rows, a.shape[1], -1)
+            _render_floats(np.ascontiguousarray(a, dtype=np.float64), glyphs)
+            ends = np.full(a.shape[1], ord(sep), np.uint8)
+            ends[-1] = last
+            raw[:, 8 * at + _GLYPH - 1 : 8 * (at + width) : _GLYPH] = ends
         else:
             raw[:, 8 * at : 8 * at + piece.shape[1]] = piece
         at += width

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import FLOAT, csv_format, write_rows
+from .codec import csv_cell, write_rows
 from .errors import TableParseError
 
 # fixed sub-stream tags so every random draw is attributable to the one seed
@@ -285,15 +285,14 @@ def save_table(ds: Dataset, path) -> None:
     """Write the documented CSV schema: header f0..f{D-1},label,domain.
 
     Lines end with \\r\\n and the domain cell is quoted as the csv module
-    quotes it: the csv writer itself builds the header and the row format.
-    The bytes feed the sidecar's table record as they are written.
+    quotes it; the header's cells never need quoting. The bytes feed the
+    sidecar's table record as they are written.
     """
-    row_format = csv_format([FLOAT] * ds.input_dim + ["%d", ds.domain.replace("%", "%%")])
-    header = csv_format([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
+    header = ",".join([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"]) + "\r\n"
     with open(path, "wb") as fh:
         table = _Hashed(fh)
         table.write(header.encode())
-        write_rows(table, row_format, ds.features, ds.labels)
+        write_rows(table, ",", "\r\n", ds.features, ds.labels, csv_cell(ds.domain))
     _write_sidecar(ds, path, table.digest())
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centroids import row_norms
-from .codec import floats, read_rows, write_rows
+from .codec import read_rows, write_rows
 from .errors import StateError
 
 
@@ -281,7 +281,7 @@ def save_model(params: ModelParams, path) -> None:
             + " ".join(str(w.shape[1]) for w in params.weights) + "\n"
         )
         for block in params.blocks:
-            write_rows(fh, floats(block.shape[1], " ") + "\n", block)
+            write_rows(fh, " ", "\n", block)
 
 
 def load_model(path) -> ModelParams:
@@ -298,7 +298,8 @@ def load_model(path) -> ModelParams:
     if len(out_sizes) != n_layers or out_sizes[-1] != feature_dim or min(map(min, shapes)) < 1:
         raise StateError(f"model file {path} header is inconsistent")
     # each tensor is fan_in weight rows, then one bias row, all fan_out wide
-    if [row.size for row in rows] != [out for fan_in, out in shapes for _ in range(fan_in + 1)]:
+    widths = (out for fan_in, out in shapes for _ in range(fan_in + 1))  # lazy: a header may claim 10**9
+    if len(rows) != sum(fan_in + 1 for fan_in, _ in shapes) or any(r.size != w for r, w in zip(rows, widths)):
         raise StateError(f"model file {path} does not hold the tensors its header names")
     params = ModelParams.zeros(shapes)
     params.flat[:] = np.concatenate(rows)

@@ -25,7 +25,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, update_smoothing
-from .codec import floats, write_rows
+from .codec import write_rows
 from .data import Dataset, JsonConfig, make_batches, require_at_least, require_numbers
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
@@ -284,8 +284,7 @@ def write_history_csv(report: RunReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,m,lr,ce,cont,total,ema_samples,val_accuracy,val_kappa\n")
         write_rows(
-            fh, "%d," + floats(5, ",") + ",%d," + floats(2, ",") + "\n",
-            [r.epoch for r in h], [[r.m, r.lr, r.ce, r.cont, r.total] for r in h],
+            fh, ",", "\n", [r.epoch for r in h], [[r.m, r.lr, r.ce, r.cont, r.total] for r in h],
             [r.ema_samples for r in h], [[r.val_accuracy, r.val_kappa] for r in h],
         )
 

@@ -11,11 +11,12 @@ class where the package reuses ``batch_class_means``, and
 of all scores, then a rank scatter), and ``auc_macro_ovr_midranks`` calls it
 once per class with all its checks, where the package counts the negatives
 below each positive in one sort of the negative scores. ``write_rows``
-formats each row with Python's % operator where the codec renders %.17g
-cells with integer array arithmetic. ``forward_keeping_pre_activations`` and
-``backward_from_pre_activations`` build three arrays per layer and keep each
-pre-activation for the ReLU mask, where the package builds one buffer per
-layer and takes the mask from the ReLU output. ``generate_blobs_expression``
+formats each cell with Python's % operator or ``str`` where the codec
+renders %.17g cells with integer array arithmetic.
+``forward_keeping_pre_activations`` and ``backward_from_pre_activations``
+build three arrays per layer and keep each pre-activation for the ReLU
+mask, where the package builds one buffer per layer and takes the mask from
+the ReLU output. ``generate_blobs_expression``
 applies the synthetic scale, affine map and noise as whole-array expressions
 where the package applies them in place and adds each class mean to its
 block of rows. ``feature_spread_expression`` squares a second copy of the
@@ -281,18 +282,23 @@ def auc_macro_ovr_midranks(
     return float(per_class[usable].mean()), per_class
 
 
-def write_rows(fh, fmt: str, *columns) -> None:
-    """Write ``fmt % row`` for every row, a row being the cells of all columns,
-    one row at a time through Python's formatter. A column is a 1-D sequence
-    (one cell per row) or a 2-D one (a run of cells per row). A binary ``fh``
-    gets the UTF-8 bytes."""
-    n = len(columns[0])
+def write_rows(fh, sep: str, end: str, *columns) -> None:
+    """Write each row's cells joined by ``sep``, then ``end``, one row at a
+    time through Python's formatter: ``"%.17g" % v`` for a float cell,
+    ``str(v)`` for any other. A column is a 1-D sequence (one cell per row),
+    a 2-D one (a run of cells per row) or a str (the same cell in every
+    row). A binary ``fh`` gets the UTF-8 bytes."""
+    n = len(next(c for c in columns if not isinstance(c, str)))
     for start in range(0, n, 2048):
         rows = min(2048, n - start)
         block = np.hstack([
-            np.asarray(c[start : start + rows]).reshape(rows, -1).astype(object) for c in columns
+            np.full((rows, 1), c, dtype=object) if isinstance(c, str)
+            else np.asarray(c[start : start + rows]).reshape(rows, -1).astype(object) for c in columns
         ])
-        text = "".join([fmt % tuple(row) for row in block.tolist()])
+        text = "".join([
+            sep.join(["%.17g" % v if isinstance(v, float) else str(v) for v in row]) + end
+            for row in block.tolist()
+        ])
         fh.write(text if isinstance(fh, io.TextIOBase) else text.encode())
 
 

@@ -331,6 +331,14 @@ def corrupt(root: Path, run: Path, name: str, corruption: str, position: int) ->
         path.unlink()
         if corruption == "directory":
             path.mkdir()
+    elif corruption == "huge":  # the header claims 10**7 for each size; a model keeps its L
+        lines = path.read_text().split("\n")
+        if name == "bank.txt":
+            lines[0] = "10000000 10000000"
+        else:
+            layers = len(lines[1].split())
+            lines[0], lines[1] = f"10000000 10000000 10000000 {layers}", " ".join(["10000000"] * layers)
+        path.write_text("\n".join(lines))
     elif corruption in ("other F", "other D"):
         shutil.copyfile(root / ("run_f" if corruption == "other F" else "run_d") / name, path)
     else:  # "K-1" or "K+1": only the bank has a class count of its own
@@ -345,7 +353,7 @@ def input_bytes(*dirs: Path) -> dict[Path, bytes]:
 def run_file_cases(draw):
     command = draw(st.sampled_from(["evaluate", "diagnose", "finetune"]))
     corruption = draw(st.sampled_from(
-        ["truncate", "flip", "delete", "directory", "other F", "other D", "K-1", "K+1"]
+        ["truncate", "flip", "delete", "directory", "huge", "other F", "other D", "K-1", "K+1"]
     ))
     files = ["bank.txt"] if corruption in ("K-1", "K+1") else ["model.txt", "bank.txt"]
     name = draw(st.sampled_from(files))
@@ -358,6 +366,8 @@ def run_file_cases(draw):
 @example(case=("finetune", "bank.txt", "other F", 0))
 @example(case=("evaluate", "bank.txt", "K+1", 0))
 @example(case=("diagnose", "model.txt", "other D", 0))
+@example(case=("evaluate", "bank.txt", "huge", 0))
+@example(case=("finetune", "model.txt", "huge", 0))
 def test_run_file_errors_name_a_path(run_files, case):
     """Each corrupt model or bank file ends in exit 0, or in exit 2 with an
     ``error:`` line naming the file's run; no input file changes. A bank
@@ -383,8 +393,8 @@ def test_run_file_errors_name_a_path(run_files, case):
         assert errors and str(run) in errors[0], err
     if corruption in ("K-1", "K+1") or corruption == "other F" and name == "bank.txt":
         assert code == 2 and str(run / "bank.txt") in err and str(run / "model.txt") in err, err
-    if corruption in ("other F", "other D") and name == "model.txt":
-        assert code == 2 and str(run / "model.txt") in err, err
+    if corruption in ("other F", "other D") and name == "model.txt" or corruption == "huge":
+        assert code == 2 and str(run / name) in err, err
 
 
 def test_unknown_flag_exits_nonzero():

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -473,6 +474,21 @@ class TestCheckpoint:
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(StateError, match="m.txt"):
             load_model(path)
+
+    def test_a_huge_header_is_refused_without_memory_that_grows_with_it(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(init_params(3, (4,), 2, 2, 0), path)
+        lines = path.read_text().split("\n")
+        lines[0] = " ".join(["10000000", *lines[0].split()[1:]])  # D = 10**7 rows claimed, 3 held
+        path.write_text("\n".join(lines))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateError, match="m.txt"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestInit:

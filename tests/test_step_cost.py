@@ -18,10 +18,13 @@ def test_prints_the_machine_and_a_cost_per_step_function():
     assert head.startswith("machine: ")
     machine = json.loads(head.removeprefix("machine: "))
     assert {"python", "numpy", "cpu"} <= set(machine) and len(machine["pinned_cpu"]) == 1
-    rows = [json.loads(line) for line in lines]
+    *rows, writer = [json.loads(line) for line in lines]
     assert [(r["shapes"], r["alpha"], r["batch"]) for r in rows] == [
         ("desk", 1.0, 32), ("desk", 0.0, 32), ("scale-50k finetune", 0.0, 32)]
     assert sorted(rows[0]["us_per_call"]) == sorted([*STEP, "batch_class_means", "ema_update"])
     for row in rows[1:]:  # alpha 0: the loop leaves the bank alone
         assert sorted(row["us_per_call"]) == sorted(STEP)
     assert all(us > 0 for r in rows for us in r["us_per_call"].values())
+    assert (writer["writer"], writer["rows"]) == ("write_rows", 4096)
+    assert sorted(writer["us_per_row"]) == ["projection", "table"]
+    assert all(us > 0 for us in writer["us_per_row"].values())

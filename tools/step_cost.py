@@ -10,7 +10,11 @@ as the benchmark's stages do. It prints a ``machine:`` line (Python, numpy,
 CPU), then one JSON line per shape set: the microseconds per call of
 ``forward``, ``combined_loss_and_grads``, ``backward``, ``sgd_step``,
 ``batch_class_means`` and ``ema_update``, and of one whole step, each the
-best of 7 ``timeit`` repeats of N calls.
+best of 7 ``timeit`` repeats of N calls. A last JSON line gives the
+microseconds per row of the codec's ``write_rows`` into an ``io.BytesIO``,
+each the best of 7 repeats of one 4096-row call, at two shapes: the
+``scale-50k`` table (64 float cells, the label and the domain) and the PCA
+projection (2 float cells, the label and the domain).
 
 The shape sets are the ``desk`` workload's training step at alpha 1 and at
 alpha 0, and the ``scale-50k`` workload's fine-tune step (alpha 0, the
@@ -35,6 +39,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import BLAS_ENV, BLAS_THREADS, WORKLOADS  # noqa: E402
 
 REPEAT = 7  # timeit repeats; the best is kept
+WRITE_ROWS = 4096  # rows per timed write_rows call
 
 
 def shape_sets() -> list[dict]:
@@ -101,6 +106,33 @@ def time_step(shape: dict, number: int) -> dict:
     }
 
 
+def time_writer() -> dict:
+    """Microseconds per row of ``write_rows`` at the table and projection shapes."""
+    import io
+
+    import numpy as np
+
+    from cclearn import codec
+
+    rng = np.random.default_rng(0)
+    synth = WORKLOADS["scale-50k"].synth
+    labels = rng.integers(0, synth["num_classes"], WRITE_ROWS)
+    shapes = {"table": (rng.normal(size=(WRITE_ROWS, synth["input_dim"])), "\r\n"),
+              "projection": (rng.normal(size=(WRITE_ROWS, 2)), "\n")}
+
+    def call(cells, end):
+        if hasattr(codec, "csv_cell"):
+            return lambda: codec.write_rows(io.BytesIO(), ",", end, cells, labels, codec.csv_cell("target"))
+        # a codec that still takes one %-format per row
+        fmt = codec.csv_format([codec.FLOAT] * cells.shape[1] + ["%d", "target"], end)
+        return lambda: codec.write_rows(io.BytesIO(), fmt, cells, labels)
+
+    return {
+        name: round(min(timeit.repeat(call(*shape), number=1, repeat=REPEAT)) / WRITE_ROWS * 1e6, 3)
+        for name, shape in shapes.items()
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
@@ -129,6 +161,7 @@ def main() -> int:
         us = time_step(shape, args.number)
         print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
                           "batch": shape["batch"], "us_per_call": us}))
+    print(json.dumps({"writer": "write_rows", "rows": WRITE_ROWS, "us_per_row": time_writer()}))
     return 0
 
 
