@@ -298,8 +298,9 @@ def load_model(path) -> ModelParams:
     if len(out_sizes) != n_layers or out_sizes[-1] != feature_dim or min(map(min, shapes)) < 1:
         raise StateError(f"model file {path} header is inconsistent")
     # each tensor is fan_in weight rows, then one bias row, all fan_out wide
-    widths = (out for fan_in, out in shapes for _ in range(fan_in + 1))  # lazy: a header may claim 10**9
-    if len(rows) != sum(fan_in + 1 for fan_in, _ in shapes) or any(r.size != w for r, w in zip(rows, widths)):
+    if len(rows) != sum(fan_in + 1 for fan_in, _ in shapes) or (
+        [row.size for row in rows] != [out for fan_in, out in shapes for _ in range(fan_in + 1)]
+    ):
         raise StateError(f"model file {path} does not hold the tensors its header names")
     params = ModelParams.zeros(shapes)
     params.flat[:] = np.concatenate(rows)

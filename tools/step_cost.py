@@ -120,12 +120,10 @@ def time_writer() -> dict:
     shapes = {"table": (rng.normal(size=(WRITE_ROWS, synth["input_dim"])), "\r\n"),
               "projection": (rng.normal(size=(WRITE_ROWS, 2)), "\n")}
 
+    domain = codec.csv_cell("target")
+
     def call(cells, end):
-        if hasattr(codec, "csv_cell"):
-            return lambda: codec.write_rows(io.BytesIO(), ",", end, cells, labels, codec.csv_cell("target"))
-        # a codec that still takes one %-format per row
-        fmt = codec.csv_format([codec.FLOAT] * cells.shape[1] + ["%d", "target"], end)
-        return lambda: codec.write_rows(io.BytesIO(), fmt, cells, labels)
+        return lambda: codec.write_rows(io.BytesIO(), ",", end, cells, labels, domain)
 
     return {
         name: round(min(timeit.repeat(call(*shape), number=1, repeat=REPEAT)) / WRITE_ROWS * 1e6, 3)
