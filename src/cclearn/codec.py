@@ -2,11 +2,10 @@
 
 A row is its cells joined by one separator, then a line end. Float cells
 are written as %.17g, which round-trips every float64 exactly; every other
-cell is ``str(v)``. A writer streams its rows in chunks of CHUNK_ROWS. A
-chunk is laid out as a byte matrix with one row per line, unused bytes
-holding _PAD, which is deleted before the write. The float cells are
-rendered by integer array arithmetic (``_render_floats``), byte for byte
-as Python's ``'%.17g' % v``.
+cell is ``str(v)``. Rows are rendered in chunks of CHUNK_CELLS cells, each
+a byte matrix with one row per line and _PAD in unused bytes, deleted
+before the write. Float cells take their digits from an exact float64
+product (``_render_floats``), byte for byte as Python's ``'%.17g' % v``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import StateError
 
-CHUNK_ROWS = 512  # keeps a wide table's per-chunk arrays small enough to stay in cache
+CHUNK_CELLS = 8192  # cells, not rows: 64 KiB float temporaries keep the render in L2 cache
 
 _PAD = 0xFF  # never a byte of UTF-8 text, so deleting it leaves exactly the text
 
@@ -27,12 +26,9 @@ _PAD = 0xFF  # never a byte of UTF-8 text, so deleting it leaves exactly the tex
 # 2p+7. Byte 39, where digit 16 never takes a point, holds the first byte of
 # the text after the cell.
 _GLYPH = 40
-# The fast window [1e-4, 1e15): %g prints fixed notation there, and the
-# product in _digits fits two words. Each entry is the least double >= its
-# power of ten, so comparing against it compares against the power itself.
+# The fast window [1e-4, 1e15), where %g prints fixed notation: each entry is
+# the least double >= its power of ten, so comparing against it compares against the power.
 _TENS = np.array([float(f"1e{e}") for e in range(-4, 16)])
-_POW5 = np.array([5**k for k in range(21)], np.uint64)
-_U = np.uint64
 
 
 def _digit_words() -> np.ndarray:
@@ -87,14 +83,20 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
     """
     if len(sep) != 1 or not sep.isascii():
         raise ValueError(f"the separator must be one ASCII character, got {sep!r}")
-    text = isinstance(fh, io.TextIOBase)
-    n = len(next(c for c in columns if not isinstance(c, str)))
-    for start in range(0, n, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n - start)
-        block = [c if isinstance(c, str) else np.asarray(c[start : start + rows]).reshape(rows, -1)
-                 for c in columns]
+    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    if all(isinstance(c, str) for c in columns):
+        raise ValueError("write_rows needs a column that is not a str")
+    n = next((len(c) for c in columns if not isinstance(c, str) and c.ndim), 0)
+    for i, c in enumerate(columns):
+        if not isinstance(c, str) and (c.ndim not in (1, 2) or len(c) != n):
+            raise ValueError(f"column {i} has shape {c.shape}: array columns are 1-D or 2-D, of {n} rows")
+    width = sum(c.shape[1] if not isinstance(c, str) and c.ndim == 2 else 1 for c in columns)
+    step = max(1, CHUNK_CELLS // max(1, width))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        block = [c if isinstance(c, str) else c[start : start + rows].reshape(rows, -1) for c in columns]
         chunk = _render_rows(sep, end, rows, block)
-        fh.write(chunk.decode("utf-8") if text else chunk)
+        fh.write(chunk.decode("utf-8") if isinstance(fh, io.TextIOBase) else chunk)
 
 
 def _render_rows(sep: str, end: str, rows: int, block: list) -> bytes:
@@ -122,9 +124,8 @@ def _render_rows(sep: str, end: str, rows: int, block: list) -> bytes:
             a, last = piece
             glyphs = raw.view(np.uint64)[:, at : at + width].reshape(rows, a.shape[1], -1)
             _render_floats(np.ascontiguousarray(a, dtype=np.float64), glyphs)
-            ends = np.full(a.shape[1], ord(sep), np.uint8)
-            ends[-1] = last
-            raw[:, 8 * at + _GLYPH - 1 : 8 * (at + width) : _GLYPH] = ends
+            raw[:, 8 * at + _GLYPH - 1 : 8 * (at + width) : _GLYPH] = ord(sep)
+            raw[:, 8 * (at + width) - 1] = last
         else:
             raw[:, 8 * at : 8 * at + piece.shape[1]] = piece
         at += width
@@ -146,7 +147,7 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
     glyph words ``out`` (uint64, shape x.shape + (5,)), byte 39 left _PAD.
 
     For 1e-4 <= |v| < 1e15, where %g prints fixed notation, the 17 correctly
-    rounded digits come from integer arithmetic (``_digits``). Python
+    rounded digits come from an exact two-product (``_digits``). Python
     formats every other value: +-0, subnormals, the tiny, the huge, nan and
     inf.
     """
@@ -155,10 +156,7 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
     ax = np.where(fast, ax, 1.0)
     e10 = np.floor(np.log10(ax)).astype(np.intp).clip(-4, 14)  # off by one near powers of ten
     e10 = e10 + (ax >= _TENS[e10 + 5]) - (ax < _TENS[e10 + 4])
-    q = _digits(ax.view(np.uint64), 16 - e10)
-    rolled = q == 10**17
-    q[rolled] = 10**16
-    e10 += rolled
+    q = _digits(ax, 16 - e10)  # < 10**17: no double in the window rounds up to the next decade
     top = q // 10**16
     rest = q - top * 10**16
     upper = rest // 10**8
@@ -180,28 +178,30 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
         out[slow] = _padded(texts, _GLYPH).view(np.uint64)
 
 
-def _digits(bits: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """v * 10**k rounded half to even, as int64, for the doubles v of
-    ``bits`` and the k in [2, 20] that put v * 10**k in [10**16, 10**17).
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == a exactly, each of at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
-    As in Ryu printf (Adams, OOPSLA 2019): v = m * 2**e, so the product is
-    m * 5**k / 2**s with s = -(e + k), which lies in [1, 63] here. m * 5**k
-    has at most 100 bits, held in two uint64 words.
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # each exact
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """v * 10**k rounded half to even, as int64, for the positive doubles
+    ``v`` and the k in [2, 20] that put v * 10**k in [10**16, 10**17).
+
+    Dekker's exact two-product (Numer. Math. 1971): p = v * 10**k in float64
+    and e, summed from the products of the factors' halves, add up to v * 10**k
+    exactly. p >= 10**16 > 2**53 is an even integer, so the rounding is p + rint(e).
     """
-    s = (1075 - (bits >> _U(52)).astype(np.intp) - k).astype(np.uint64)
-    m = (bits & _U(2**52 - 1)) | _U(2**52)
-    f = _POW5[k]
-    m_hi, m_lo, f_hi, f_lo = m >> _U(32), m & _U(2**32 - 1), f >> _U(32), f & _U(2**32 - 1)
-    low = m_lo * f_lo
-    mid = m_hi * f_lo + m_lo * f_hi
-    carry = (low >> _U(32)) + (mid & _U(2**32 - 1))
-    lo = (low & _U(2**32 - 1)) | (carry << _U(32))
-    hi = m_hi * f_hi + (mid >> _U(32)) + (carry >> _U(32))
-    q = (hi << (_U(64) - s)) | (lo >> s)
-    dropped = lo & ((_U(1) << s) - _U(1))
-    half = _U(1) << (s - _U(1))
-    q += (dropped > half) | ((dropped == half) & (q & _U(1)).astype(bool))
-    return q.astype(np.intp)
+    p = v * _POW10.take(k)
+    hi, lo = _split(v)
+    f_hi, f_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    e = hi * f_hi - p + hi * f_lo + lo * f_hi + lo * f_lo  # each step exact, in this order
+    return p.astype(np.intp) + np.rint(e).astype(np.intp)
 
 
 def read_rows(path, n_header: int, what: str) -> tuple[list[list[str]], list[np.ndarray]]:

@@ -12,7 +12,10 @@ of all scores, then a rank scatter), and ``auc_macro_ovr_midranks`` calls it
 once per class with all its checks, where the package counts the negatives
 below each positive in one sort of the negative scores. ``write_rows``
 formats each cell with Python's % operator or ``str`` where the codec
-renders %.17g cells with integer array arithmetic.
+renders %.17g cells with array arithmetic, and ``digits_two_words`` takes
+the 17 digits of a cell from a two-word uint64 product of the float's
+significand and 5**k, where the codec takes them from an exact float64
+two-product.
 ``forward_keeping_pre_activations`` and ``backward_from_pre_activations``
 build three arrays per layer and keep each pre-activation for the ReLU
 mask, where the package builds one buffer per layer and takes the mask from
@@ -300,6 +303,34 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
             for row in block.tolist()
         ])
         fh.write(text if isinstance(fh, io.TextIOBase) else text.encode())
+
+
+_POW5 = np.array([5**k for k in range(21)], np.uint64)
+_U = np.uint64
+
+
+def digits_two_words(bits: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """v * 10**k rounded half to even, as int64, for the doubles v of
+    ``bits`` and the k in [2, 20] that put v * 10**k in [10**16, 10**17).
+
+    As in Ryu printf (Adams, OOPSLA 2019): v = m * 2**e, so the product is
+    m * 5**k / 2**s with s = -(e + k), which lies in [1, 63] here. m * 5**k
+    has at most 100 bits, held in two uint64 words.
+    """
+    s = (1075 - (bits >> _U(52)).astype(np.intp) - k).astype(np.uint64)
+    m = (bits & _U(2**52 - 1)) | _U(2**52)
+    f = _POW5[k]
+    m_hi, m_lo, f_hi, f_lo = m >> _U(32), m & _U(2**32 - 1), f >> _U(32), f & _U(2**32 - 1)
+    low = m_lo * f_lo
+    mid = m_hi * f_lo + m_lo * f_hi
+    carry = (low >> _U(32)) + (mid & _U(2**32 - 1))
+    lo = (low & _U(2**32 - 1)) | (carry << _U(32))
+    hi = m_hi * f_hi + (mid >> _U(32)) + (carry >> _U(32))
+    q = (hi << (_U(64) - s)) | (lo >> s)
+    dropped = lo & ((_U(1) << s) - _U(1))
+    half = _U(1) << (s - _U(1))
+    q += (dropped > half) | ((dropped == half) & (q & _U(1)).astype(bool))
+    return q.astype(np.intp)
 
 
 def forward_keeping_pre_activations(params, x: np.ndarray):

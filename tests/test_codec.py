@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import zlib
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,13 +115,69 @@ def test_table_lines_end_with_crlf_and_other_files_with_lf(tmp_path):
     assert b"\r" not in (tmp_path / "m.txt").read_bytes()
 
 
+@pytest.fixture()
+def chunk_rows(monkeypatch):
+    """Sets the codec's cell budget and returns the row count of each chunk
+    rendered from then on."""
+    seen = []
+    render = codec._render_rows
+
+    def spy(sep, end, rows, block):
+        seen.append(rows)
+        return render(sep, end, rows, block)
+
+    def use(budget):
+        monkeypatch.setattr(codec, "CHUNK_CELLS", budget)
+        monkeypatch.setattr(codec, "_render_rows", spy)
+        return seen
+    return use
+
+
+# a table row of 3 features, the label and the domain is 5 cells
+@pytest.mark.parametrize("budget, per_chunk", [(9, 1), (10, 2)])
 @pytest.mark.parametrize("rows", [1, 2, 5, 7])
-def test_chunked_writes_match_the_row_at_a_time_writer(tmp_path, monkeypatch, rows):
-    monkeypatch.setattr(codec, "CHUNK_ROWS", 2)
+def test_chunked_writes_match_the_row_at_a_time_writer(tmp_path, chunk_rows, rows, budget, per_chunk):
+    seen = chunk_rows(budget)
     rng = np.random.default_rng(rows)
     ds = Dataset(rng.standard_normal((rows, 3)) * 1e5, rng.integers(0, 3, rows), "source", 3)
     save_table(ds, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == reference_table_bytes(ds)
+    assert seen == [min(per_chunk, rows - start) for start in range(0, rows, per_chunk)]
+
+
+def test_projection_rows_are_chunked_by_cells(chunk_rows):
+    seen = chunk_rows(12)  # 2 floats, the label and the domain: 3 rows a chunk
+    rng = np.random.default_rng(9)
+    columns = rng.standard_normal((8, 2)), rng.integers(0, 3, 8), codec.csv_cell("a,b")
+    assert codec_text(",", "\n", *columns) == reference_text(",", "\n", *columns)
+    assert seen == [3, 3, 2]
+
+
+def test_a_row_wider_than_the_budget_is_a_chunk_of_its_own(tmp_path, chunk_rows):
+    seen = chunk_rows(4)
+    rng = np.random.default_rng(10)
+    ds = Dataset(rng.standard_normal((3, 6)), rng.integers(0, 2, 3), "target", 2)
+    save_table(ds, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == reference_table_bytes(ds)
+    assert seen == [1, 1, 1]
+
+
+@pytest.mark.parametrize("columns, position", [
+    ((np.zeros((2, 3)), np.zeros(5)), 1),  # a short column
+    ((np.zeros(2), np.array([[1.5, 2.5]])), 1),  # a 1 x 2 column beside 2 rows
+    (("x", np.zeros(2), np.zeros((2, 2, 2))), 2),
+    ((np.float64(1.0), [1.0]), 0),
+])
+def test_array_columns_are_1_or_2_d_with_one_row_count(columns, position):
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=f"column {position} has shape"):
+        codec.write_rows(out, ",", "\n", *columns)
+    assert out.getvalue() == ""
+
+
+def test_a_row_needs_a_column_that_is_not_a_str():
+    with pytest.raises(ValueError, match="not a str"):
+        codec.write_rows(io.StringIO(), ",", "\n", "a", "b")
 
 
 # ------------------------------------------- %.17g cells against the % operator
@@ -197,6 +254,57 @@ def half_way_ties(rng: np.random.Generator, per_k: int) -> np.ndarray:
         t = rng.integers(lo // 2, hi // 2, per_k) * 2 + 1
         out.append(np.ldexp(t.astype(np.float64), -k - 1))
     return np.concatenate(out)
+
+
+def k_of(v: np.ndarray) -> np.ndarray:
+    """The k that puts each v * 10**k in [10**16, 10**17), from the exact
+    decimal value of v."""
+    return np.array([16 - Decimal(x).adjusted() for x in v.tolist()], np.intp)
+
+
+def assert_kernel_matches_the_oracle(v: np.ndarray):
+    k = k_of(v)
+    got, want = codec._digits(v, k), reference.digits_two_words(v.view(np.uint64), k)
+    assert np.array_equal(got, want), v[got != want][:3]
+
+
+WINDOW = st.one_of(
+    st.floats(1e-4, 1e15, exclude_max=True),
+    st.integers(bits_of(1e-4), bits_of(1e15) - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WINDOW, min_size=1, max_size=50))
+def test_the_two_product_kernel_equals_the_two_word_oracle(values):
+    assert_kernel_matches_the_oracle(np.array(values))
+
+
+def test_the_kernel_equals_the_oracle_on_ties_at_every_k():
+    ties = half_way_ties(np.random.default_rng(11), 500)
+    assert set(k_of(ties).tolist()) == set(range(2, 21))
+    assert_kernel_matches_the_oracle(ties)
+
+
+def test_no_product_in_the_window_rounds_up_to_the_next_power_of_ten():
+    # the renderer takes the exponent of every v from its decade, so its 17
+    # digits must stay below 10**17: the greatest doubles below each
+    # 10**(17 - k) stay below it, and the least double at or above it meets it
+    below, top = [], []
+    for k in range(2, 21):
+        tens = codec._TENS[21 - k]  # the least double >= 10**(17 - k)
+        v = tens
+        for _ in range(4):
+            v = np.nextafter(v, 0.0)
+            below.append(v)
+            assert Fraction(v) * 10**k < 10**17 - Fraction(1, 2)
+        top.append(tens)
+    below, top = np.array(below), np.array(top)
+    assert_kernel_matches_the_oracle(below)
+    assert (codec._digits(below, k_of(below)) < 10**17).all()
+    k = np.arange(2, 21)
+    assert np.array_equal(codec._digits(top, k), reference.digits_two_words(top.view(np.uint64), k))
+    assert (codec._digits(top, k) >= 10**17).all()
 
 
 def test_half_way_ties_round_to_even():

@@ -28,3 +28,4 @@ def test_prints_the_machine_and_a_cost_per_step_function():
     assert (writer["writer"], writer["rows"]) == ("write_rows", 4096)
     assert sorted(writer["us_per_row"]) == ["projection", "table"]
     assert all(us > 0 for us in writer["us_per_row"].values())
+    assert writer["load_table_us_per_row"] > 0

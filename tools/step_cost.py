@@ -14,7 +14,10 @@ best of 7 ``timeit`` repeats of N calls. A last JSON line gives the
 microseconds per row of the codec's ``write_rows`` into an ``io.BytesIO``,
 each the best of 7 repeats of one 4096-row call, at two shapes: the
 ``scale-50k`` table (64 float cells, the label and the domain) and the PCA
-projection (2 float cells, the label and the domain).
+projection (2 float cells, the label and the domain). The same line gives
+the microseconds per row of ``load_table`` on a 4096-row ``scale-50k``
+table, saved once to a temporary directory and read through its sidecar,
+the best of 7 repeats of one call.
 
 The shape sets are the ``desk`` workload's training step at alpha 1 and at
 alpha 0, and the ``scale-50k`` workload's fine-tune step (alpha 0, the
@@ -31,6 +34,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -131,6 +135,24 @@ def time_writer() -> dict:
     }
 
 
+def time_reader() -> float:
+    """Microseconds per row of ``load_table`` on a saved ``scale-50k`` table."""
+    import numpy as np
+
+    from cclearn.data import Dataset, load_table, save_table
+
+    rng = np.random.default_rng(0)
+    synth = WORKLOADS["scale-50k"].synth
+    k = synth["num_classes"]
+    ds = Dataset(rng.normal(size=(WRITE_ROWS, synth["input_dim"])), rng.integers(0, k, WRITE_ROWS),
+                 "target", k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "target.csv"
+        save_table(ds, path)
+        best = min(timeit.repeat(lambda: load_table(path, k), number=1, repeat=REPEAT))
+    return round(best / WRITE_ROWS * 1e6, 3)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
@@ -159,7 +181,8 @@ def main() -> int:
         us = time_step(shape, args.number)
         print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
                           "batch": shape["batch"], "us_per_call": us}))
-    print(json.dumps({"writer": "write_rows", "rows": WRITE_ROWS, "us_per_row": time_writer()}))
+    print(json.dumps({"writer": "write_rows", "rows": WRITE_ROWS, "us_per_row": time_writer(),
+                      "load_table_us_per_row": time_reader()}))
     return 0
 
 
