@@ -303,8 +303,9 @@ def test_no_product_in_the_window_rounds_up_to_the_next_power_of_ten():
     assert_kernel_matches_the_oracle(below)
     assert (codec._digits(below, k_of(below)) < 10**17).all()
     k = np.arange(2, 21)
-    assert np.array_equal(codec._digits(top, k), reference.digits_two_words(top.view(np.uint64), k))
-    assert (codec._digits(top, k) >= 10**17).all()
+    got = codec._digits(top, k)
+    assert np.array_equal(got, reference.digits_two_words(top.view(np.uint64), k))
+    assert (got >= 10**17).all()
 
 
 def test_half_way_ties_round_to_even():
