@@ -76,10 +76,11 @@ def csv_cell(text: str) -> str:
 def write_rows(fh, sep: str, end: str, *columns) -> None:
     """Write each row's cells joined by ``sep``, then ``end``.
 
-    A column is a 1-D array (one cell per row), a 2-D one (a run of cells
-    per row) or a str, the same cell in every row. Float cells are written
-    %.17g, every other cell ``str(v)``. ``sep`` is one ASCII character. A
-    text file is written str, any other file the UTF-8 bytes.
+    A column is a 1-D array (one cell per row) or a 2-D one (a run of cells
+    per row) of floats, integers, bools or str, or a str, the same cell in
+    every row. Float cells are written %.17g, every other cell ``str(v)``.
+    ``sep`` is one ASCII character. A text file is written str, any other
+    file the UTF-8 bytes.
     """
     if len(sep) != 1 or not sep.isascii():
         raise ValueError(f"the separator must be one ASCII character, got {sep!r}")
@@ -88,8 +89,10 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
         raise ValueError("write_rows needs a column that is not a str")
     n = next((len(c) for c in columns if not isinstance(c, str) and c.ndim), 0)
     for i, c in enumerate(columns):
-        if not isinstance(c, str) and (c.ndim not in (1, 2) or len(c) != n):
-            raise ValueError(f"column {i} has shape {c.shape}: array columns are 1-D or 2-D, of {n} rows")
+        if not isinstance(c, str) and (c.ndim not in (1, 2) or len(c) != n or 0 in c.shape[1:]
+                                       or c.dtype.kind not in "fiubU"):
+            raise ValueError(f"column {i} has shape {c.shape} and dtype {c.dtype}: array columns "
+                             f"are 1-D or 2-D, of {n} rows of cells, of floats, integers, bools or str")
     width = sum(c.shape[1] if not isinstance(c, str) and c.ndim == 2 else 1 for c in columns)
     step = max(1, CHUNK_CELLS // max(1, width))
     for start in range(0, n, step):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -75,7 +76,8 @@ def check_labels(y, num_classes: int, what: str, n: int | None = None) -> np.nda
 
 
 class JsonConfig:
-    """A config dataclass (``SynthConfig``, ``TrainConfig``) read from a JSON object."""
+    """A config dataclass (``SynthConfig``, ``TrainConfig``) read from a JSON
+    object, each field declared by ``key`` with its default and its rule."""
 
     @classmethod
     def from_dict(cls, data: dict):
@@ -88,73 +90,74 @@ class JsonConfig:
         config.validate()
         return config
 
+    def validate(self) -> None:
+        """Raise ValueError naming the first field, in field order, whose value
+        breaks its ``key`` rule."""
+        for f in fields(self):
+            kind, each, bounds = f.metadata["rule"]
+            value = getattr(self, f.name)
+            listed = isinstance(value, (tuple, list))
+            items = value if each and listed else (value,)
+            if each == "only" and not listed or not all(_is_a(kind, v) for v in items):
+                where = " in a list" if each == "only" else ""
+                raise ValueError(f"config key {f.name!r} must {_KINDS[kind]}{where}, got {value!r}")
+            if not all(_BOUNDS[op](v, b) for op, b in bounds for v in items):
+                rule = " and ".join(f"{op} {b}" for op, b in bounds)
+                raise ValueError(f"config key {f.name!r} must be {rule}, got {value!r}")
+
+
+_KINDS = {Integral: "hold integers", Real: "hold finite numbers", bool: "be true or false"}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+
+
+def key(default, kind: type, *, each: bool | str = False, ge=None, gt=None, lt=None):
+    """A ``JsonConfig`` field: its default and its rule, which ``validate``
+    reads. The value is a ``kind`` (Integral, Real or bool), with ``each``
+    also a tuple or list of them, with ``each="only"`` only that; every number
+    is then >= ``ge``, > ``gt`` and < ``lt``, where given."""
+    bounds = tuple((op, b) for op, b in ((">=", ge), (">", gt), ("<", lt)) if b is not None)
+    return field(default=default, metadata={"rule": (kind, each, bounds)})
+
+
+def _is_a(kind: type, v) -> bool:
+    """Whether ``v`` is a ``kind``: a bool is no number, and NaN and infinity
+    are no Real."""
+    if kind is bool:
+        return isinstance(v, (bool, np.bool_))
+    return (isinstance(v, kind) and not isinstance(v, bool)
+            and (isinstance(v, Integral) or math.isfinite(v)))
+
 
 @dataclass
 class SynthConfig(JsonConfig):
     """Knobs for the blob generator; defaults are the desk-scale benchmark."""
 
-    num_classes: int = 4
-    input_dim: int = 16
-    samples_per_class: int | tuple[int, ...] = 200
-    spread: float = 16.0
-    class_std: float = 2.5
-    rotation_angle: float | tuple[float, ...] = 0.35
-    translation: float | tuple[float, ...] = 3.0
-    scale: float = 1.2
-    source_noise_std: float = 0.0
-    target_noise_std: float = 1.5
-    seed: int = 0
+    num_classes: int = key(4, Integral, ge=2)
+    input_dim: int = key(16, Integral, ge=1)
+    samples_per_class: int | tuple[int, ...] = key(200, Integral, each=True, ge=1)
+    spread: float = key(16.0, Real, gt=0)
+    class_std: float = key(2.5, Real, ge=0)
+    rotation_angle: float | tuple[float, ...] = key(0.35, Real, each=True)
+    translation: float | tuple[float, ...] = key(3.0, Real, each=True)
+    scale: float = key(1.2, Real, gt=0)
+    source_noise_std: float = key(0.0, Real, ge=0)
+    target_noise_std: float = key(1.5, Real, ge=0)
+    seed: int = key(0, Integral, ge=0)
 
     def class_counts(self) -> tuple[int, ...]:
-        if isinstance(self.samples_per_class, (int, np.integer)):
-            return (int(self.samples_per_class),) * self.num_classes
-        counts = tuple(int(c) for c in self.samples_per_class)
-        if len(counts) != self.num_classes:
-            raise ValueError(
-                f"samples_per_class has {len(counts)} entries for {self.num_classes} classes"
-            )
-        return counts
+        if isinstance(self.samples_per_class, (tuple, list)):
+            return tuple(int(c) for c in self.samples_per_class)
+        return (int(self.samples_per_class),) * self.num_classes
 
     def validate(self) -> None:
-        require_numbers(self, Integral, ("num_classes", "input_dim", "seed"),
-                        ("samples_per_class",))
-        require_numbers(self, Real, ("spread", "class_std", "scale", "source_noise_std",
-                                     "target_noise_std"), ("rotation_angle", "translation"))
-        if self.seed < 0:
-            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
-        require_at_least(self, num_classes=2, input_dim=1)
-        if any(c < 1 for c in self.class_counts()):
-            raise ValueError("every per-class sample count must be >= 1")
-        if self.spread <= 0:
-            raise ValueError(f"spread must be > 0, got {self.spread}")
-        if self.class_std < 0 or self.source_noise_std < 0 or self.target_noise_std < 0:
-            raise ValueError("standard deviations must be >= 0")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-
-
-def require_numbers(config, kind: type, scalars: tuple[str, ...], sequences=()) -> None:
-    """Raise ValueError naming the first field whose value is not a finite
-    ``kind`` (a bool is not, nor a JSON NaN or Infinity); a field in
-    ``sequences`` may also hold a tuple or list of them."""
-    for name in scalars + sequences:
-        value = getattr(config, name)
-        items = value if name in sequences and isinstance(value, (tuple, list)) else (value,)
-        if not all(
-            isinstance(v, kind) and not isinstance(v, bool)
-            and (isinstance(v, Integral) or math.isfinite(v))
-            for v in items
-        ):
-            what = "integers" if kind is Integral else "finite numbers"
-            raise ValueError(f"config key {name!r} must hold {what}, got {value!r}")
-
-
-def require_at_least(config, **bounds) -> None:
-    """Raise ValueError naming the first field of ``bounds`` whose value lies
-    below its bound there."""
-    for name, bound in bounds.items():
-        if getattr(config, name) < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {getattr(config, name)}")
+        """The rules of the keys, then the lengths of the list keys: one count
+        per class, one angle per rotation plane, one shift per dimension."""
+        super().validate()
+        for name, n in (("samples_per_class", self.num_classes),
+                        ("rotation_angle", self.input_dim // 2), ("translation", self.input_dim)):
+            value = getattr(self, name)
+            if isinstance(value, (tuple, list)) and len(value) != n:
+                raise ValueError(f"config key {name!r} must list {n} values, got {len(value)}")
 
 
 def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:
@@ -196,10 +199,7 @@ def _translation_vector(config: SynthConfig) -> np.ndarray:
         direction = rng.standard_normal(config.input_dim)
         direction /= np.linalg.norm(direction)
         return float(config.translation) * direction
-    vec = np.asarray(config.translation, dtype=np.float64)
-    if vec.shape != (config.input_dim,):
-        raise ValueError(f"translation vector shape {vec.shape} != ({config.input_dim},)")
-    return vec
+    return np.asarray(config.translation, dtype=np.float64)
 
 
 def generate_blobs(config: SynthConfig, domain: str) -> Dataset:

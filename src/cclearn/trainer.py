@@ -26,7 +26,7 @@ import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, update_smoothing
 from .codec import write_rows
-from .data import Dataset, JsonConfig, make_batches, require_at_least, require_numbers
+from .data import Dataset, JsonConfig, key, make_batches
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
 from .metrics import EvalResult, accuracy, auc_macro_ovr, quadratic_weighted_kappa
@@ -45,36 +45,17 @@ INFER_ROWS = 4096
 class TrainConfig(JsonConfig):
     """Hyperparameters; defaults are the source-training recipe."""
 
-    alpha: float = 1.0
-    tau: float = 1.0
-    m0: float = 0.999
-    epochs: int = 50
-    batch_size: int = 32
-    base_lr: float = 1e-3
-    warmup_epochs: int = 1
-    seed: int = 0
-    hidden_dims: tuple[int, ...] = (64, 64)
-    feature_dim: int = 32
-    shuffle: bool = True
-
-    def validate(self) -> None:
-        require_numbers(self, Integral, ("epochs", "batch_size", "warmup_epochs", "seed",
-                                         "feature_dim"), ("hidden_dims",))
-        require_numbers(self, Real, ("alpha", "tau", "m0", "base_lr"))
-        if self.seed < 0:
-            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
-        require_at_least(self, alpha=0, epochs=0, batch_size=1, base_lr=0, warmup_epochs=0,
-                         feature_dim=1)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not 0.0 <= self.m0 < 1.0:
-            raise ValueError(f"m0 must lie in [0, 1), got {self.m0}")
-        if not isinstance(self.hidden_dims, (tuple, list)) or any(h < 1 for h in self.hidden_dims):
-            raise ValueError(
-                f"config key 'hidden_dims' must list positive sizes, got {self.hidden_dims!r}"
-            )
-        if not isinstance(self.shuffle, (bool, np.bool_)):
-            raise ValueError(f"config key 'shuffle' must be true or false, got {self.shuffle!r}")
+    alpha: float = key(1.0, Real, ge=0)
+    tau: float = key(1.0, Real, gt=0)
+    m0: float = key(0.999, Real, ge=0, lt=1)
+    epochs: int = key(50, Integral, ge=0)
+    batch_size: int = key(32, Integral, ge=1)
+    base_lr: float = key(1e-3, Real, ge=0)
+    warmup_epochs: int = key(1, Integral, ge=0)
+    seed: int = key(0, Integral, ge=0)
+    hidden_dims: tuple[int, ...] = key((64, 64), Integral, each="only", ge=1)
+    feature_dim: int = key(32, Integral, ge=1)
+    shuffle: bool = key(True, bool)
 
 
 def finetune_config(**overrides) -> TrainConfig:

@@ -30,13 +30,19 @@ centered features where the package squares them in place.
 seen or masked rows on every call, where the package sums the squares with
 ``np.add.reduce``, tests one combined condition per refusal and skips the
 gathers once they are identities (every class seen, or every class in the
-batch). Each is kept here exactly as it first shipped, or, for these four,
-as it stood before those fast paths.
+batch). ``synth_config_validate`` and ``train_config_validate`` are the two
+configs' hand-written ``validate`` bodies, with their helpers
+``require_numbers``, ``require_at_least`` and ``class_counts``, where the
+package reads one rule per field from the field's ``key``; they take the
+config as ``self``. Each is kept here exactly as it first shipped, or, for
+the four fast paths and the config checks, as it stood before them.
 """
 
 from __future__ import annotations
 
 import io
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -509,3 +515,76 @@ def ema_update_gathered(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray
     bank.centroids[rows] = blended / norms[:, None]
     bank.seen[rows] = True
     return bank
+
+
+def class_counts(self) -> tuple[int, ...]:
+    if isinstance(self.samples_per_class, (int, np.integer)):
+        return (int(self.samples_per_class),) * self.num_classes
+    counts = tuple(int(c) for c in self.samples_per_class)
+    if len(counts) != self.num_classes:
+        raise ValueError(
+            f"samples_per_class has {len(counts)} entries for {self.num_classes} classes"
+        )
+    return counts
+
+
+def synth_config_validate(self) -> None:
+    require_numbers(self, Integral, ("num_classes", "input_dim", "seed"),
+                    ("samples_per_class",))
+    require_numbers(self, Real, ("spread", "class_std", "scale", "source_noise_std",
+                                 "target_noise_std"), ("rotation_angle", "translation"))
+    if self.seed < 0:
+        raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
+    require_at_least(self, num_classes=2, input_dim=1)
+    if any(c < 1 for c in class_counts(self)):
+        raise ValueError("every per-class sample count must be >= 1")
+    if self.spread <= 0:
+        raise ValueError(f"spread must be > 0, got {self.spread}")
+    if self.class_std < 0 or self.source_noise_std < 0 or self.target_noise_std < 0:
+        raise ValueError("standard deviations must be >= 0")
+    if self.scale <= 0:
+        raise ValueError(f"scale must be > 0, got {self.scale}")
+
+
+def require_numbers(config, kind: type, scalars: tuple[str, ...], sequences=()) -> None:
+    """Raise ValueError naming the first field whose value is not a finite
+    ``kind`` (a bool is not, nor a JSON NaN or Infinity); a field in
+    ``sequences`` may also hold a tuple or list of them."""
+    for name in scalars + sequences:
+        value = getattr(config, name)
+        items = value if name in sequences and isinstance(value, (tuple, list)) else (value,)
+        if not all(
+            isinstance(v, kind) and not isinstance(v, bool)
+            and (isinstance(v, Integral) or math.isfinite(v))
+            for v in items
+        ):
+            what = "integers" if kind is Integral else "finite numbers"
+            raise ValueError(f"config key {name!r} must hold {what}, got {value!r}")
+
+
+def require_at_least(config, **bounds) -> None:
+    """Raise ValueError naming the first field of ``bounds`` whose value lies
+    below its bound there."""
+    for name, bound in bounds.items():
+        if getattr(config, name) < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {getattr(config, name)}")
+
+
+def train_config_validate(self) -> None:
+    require_numbers(self, Integral, ("epochs", "batch_size", "warmup_epochs", "seed",
+                                     "feature_dim"), ("hidden_dims",))
+    require_numbers(self, Real, ("alpha", "tau", "m0", "base_lr"))
+    if self.seed < 0:
+        raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
+    require_at_least(self, alpha=0, epochs=0, batch_size=1, base_lr=0, warmup_epochs=0,
+                     feature_dim=1)
+    if self.tau <= 0:
+        raise ValueError(f"tau must be > 0, got {self.tau}")
+    if not 0.0 <= self.m0 < 1.0:
+        raise ValueError(f"m0 must lie in [0, 1), got {self.m0}")
+    if not isinstance(self.hidden_dims, (tuple, list)) or any(h < 1 for h in self.hidden_dims):
+        raise ValueError(
+            f"config key 'hidden_dims' must list positive sizes, got {self.hidden_dims!r}"
+        )
+    if not isinstance(self.shuffle, (bool, np.bool_)):
+        raise ValueError(f"config key 'shuffle' must be true or false, got {self.shuffle!r}")

@@ -96,6 +96,8 @@ class TestSynthData:
         ("seed", True), ("spread", None), ("translation", ["1"]), ("num_classes", [4]),
         ("rotation_angle", math.inf), ("rotation_angle", [0.1, -math.inf]),
         ("spread", math.nan), ("translation", [0.0, 0.0, 0.0, 0.0, math.nan]), ("seed", -1),
+        ("spread", 0), ("class_std", -1), ("num_classes", 1), ("samples_per_class", [40, 40]),
+        ("translation", [1.0, 2.0]), ("rotation_angle", [0.1, 0.2, 0.3]),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "synth.json", dict(SYNTH, **{key: value}))
@@ -150,7 +152,7 @@ class TestTrain:
         ("hidden_dims", [12, "x"]),
         ("alpha", "1"), ("batch_size", False), ("shuffle", "no"), ("shuffle", 0),
         ("alpha", math.nan), ("base_lr", math.nan), ("tau", math.inf), ("m0", -math.inf),
-        ("seed", -1),
+        ("seed", -1), ("tau", 0), ("m0", 1.0), ("batch_size", 0), ("hidden_dims", [0]),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "train.json", dict(TRAIN, **{key: value}))

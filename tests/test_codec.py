@@ -167,6 +167,8 @@ def test_a_row_wider_than_the_budget_is_a_chunk_of_its_own(tmp_path, chunk_rows)
     ((np.zeros(2), np.array([[1.5, 2.5]])), 1),  # a 1 x 2 column beside 2 rows
     (("x", np.zeros(2), np.zeros((2, 2, 2))), 2),
     ((np.float64(1.0), [1.0]), 0),
+    ((np.zeros(2), [1 / 3, None]), 1),  # an object column: its floats would be written str
+    ((np.zeros((2, 0)), np.zeros(2)), 0),  # no cells per row
 ])
 def test_array_columns_are_1_or_2_d_with_one_row_count(columns, position):
     out = io.StringIO()

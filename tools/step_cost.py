@@ -17,7 +17,10 @@ each the best of 7 repeats of one 4096-row call, at two shapes: the
 projection (2 float cells, the label and the domain). The same line gives
 the microseconds per row of ``load_table`` on a 4096-row ``scale-50k``
 table, saved once to a temporary directory and read through its sidecar,
-the best of 7 repeats of one call.
+the best of 7 repeats of one call, and the microseconds per call of
+``save_model``, ``load_model``, ``save_bank`` and ``load_bank`` at the
+``scale-50k`` model shape (D 64, hidden (64, 64), F 32, K 10, every class
+seen) in a temporary directory, each the best of 7 repeats of one call.
 
 The shape sets are the ``desk`` workload's training step at alpha 1 and at
 alpha 0, and the ``scale-50k`` workload's fine-tune step (alpha 0, the
@@ -153,6 +156,30 @@ def time_reader() -> float:
     return round(best / WRITE_ROWS * 1e6, 3)
 
 
+def time_checkpoints() -> dict:
+    """Microseconds per call of the model and bank writers and readers at the
+    ``scale-50k`` model shape."""
+    import numpy as np
+
+    from cclearn.centroids import bank_from_features, load_bank, save_bank
+    from cclearn.model import init_params, load_model, save_model
+    from cclearn.trainer import TrainConfig
+
+    rng = np.random.default_rng(0)
+    synth, train = WORKLOADS["scale-50k"].synth, TrainConfig(**WORKLOADS["scale-50k"].train)
+    k = synth["num_classes"]
+    params = init_params(synth["input_dim"], train.hidden_dims, train.feature_dim, k, rng)
+    bank = bank_from_features(rng.normal(size=(k, train.feature_dim)), np.arange(k), k)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, bank_file = Path(tmp) / "model.txt", Path(tmp) / "bank.txt"
+        calls = {  # each save before its load
+            "save_model": lambda: save_model(params, model), "load_model": lambda: load_model(model),
+            "save_bank": lambda: save_bank(bank, bank_file), "load_bank": lambda: load_bank(bank_file),
+        }
+        return {f"{name}_us_per_call": round(min(timeit.repeat(fn, number=1, repeat=REPEAT)) * 1e6, 1)
+                for name, fn in calls.items()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
@@ -182,7 +209,7 @@ def main() -> int:
         print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
                           "batch": shape["batch"], "us_per_call": us}))
     print(json.dumps({"writer": "write_rows", "rows": WRITE_ROWS, "us_per_row": time_writer(),
-                      "load_table_us_per_row": time_reader()}))
+                      "load_table_us_per_row": time_reader(), **time_checkpoints()}))
     return 0
 
 
