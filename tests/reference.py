@@ -35,7 +35,8 @@ configs' hand-written ``validate`` bodies, with their helpers
 ``require_numbers``, ``require_at_least`` and ``class_counts``, where the
 package reads one rule per field from the field's ``key``; they take the
 config as ``self``. Each is kept here exactly as it first shipped, or, for
-the four fast paths and the config checks, as it stood before them.
+the four fast paths and the config checks, as it stood before them, except
+that ``class_counts`` lists a shared count once rather than once per class.
 """
 
 from __future__ import annotations
@@ -518,8 +519,11 @@ def ema_update_gathered(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray
 
 
 def class_counts(self) -> tuple[int, ...]:
+    # one shared count stands once, not once per class: the check reads only
+    # whether any count is < 1, and ``(count,) * num_classes`` overflows for
+    # a num_classes past the index range (2**70), where it must not decide
     if isinstance(self.samples_per_class, (int, np.integer)):
-        return (int(self.samples_per_class),) * self.num_classes
+        return (int(self.samples_per_class),)
     counts = tuple(int(c) for c in self.samples_per_class)
     if len(counts) != self.num_classes:
         raise ValueError(
