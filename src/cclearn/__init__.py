@@ -17,7 +17,8 @@ from .centroids import (
     save_bank,
     update_smoothing,
 )
-from .data import Dataset, SynthConfig, generate_blobs, load_table, make_batches, save_table, split_dataset
+from .data import (Dataset, SynthConfig, generate_blobs, generate_domains, load_table, make_batches,
+                   save_table, split_dataset)
 from .diagnostics import (
     HeatmapMatrix,
     PcaProjection,

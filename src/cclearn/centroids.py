@@ -97,8 +97,9 @@ def batch_class_means(
         raise ValueError(f"features must be a non-empty 2-D array, got shape {features.shape}")
     labels = check_labels(labels, num_classes, "labels", features.shape[0])
     counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
-    means = np.zeros((num_classes, features.shape[1]), dtype=np.float64)
-    np.add.at(means, labels, features)
+    f = features.shape[1]  # each class row's sums, from 0.0 in row order, as np.add.at adds them
+    cells = (labels.astype(np.intp)[:, None] * f + np.arange(f)).ravel()
+    means = np.bincount(cells, weights=features.ravel(), minlength=num_classes * f).reshape(num_classes, f)
     mask = counts > 0
     rows = slice(None) if mask.all() else mask  # every class in the batch: no gather
     means[rows] /= counts[rows, None]

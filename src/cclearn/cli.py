@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import centroids, diagnostics, trainer
 from .codec import csv_cell, write_rows
-from .data import SynthConfig, generate_blobs, load_table, save_table, split_dataset
+from .data import SynthConfig, generate_domains, load_table, save_table, split_dataset
 from .errors import StateError
 from .model import load_model, save_model
 from .trainer import TrainConfig, finetune_config
@@ -101,13 +101,12 @@ def _open_run(path: str):
 
 def cmd_synth_data(args) -> None:
     config = _command_config(args, SynthConfig)
+    tables = generate_domains(config)  # drawn before --out is made: a failed draw writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for domain in ("source", "target"):
-        ds = generate_blobs(config, domain)
-        save_table(ds, out / f"{domain}.csv")
-        print(f"wrote {out / (domain + '.csv')} ({len(ds)} rows)")
-        del ds  # the source table is freed before the target one is drawn
+    for ds in tables:
+        save_table(ds, out / f"{ds.domain}.csv")
+        print(f"wrote {out / (ds.domain + '.csv')} ({len(ds)} rows)")
     _echo_config(config, out / "synth_config.json")
     print(f"wrote {out / 'synth_config.json'}")
 

@@ -29,6 +29,7 @@ from .errors import TableParseError
 _STREAM_BASE = 11
 _STREAM_AFFINE = 12
 _STREAM_SPLIT = 14
+_NOISE_ROWS = 1024  # rows per block of the synthetic noise draw
 
 SIDECAR = ".parsed"  # save_table leaves the parsed arrays of <table> in <table>.parsed
 # a domain holding one of these is quoted in the table, or (NUL) refused by
@@ -47,7 +48,8 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError(f"features must be a non-empty 2-D array, got {self.features.shape}")
-        if not np.isfinite(self.features).all():
+        rows = max(1, (1 << 16) // max(1, self.features.shape[1]))  # 64 KiB of bools per check
+        if not all(np.isfinite(self.features[i : i + rows]).all() for i in range(0, len(self), rows)):
             raise ValueError("features contain non-finite values")
         labels = check_labels(self.labels, self.num_classes, "labels", self.features.shape[0])
         self.labels = labels.astype(np.int64, copy=False)
@@ -202,15 +204,13 @@ def _translation_vector(config: SynthConfig) -> np.ndarray:
     return np.asarray(config.translation, dtype=np.float64)
 
 
-def generate_blobs(config: SynthConfig, domain: str) -> Dataset:
-    """Seeded Gaussian blobs; ``domain`` is "source" or "target".
+def generate_domains(config: SynthConfig) -> tuple[Dataset, Dataset]:
+    """Seeded Gaussian blobs of both domains: (source, target).
 
-    Both domains share every random draw, so the only differences are the
-    affine map and the per-domain noise level.
+    The domains share every random draw, each drawn once, so the only
+    differences are the affine map and the per-domain noise level.
     """
     config.validate()
-    if domain not in ("source", "target"):
-        raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
     counts = config.class_counts()
     total = sum(counts)
     rng = np.random.default_rng([config.seed, _STREAM_BASE])
@@ -221,25 +221,33 @@ def generate_blobs(config: SynthConfig, domain: str) -> Dataset:
     # IEEE addition commutes, so each class mean added to its block of rows gives
     # the same bits. The affine map draws from its own generators, so drawing the
     # noise after it keeps the base stream's order.
-    x = rng.standard_normal((total, config.input_dim))  # the deviations
-    x *= config.class_std
+    source = rng.standard_normal((total, config.input_dim))  # the deviations
+    source *= config.class_std
     start = 0
     for mean, count in zip(means, counts):
-        x[start : start + count] += mean
+        source[start : start + count] += mean
         start += count
-    if domain == "target":
-        rot = rotation_matrix(
-            config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0]
-        )
-        x = x @ rot.T
-        x *= config.scale
-        x += _translation_vector(config)
-    noise = rng.standard_normal((total, config.input_dim))
-    noise *= config.source_noise_std if domain == "source" else config.target_noise_std
-    x += noise
-    del noise  # freed before Dataset checks x
+    rot = rotation_matrix(config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0])
+    target = source @ rot.T
+    target *= config.scale
+    target += _translation_vector(config)
+    # the noise, drawn in row blocks: consecutive draws continue one stream
+    noise, scaled = np.empty((2, min(total, _NOISE_ROWS), config.input_dim))
+    for start in range(0, total, _NOISE_ROWS):
+        drawn = rng.standard_normal(out=noise[: total - start])  # the last block may be short
+        for x, std in ((source, config.source_noise_std), (target, config.target_noise_std)):
+            x[start : start + len(drawn)] += np.multiply(drawn, std, out=scaled[: len(drawn)])
+    del noise, scaled  # freed before Dataset checks the tables
     labels = np.repeat(np.arange(config.num_classes), counts)
-    return Dataset(x, labels, domain, config.num_classes)
+    return (Dataset(source, labels, "source", config.num_classes),
+            Dataset(target, labels.copy(), "target", config.num_classes))
+
+
+def generate_blobs(config: SynthConfig, domain: str) -> Dataset:
+    """The ``domain`` ("source" or "target") of ``generate_domains``, which draws both."""
+    if domain not in ("source", "target"):
+        raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
+    return generate_domains(config)[domain == "target"]
 
 
 def make_batches(
@@ -340,7 +348,11 @@ def _write_sidecar(ds: Dataset, path, digest: bytes) -> None:
             ds.features,
             ds.labels,
         ):
-            np.save(hashed, record, allow_pickle=False)
+            # np.save's bytes, but the array's own buffer, not np.save's copies of it
+            header = np.lib.format.header_data_from_array_1_0(record)
+            np.lib.format.write_array_header_1_0(hashed, header)
+            data = np.ascontiguousarray(record.T if header["fortran_order"] else record)
+            hashed.write(data.reshape(-1).view(np.uint8))
         np.save(fh, np.frombuffer(hashed.digest(), np.uint8), allow_pickle=False)
     os.replace(sidecar + ".tmp", sidecar)
 

@@ -112,6 +112,14 @@ class TestSynthData:
         assert "config key 'seed' must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_a_failed_draw_writes_nothing(self, tmp_path, capsys):
+        # the target's scale overflows to infinity: the source draw is fine
+        config = write_json(tmp_path / "synth.json", {"scale": 1e308, "samples_per_class": 5})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: features contain non-finite values")
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["synth-data", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cclearn.data import (
+    _NOISE_ROWS,
     Dataset,
     SynthConfig,
     generate_blobs,
+    generate_domains,
     load_table,
     make_batches,
     rotation_matrix,
@@ -86,6 +88,39 @@ class TestGenerateBlobs:
         tgt = generate_blobs(config, "target")
         np.testing.assert_allclose(tgt.features - src.features,
                                    np.tile([1.0, -2.0, 0.5], (8, 1)), atol=1e-12)
+
+
+class TestGenerateDomains:
+    @pytest.mark.parametrize("overrides", [
+        dict(samples_per_class=1, num_classes=2),  # the fewest rows a config allows
+        dict(samples_per_class=(_NOISE_ROWS - 3, 1, 1)),
+        dict(samples_per_class=(_NOISE_ROWS - 2, 1, 1)),
+        dict(samples_per_class=(_NOISE_ROWS - 1, 1, 1)),
+        dict(samples_per_class=(_NOISE_ROWS + 5, 2, _NOISE_ROWS - 1)),
+        dict(input_dim=6, rotation_angle=(0.1, -0.7, 2.0), source_noise_std=0.4),
+        dict(translation=(1.0, -2.0, 0.5, 0.0, 3.25), scale=0.75, seed=5),
+        dict(source_noise_std=0.0, target_noise_std=0.0),
+    ])
+    def test_bit_equal_to_the_whole_array_expressions(self, overrides):
+        config = SynthConfig(**dict(SMALL, **overrides))
+        for ds, domain in zip(generate_domains(config), ("source", "target")):
+            features, labels = generate_blobs_expression(config, domain)
+            assert ds.domain == domain
+            assert ds.features.tobytes() == features.tobytes(), domain
+            assert ds.labels.tobytes() == labels.tobytes(), domain
+
+    def test_a_noise_block_of_one_row(self, monkeypatch):
+        config = SynthConfig(**SMALL, source_noise_std=0.2)
+        monkeypatch.setattr("cclearn.data._NOISE_ROWS", 1)
+        for ds, domain in zip(generate_domains(config), ("source", "target")):
+            assert ds.features.tobytes() == generate_blobs_expression(config, domain)[0].tobytes()
+
+    def test_trivial_map_gives_equal_domains(self):
+        config = SynthConfig(**dict(SMALL, samples_per_class=(_NOISE_ROWS, 3, 4)), rotation_angle=0.0,
+                             translation=0.0, scale=1.0, source_noise_std=0.3, target_noise_std=0.3)
+        source, target = generate_domains(config)
+        assert source.features.tobytes() == target.features.tobytes()
+        assert source.labels.tobytes() == target.labels.tobytes()
 
 
 class TestRotationMatrix:

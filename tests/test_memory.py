@@ -1,5 +1,5 @@
-"""Peak-memory bounds of the forward pass, inference, the synthetic generator
-and the spread diagnostic.
+"""Peak-memory bounds of the forward pass, inference, the synthetic generator,
+the table writer, the Dataset checks and the spread diagnostic.
 
 ``tracemalloc`` sees numpy's array buffers, so each peak is a byte count that
 comes out the same on every run, not a timing. The peaks count only what the
@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from cclearn.data import Dataset, SynthConfig, generate_blobs
+from cclearn.data import Dataset, SynthConfig, generate_blobs, generate_domains, save_table
 from cclearn.diagnostics import feature_spread
 from cclearn.model import forward, init_params
 from cclearn.trainer import predict_logits
@@ -55,6 +55,28 @@ def test_generate_blobs_peaks_at_two_tables():
     for domain in ("source", "target"):
         # the table and the noise, or the table and its affine image
         assert peak_bytes(generate_blobs, config, domain) <= 2.5 * table_bytes, domain
+
+
+def test_generate_domains_peaks_at_two_tables():
+    generate_domains(SynthConfig(samples_per_class=2))  # the seeding's first-call imports
+    config = SynthConfig(input_dim=64, samples_per_class=5000)
+    # the two tables, then a block of noise and its scaled copy
+    assert peak_bytes(generate_domains, config) <= 2.2 * 8 * 4 * 5000 * 64
+
+
+def test_save_table_writes_the_arrays_in_place(tmp_path):
+    rows = 50000  # a scale-50k table: np.save's 16 MiB copies fit inside it
+    ds = Dataset(np.random.default_rng(2).standard_normal((rows, 64)),
+                 np.arange(rows) % 10, "target", 10)
+    # one chunk of rendered rows at a time, and the sidecar records unstaged
+    assert peak_bytes(save_table, ds, tmp_path / "target.csv") <= 0.1 * ds.features.nbytes
+
+
+def test_dataset_checks_without_a_table_sized_temporary():
+    features = np.random.default_rng(3).standard_normal((ROWS, 64))
+    labels = np.arange(ROWS) % 10
+    # a bool per feature would be 0.125 of the table
+    assert peak_bytes(Dataset, features, labels, "", 10) <= 0.05 * features.nbytes
 
 
 def test_feature_spread_makes_one_copy():

@@ -29,5 +29,7 @@ def test_prints_the_machine_and_a_cost_per_step_function():
     assert sorted(writer["us_per_row"]) == ["projection", "table"]
     assert all(us > 0 for us in writer["us_per_row"].values())
     assert writer["load_table_us_per_row"] > 0
-    for name in ("save_model", "load_model", "save_bank", "load_bank"):
+    for name in ("save_model", "load_model", "save_bank", "load_bank", "auc_macro_ovr", "pca_2d",
+                 "project_into"):
         assert writer[f"{name}_us_per_call"] > 0
+    assert writer["generate_domains_us_per_row"] > 0

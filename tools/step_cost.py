@@ -20,7 +20,11 @@ table, saved once to a temporary directory and read through its sidecar,
 the best of 7 repeats of one call, and the microseconds per call of
 ``save_model``, ``load_model``, ``save_bank`` and ``load_bank`` at the
 ``scale-50k`` model shape (D 64, hidden (64, 64), F 32, K 10, every class
-seen) in a temporary directory, each the best of 7 repeats of one call.
+seen) in a temporary directory, each the best of 7 repeats of one call. It
+ends with the microseconds per row (of one domain) of ``generate_domains``
+on the ``scale-50k`` synth config, and per call of ``auc_macro_ovr`` on 50k
+softmax rows of K 10, and of ``pca_2d`` and ``project_into`` on 50k feature
+rows of F 32, each the best of 7 repeats of one call.
 
 The shape sets are the ``desk`` workload's training step at alpha 1 and at
 alpha 0, and the ``scale-50k`` workload's fine-tune step (alpha 0, the
@@ -180,6 +184,35 @@ def time_checkpoints() -> dict:
                 for name, fn in calls.items()}
 
 
+def time_layers() -> dict:
+    """Microseconds per row of ``generate_domains`` and per call of the
+    metric and PCA layers at the ``scale-50k`` shapes."""
+    import numpy as np
+
+    from cclearn.data import SynthConfig, generate_domains
+    from cclearn.diagnostics import pca_2d, project_into
+    from cclearn.losses import softmax
+    from cclearn.metrics import auc_macro_ovr
+    from cclearn.trainer import TrainConfig
+
+    rng = np.random.default_rng(0)
+    synth = SynthConfig(**WORKLOADS["scale-50k"].synth)
+    rows, k = sum(synth.class_counts()), synth.num_classes
+    probs, labels = softmax(rng.normal(size=(rows, k))), np.arange(rows) % k
+    feats = rng.normal(size=(rows, TrainConfig(**WORKLOADS["scale-50k"].train).feature_dim))
+    basis = pca_2d(feats)
+
+    def best(fn):
+        return min(timeit.repeat(fn, number=1, repeat=REPEAT)) * 1e6
+
+    return {
+        "generate_domains_us_per_row": round(best(lambda: generate_domains(synth)) / rows, 3),
+        "auc_macro_ovr_us_per_call": round(best(lambda: auc_macro_ovr(probs, labels)), 1),
+        "pca_2d_us_per_call": round(best(lambda: pca_2d(feats)), 1),
+        "project_into_us_per_call": round(best(lambda: project_into(basis, feats)), 1),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
@@ -209,7 +242,7 @@ def main() -> int:
         print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
                           "batch": shape["batch"], "us_per_call": us}))
     print(json.dumps({"writer": "write_rows", "rows": WRITE_ROWS, "us_per_row": time_writer(),
-                      "load_table_us_per_row": time_reader(), **time_checkpoints()}))
+                      "load_table_us_per_row": time_reader(), **time_checkpoints(), **time_layers()}))
     return 0
 
 
