@@ -2,11 +2,11 @@
 
 The synthetic generator draws class means on a sphere and Gaussian samples
 around them. The target domain is the *same* underlying draw pushed through
-an affine map (x <- scale * R x + t, R a composition of seeded Givens
-rotations) plus its own noise level, which mimics an acquisition-device /
-population / site change with controllable severity. Identical seeds produce
-bitwise-identical datasets, and a trivial map (R=I, t=0, scale=1, equal
-noise) makes source and target bitwise equal.
+an affine map x <- scale * R x + t, R the identity with one Givens block on
+each seeded disjoint axis pair (an odd D leaves one axis fixed), and its own
+noise level: an acquisition-device / population / site change of controllable
+severity. Identical seeds produce bitwise-identical datasets, and a trivial
+map (R=I, t=0, scale=1, equal noise) makes source and target bitwise equal.
 """
 
 from __future__ import annotations
@@ -163,11 +163,10 @@ class SynthConfig(JsonConfig):
 
 
 def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:
-    """Orthogonal matrix from Givens rotations on seeded disjoint axis pairs.
-
-    ``angles`` is one angle shared by all floor(dim/2) planes or one angle per
-    plane. Angle 0 yields the exact identity.
-    """
+    """Orthogonal matrix: the identity with one 2x2 Givens block on each of
+    floor(dim/2) seeded disjoint axis pairs, so an odd ``dim`` leaves one axis
+    fixed. ``angles`` is one angle for all planes or one per plane; angle 0
+    yields the identity."""
     rng = np.random.default_rng(list(seed_key))
     perm = rng.permutation(dim)
     n_planes = dim // 2
@@ -180,16 +179,11 @@ def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequenc
                 f"need {n_planes} rotation angles for dim {dim}, got {len(plane_angles)}"
             )
     rot = np.eye(dim)
-    for p in range(n_planes):
-        i, j = int(perm[2 * p]), int(perm[2 * p + 1])
-        theta = plane_angles[p]
-        c, s = math.cos(theta), math.sin(theta)
-        givens = np.eye(dim)
-        givens[i, i] = c
-        givens[j, j] = c
-        givens[i, j] = -s
-        givens[j, i] = s
-        rot = givens @ rot
+    for p, theta in enumerate(plane_angles):
+        i, j = perm[2 * p], perm[2 * p + 1]
+        rot[i, i] = rot[j, j] = math.cos(theta)
+        rot[j, i] = math.sin(theta)
+        rot[i, j] = -rot[j, i]
     return rot
 
 

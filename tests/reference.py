@@ -22,8 +22,14 @@ mask, where the package builds one buffer per layer and takes the mask from
 the ReLU output. ``generate_blobs_expression``
 applies the synthetic scale, affine map and noise as whole-array expressions
 where the package applies them in place and adds each class mean to its
-block of rows. ``feature_spread_expression`` squares a second copy of the
-centered features where the package squares them in place.
+block of rows; it takes the class counts, the rotation and the translation
+from this module, not from the package. ``rotation_matrix_givens`` builds
+the rotation as a product of one dense Givens matrix per plane, where the
+package writes each plane's 2x2 block into one identity; the two agree in
+every value, but a zero entry's sign may differ. ``translation_vector`` is
+the package's translation, copied. ``feature_spread_expression`` squares a
+second copy of the centered features where the package squares them in
+place.
 ``row_norms_flatnonzero``, ``contrast_branch_gathered``,
 ``batch_class_means_masked`` and ``ema_update_gathered`` take
 ``np.linalg.norm``, run ``np.flatnonzero`` before each refusal and gather the
@@ -35,8 +41,10 @@ configs' hand-written ``validate`` bodies, with their helpers
 ``require_numbers``, ``require_at_least`` and ``class_counts``, where the
 package reads one rule per field from the field's ``key``; they take the
 config as ``self``. Each is kept here exactly as it first shipped, or, for
-the four fast paths and the config checks, as it stood before them, except
-that ``class_counts`` lists a shared count once rather than once per class.
+the four fast paths, the config checks and the rotation, as it stood before
+them, except that ``class_counts`` lists a shared count once rather than
+once per class, and that ``rotation_matrix_givens`` and
+``translation_vector`` drop the package's names.
 """
 
 from __future__ import annotations
@@ -44,18 +52,12 @@ from __future__ import annotations
 import io
 import math
 from numbers import Integral, Real
+from typing import Sequence
 
 import numpy as np
 
 from cclearn.centroids import NORM_EPS, CentroidBank, row_norms
-from cclearn.data import (
-    _STREAM_AFFINE,
-    _STREAM_BASE,
-    SynthConfig,
-    _translation_vector,
-    check_labels,
-    rotation_matrix,
-)
+from cclearn.data import _STREAM_AFFINE, _STREAM_BASE, SynthConfig, check_labels
 from cclearn.diagnostics import HeatmapMatrix
 from cclearn.errors import DegenerateVectorError, StateError, UndefinedMetricError
 from cclearn.losses import _nll_and_softmax, softmax
@@ -384,7 +386,9 @@ def backward_from_pre_activations(params, x, d_normalized, d_logits) -> list[np.
 def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) of ``domain`` from the same draws as
     ``generate_blobs``, each step a new whole array."""
-    counts = config.class_counts()
+    counts = config.samples_per_class
+    if not isinstance(counts, (tuple, list)):
+        counts = (counts,) * config.num_classes
     total = sum(counts)
     rng = np.random.default_rng([config.seed, _STREAM_BASE])
     mean_dirs = rng.standard_normal((config.num_classes, config.input_dim))
@@ -398,12 +402,54 @@ def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndar
     if domain == "source":
         x = x + config.source_noise_std * noise
     else:
-        rot = rotation_matrix(
+        rot = rotation_matrix_givens(
             config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0]
         )
-        x = config.scale * (x @ rot.T) + _translation_vector(config)
+        x = config.scale * (x @ rot.T) + translation_vector(config)
         x = x + config.target_noise_std * noise
     return x, labels
+
+
+def rotation_matrix_givens(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:
+    """Orthogonal matrix from Givens rotations on seeded disjoint axis pairs.
+
+    ``angles`` is one angle shared by all floor(dim/2) planes or one angle per
+    plane. Angle 0 yields the exact identity.
+    """
+    rng = np.random.default_rng(list(seed_key))
+    perm = rng.permutation(dim)
+    n_planes = dim // 2
+    if np.isscalar(angles):
+        plane_angles = [float(angles)] * n_planes
+    else:
+        plane_angles = [float(a) for a in angles]
+        if len(plane_angles) != n_planes:
+            raise ValueError(
+                f"need {n_planes} rotation angles for dim {dim}, got {len(plane_angles)}"
+            )
+    rot = np.eye(dim)
+    for p in range(n_planes):
+        i, j = int(perm[2 * p]), int(perm[2 * p + 1])
+        theta = plane_angles[p]
+        c, s = math.cos(theta), math.sin(theta)
+        givens = np.eye(dim)
+        givens[i, i] = c
+        givens[j, j] = c
+        givens[i, j] = -s
+        givens[j, i] = s
+        rot = givens @ rot
+    return rot
+
+
+def translation_vector(config: SynthConfig) -> np.ndarray:
+    if np.isscalar(config.translation):
+        if float(config.translation) == 0.0:
+            return np.zeros(config.input_dim)
+        rng = np.random.default_rng([config.seed, _STREAM_AFFINE, 1])
+        direction = rng.standard_normal(config.input_dim)
+        direction /= np.linalg.norm(direction)
+        return float(config.translation) * direction
+    return np.asarray(config.translation, dtype=np.float64)
 
 
 def feature_spread_expression(features: np.ndarray) -> float:

@@ -22,7 +22,14 @@ from cclearn.centroids import (
     update_smoothing,
 )
 from cclearn.cli import main as cli_main
-from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
+from cclearn.data import (
+    Dataset,
+    SynthConfig,
+    generate_blobs,
+    generate_domains,
+    make_batches,
+    split_dataset,
+)
 from cclearn.diagnostics import class_centroid_heatmap
 from cclearn.errors import UndefinedMetricError
 from cclearn.losses import combined_loss_and_grads, softmax
@@ -354,8 +361,7 @@ def test_criterion_4_metric_oracles():
 
 def benchmark_run(seed: int, alpha: float):
     synth = SynthConfig(seed=seed)  # K=4, D=16, 200/class, moderate affine shift
-    source = generate_blobs(synth, "source")
-    target = generate_blobs(synth, "target")
+    source, target = generate_domains(synth)
     train_ds, val_ds, _ = split_dataset(source, seed=seed)
     config = TrainConfig(alpha=alpha, epochs=50, batch_size=32, feature_dim=8,
                          seed=seed, m0=BENCH_M0)
@@ -390,10 +396,14 @@ def test_criterion_5_mechanism_efficacy_at_desk_scale():
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"criterion 5 took {elapsed:.1f}s"
+    # the claim per seed: on how many seeds contrast beats CE outright
+    acc_wins, diag_wins = (sum(c[i] > b[i] for c, b in zip(with_contrast, baseline)) for i in (0, 1))
     print(
         "ACCEPTANCE 5 mechanism-efficacy: PASS "
         f"(target acc {acc_contrast:.4f} vs {acc_baseline:.4f}, "
-        f"diagonal {diag_contrast:.4f} vs {diag_baseline:.4f}, {elapsed:.1f}s)"
+        f"diagonal {diag_contrast:.4f} vs {diag_baseline:.4f}; contrast wins "
+        f"{acc_wins}/{len(BENCH_SEEDS)} seeds on target acc, {diag_wins}/{len(BENCH_SEEDS)} "
+        f"on the diagonal; {elapsed:.1f}s)"
     )
 
 

@@ -16,7 +16,7 @@ from cclearn.data import (
     split_dataset,
 )
 from cclearn.errors import TableParseError
-from reference import generate_blobs_expression
+from reference import generate_blobs_expression, rotation_matrix_givens
 
 SMALL = dict(num_classes=3, input_dim=5, samples_per_class=12, spread=4.0, class_std=1.0)
 
@@ -138,6 +138,16 @@ class TestRotationMatrix:
         np.testing.assert_allclose(rot @ rot.T, np.eye(4), atol=1e-12)
         with pytest.raises(ValueError):
             rotation_matrix(4, (0.3,), [0, 0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 64])
+    def test_every_value_of_the_dense_givens_product(self, dim):
+        # values, not bytes: the dense product may give a zero entry the other sign
+        for seed in range(5):
+            key = [seed, 12, 0]
+            per_plane = [0.1 + 0.7 * p for p in range(dim // 2)]
+            for angles in (0.0, 0.35, -2.0, math.pi, per_plane):
+                assert np.array_equal(rotation_matrix(dim, angles, key),
+                                      rotation_matrix_givens(dim, angles, key)), (seed, angles)
 
 
 class TestMakeBatches:
