@@ -1,8 +1,6 @@
 """Smoke test of ``tools/mutants.py``: one entry end to end, and its verdicts."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,13 +12,11 @@ mutants = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(mutants)
 
 
-def test_one_entry_is_killed_by_its_named_tests():
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--only", "bank-updated-at-alpha-zero"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    [line] = proc.stdout.splitlines()
+def test_one_entry_is_killed_by_its_named_tests(monkeypatch, capsys):
+    [entry] = [m for m in mutants.MUTANTS if m.name == "bank-updated-at-alpha-zero"]
+    monkeypatch.setattr(mutants, "MUTANTS", [entry])
+    assert mutants.main() == 0
+    [line] = capsys.readouterr().out.splitlines()
     assert line.startswith("killed: bank-updated-at-alpha-zero (")
     assert "2 of 2 named failed: tests/test_trainer.py::TestTrain::" in line
 
@@ -53,14 +49,16 @@ def test_a_node_id_fails_only_through_its_own_tests():
         "tests/t.py::TestA::test_x", "tests/t.py::test_setup", "tests/t.py::TestA"]
 
 
-def test_a_surviving_or_stale_entry_exits_1(monkeypatch, capsys):
+def test_a_surviving_stale_or_broken_entry_exits_1(monkeypatch, capsys):
     survivor = mutants.Mutant(  # a README heading: no test reads it
         "harmless", "README.md", "## CLI walkthrough", "## CLI walk-through",
         ("tests/test_data.py::TestRotationMatrix::test_zero_angle_is_exact_identity",))
     stale = mutants.Mutant("stale", "README.md", "no such text", "", survivor.kills)
-    monkeypatch.setattr(mutants, "MUTANTS", [survivor, stale])
-    monkeypatch.setattr(sys, "argv", ["mutants.py"])
+    broken = survivor._replace(  # fails before any mutation, so its failure shows nothing
+        name="broken", kills=("tests/test_data.py::TestRotationMatrix::test_no_such_test",))
+    monkeypatch.setattr(mutants, "MUTANTS", [survivor, stale, broken])
     assert mutants.main() == 1
-    survived, stale_line = capsys.readouterr().out.splitlines()
+    survived, stale_line, broken_line = capsys.readouterr().out.splitlines()
     assert survived.startswith("survived: harmless (") and survived.endswith("0 of 1 named failed: -)")
     assert stale_line.startswith("stale (README.md: 'no such text' occurs 0 times, not once): stale")
+    assert broken_line.startswith("broken (unmutated: ") and ": broken (" in broken_line

@@ -3,27 +3,28 @@ named tests must fail.
 
 Usage (from the root of a source checkout):
 
-    python3 tools/mutants.py [--only NAME ...]
+    python3 tools/mutants.py
 
 Each entry in ``MUTANTS`` gives a file, an exact text that occurs once in it,
 the text that replaces it, and the pytest node IDs that must fail once it is
 replaced. For each entry the tool copies the whole checkout, leaving out
 ``.git``, ``perfbench/.work`` and bytecode caches, to a temporary directory,
-since the tests also read README, ``perfbench/`` and ``tools/``. It applies
-the replacement there and runs only the named tests, with the copy's ``src``
-first on the import path. An entry is killed when each of its node IDs has a
-failing test; a node ID that no longer names a test fails nothing. The tool
-prints one line per entry: killed, survived or stale (the text does not occur
-exactly once), the time taken and the failed node IDs.
+since the tests also read README, ``perfbench/`` and ``tools/``. It runs the
+named tests there once unmutated, with the copy's ``src`` first on the import
+path, and they must all pass; then it applies the replacement and runs them
+again. An entry is killed when each of its node IDs has a failing test. The
+tool prints one line per entry: killed, survived, stale (the text does not
+occur exactly once) or broken (the named tests do not all pass on the
+unmutated copy, so a failure would show nothing), the time taken and the
+failed node IDs.
 
-Exits 0 when every entry run is killed, 1 when one survives or is stale, and
-2 on bad arguments. A refactor that moves a mutated text or a named test
-therefore updates this catalogue in the same diff.
+Exits 0 when every entry is killed and 1 otherwise. A refactor that moves a
+mutated text or a named test therefore updates this catalogue in the same
+diff.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -84,6 +85,16 @@ def failed_nodes(output: str, kills: tuple[str, ...]) -> list[str]:
             if any(r.startswith(node) and r[len(node):][:1] in ("", "[", ":", " ") for r in reported)]
 
 
+def pytest(tree: Path, nodes: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """Run ``nodes`` in ``tree`` with the tree's ``src`` first on the import path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", *nodes],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+
+
 def run(mutant: Mutant) -> tuple[str, list[str]]:
     """Apply ``mutant`` to a copy of the checkout and run its named tests:
     the verdict and the node IDs that failed."""
@@ -96,30 +107,22 @@ def run(mutant: Mutant) -> tuple[str, list[str]]:
         ])
         path = tree / mutant.file
         try:
-            path.write_text(mutate(path.read_text(), mutant))
+            mutated = mutate(path.read_text(), mutant)
         except (OSError, ValueError) as exc:
             return f"stale ({exc})", []
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
-             *mutant.kills],
-            cwd=tree, env=env, capture_output=True, text=True,
-        )
+        baseline = pytest(tree, mutant.kills)
+        if baseline.returncode != 0:
+            last = (baseline.stdout.strip().splitlines() or ["no output"])[-1]
+            return f"broken (unmutated: {last})", failed_nodes(baseline.stdout, mutant.kills)
+        path.write_text(mutated)
+        proc = pytest(tree, mutant.kills)
     failed = failed_nodes(proc.stdout, mutant.kills)
     return ("killed" if len(failed) == len(mutant.kills) else "survived"), failed
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", choices=[m.name for m in MUTANTS],
-                        help="run only these entries")
-    args = parser.parse_args()
-
     ok = True
     for mutant in MUTANTS:
-        if args.only and mutant.name not in args.only:
-            continue
         started = time.perf_counter()
         verdict, failed = run(mutant)
         ok &= verdict == "killed"
