@@ -98,6 +98,7 @@ class TestSynthData:
         ("spread", math.nan), ("translation", [0.0, 0.0, 0.0, 0.0, math.nan]), ("seed", -1),
         ("spread", 0), ("class_std", -1), ("num_classes", 1), ("samples_per_class", [40, 40]),
         ("translation", [1.0, 2.0]), ("rotation_angle", [0.1, 0.2, 0.3]),
+        ("samples_per_class", 0), ("samples_per_class", [40, 0, 40]),
     ])
     def test_wrong_value_type_fails_cleanly(self, tmp_path, capsys, key, value):
         config = write_json(tmp_path / "synth.json", dict(SYNTH, **{key: value}))

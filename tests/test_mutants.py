@@ -28,6 +28,14 @@ def test_every_entry_names_a_text_that_occurs_once():
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
 
 
+def test_the_copy_leaves_out_git_the_caches_and_the_example_database():
+    root, names = str(mutants.ROOT), [".git", ".hypothesis", ".pytest_cache", "__pycache__", ".work",
+                                      "src", "README.md"]
+    assert mutants.left_out(root, names) == [".git", ".hypothesis", ".pytest_cache", "__pycache__"]
+    assert mutants.left_out(str(mutants.ROOT / "perfbench"), [".work", "run.py"]) == [".work"]
+    assert mutants.left_out(str(mutants.ROOT / "tests"), [".git", ".work", "t.py"]) == []
+
+
 def test_a_text_found_twice_or_not_at_all_is_refused():
     mutant = mutants.Mutant("m", "f.py", "x = 1", "x = 2", ("tests/t.py::test",))
     assert mutants.mutate("a\nx = 1\n", mutant) == "a\nx = 2\n"

@@ -7,10 +7,12 @@ Usage (from the root of a source checkout):
 
 Each entry in ``MUTANTS`` gives a file, an exact text that occurs once in it,
 the text that replaces it, and the pytest node IDs that must fail once it is
-replaced. For each entry the tool copies the whole checkout, leaving out
-``.git``, ``perfbench/.work`` and bytecode caches, to a temporary directory,
-since the tests also read README, ``perfbench/`` and ``tools/``. It runs the
-named tests there once unmutated, with the copy's ``src`` first on the import
+replaced. For each entry the tool copies the whole checkout to a temporary
+directory, since the tests also read README, ``perfbench/`` and ``tools/``.
+The copy leaves out ``.git``, ``perfbench/.work``, the bytecode and pytest
+caches and hypothesis's example database, which a fresh clone lacks, so a
+verdict cannot rest on examples saved by earlier runs. It runs the named
+tests there once unmutated, with the copy's ``src`` first on the import
 path, and they must all pass; then it applies the replacement and runs them
 again. An entry is killed when each of its node IDs has a failing test. The
 tool prints one line per entry: killed, survived, stale (the text does not
@@ -65,6 +67,106 @@ MUTANTS = [
         ("tests/test_trainer.py::TestTrain::test_alpha_zero_never_touches_bank",
          "tests/test_cli.py::TestDiagnose::test_empirical_centroid_fallback"),
     ),
+    Mutant(  # the CLI error contract: a run's bank of another K or F
+        "run-bank-k-f-unchecked", "src/cclearn/cli.py",
+        "if (bank.num_classes, bank.feature_dim) != (params.num_classes, params.feature_dim):",
+        "if False:",
+        ("tests/test_cli.py::test_run_file_errors_name_a_path",),  # its @example cases
+    ),
+    Mutant(
+        "digits-round-half-up", "src/cclearn/codec.py", "np.rint(e)", "np.floor(e + 0.5)",
+        ("tests/test_codec.py::test_half_way_ties_round_to_even",
+         "tests/test_codec.py::test_the_kernel_equals_the_oracle_on_ties_at_every_k"),
+    ),
+    Mutant(
+        "digits-no-lo-lo-term", "src/cclearn/codec.py", " + lo * f_lo", "",
+        ("tests/test_codec.py::test_golden_bytes",
+         "tests/test_codec.py::test_the_kernel_equals_the_oracle_on_ties_at_every_k"),
+    ),
+    Mutant(  # bytes unchanged: only the rows per chunk move
+        "width-ignores-str-columns", "src/cclearn/codec.py",
+        "else 1 for c in columns)", "else 1 for c in columns if not isinstance(c, str))",
+        ("tests/test_codec.py::test_chunked_writes_match_the_row_at_a_time_writer",
+         "tests/test_codec.py::test_projection_rows_are_chunked_by_cells"),
+    ),
+    Mutant(
+        "columns-row-count-unchecked", "src/cclearn/codec.py", "len(c) != n or ", "",
+        ("tests/test_codec.py::test_array_columns_are_1_or_2_d_with_one_row_count",),
+    ),
+    Mutant(
+        "columns-dtype-unchecked", "src/cclearn/codec.py", 'c.dtype.kind not in "fiubU"', "False",
+        ("tests/test_codec.py::test_array_columns_are_1_or_2_d_with_one_row_count",),
+    ),
+    Mutant(
+        "columns-zero-width-admitted", "src/cclearn/codec.py", "0 in c.shape[1:]", "False",
+        ("tests/test_codec.py::test_array_columns_are_1_or_2_d_with_one_row_count",),
+    ),
+    Mutant(
+        "m0-no-upper-bound", "src/cclearn/trainer.py", "ge=0, lt=1)", "ge=0)",
+        ("tests/test_cli.py::TestTrain::test_wrong_value_type_fails_cleanly",
+         "tests/test_trainer.py::TestTrainConfig::test_validation"),
+    ),
+    Mutant(
+        "samples-per-class-no-lower-bound", "src/cclearn/data.py",
+        "key(200, Integral, each=True, ge=1)", "key(200, Integral, each=True)",
+        ("tests/test_cli.py::TestSynthData::test_wrong_value_type_fails_cleanly",
+         "tests/test_config.py::test_readme_lists_every_key_its_default_and_its_rule"),
+    ),
+    Mutant(
+        "bool-kind-admits-int", "src/cclearn/data.py",
+        "isinstance(v, (bool, np.bool_))", "isinstance(v, (bool, np.bool_, int))",
+        ("tests/test_trainer.py::TestTrainConfig::test_non_bool_shuffle_rejected",
+         "tests/test_cli.py::TestTrain::test_wrong_value_type_fails_cleanly"),
+    ),
+    Mutant(  # dropping only "or math.isfinite(v)" would refuse every float
+        "real-admits-nan-and-inf", "src/cclearn/data.py",
+        "(isinstance(v, Integral) or math.isfinite(v))", "True",
+        ("tests/test_cli.py::TestSynthData::test_wrong_value_type_fails_cleanly",
+         "tests/test_cli.py::TestTrain::test_wrong_value_type_fails_cleanly"),
+    ),
+    Mutant(
+        "translation-length-unchecked", "src/cclearn/data.py",
+        ', ("translation", self.input_dim))', ")",
+        ("tests/test_config.py::test_list_keys_must_fit_the_data_shape",
+         "tests/test_cli.py::TestSynthData::test_wrong_value_type_fails_cleanly"),
+    ),
+    Mutant(
+        "noise-drawn-per-domain", "src/cclearn/data.py",
+        "np.multiply(drawn, std, out=scaled[: len(drawn)])",
+        "np.multiply(rng.standard_normal(drawn.shape), std, out=scaled[: len(drawn)])",
+        ("tests/test_data.py::TestGenerateDomains::test_bit_equal_to_the_whole_array_expressions",
+         "tests/test_data.py::TestGenerateDomains::test_trivial_map_gives_equal_domains"),
+    ),
+    Mutant(  # the last row of each domain gets no noise
+        "noise-last-block-short", "src/cclearn/data.py",
+        "noise[: total - start]", "noise[: total - start - 1]",
+        ("tests/test_data.py::TestGenerateDomains::test_bit_equal_to_the_whole_array_expressions",
+         "tests/test_data.py::TestGenerateDomains::test_a_noise_block_of_one_row"),
+    ),
+    Mutant(  # aim 3, gradients: the normalization Jacobian without its inner term
+        "gradient-no-normalization-inner-term", "src/cclearn/model.py",
+        "d_raw = (d_normalized - inner * fhat) / cache.norms[:, None]",
+        "d_raw = d_normalized / cache.norms[:, None]",
+        ("tests/test_acceptance.py::test_criterion_2_gradient_correctness",
+         "tests/test_model.py::TestBackward::test_full_model_matches_finite_differences"),
+    ),
+    Mutant(  # aim 3, the schedule: m one epoch ahead
+        "schedule-one-epoch-ahead", "src/cclearn/centroids.py",
+        "(epoch / total_epochs)", "((epoch + 1) / total_epochs)",
+        ("tests/test_acceptance.py::test_criterion_3_ema_and_schedule_exactness",
+         "tests/test_centroids.py::TestUpdateSmoothing::test_hand_midpoint"),
+    ),
+    Mutant(  # aim 3, reproducibility
+        "unseeded-shuffle", "src/cclearn/data.py",
+        "np.random.default_rng(seed).permutation(n)", "np.random.default_rng().permutation(n)",
+        ("tests/test_acceptance.py::test_criterion_8_reproducibility",
+         "tests/test_data.py::TestMakeBatches::test_seeded_shuffle_deterministic"),
+    ),
+    Mutant(  # aim 3, sidecar soundness: a sidecar of another table is read
+        "sidecar-digest-unchecked", "src/cclearn/data.py",
+        "!= _file_digest(path):", "is None:",
+        ("tests/test_codec.py::test_a_table_edited_after_saving_reads_as_text",),
+    ),
 ]
 
 
@@ -95,16 +197,20 @@ def pytest(tree: Path, nodes: tuple[str, ...]) -> subprocess.CompletedProcess:
     )
 
 
+def left_out(directory: str, names: list[str]) -> list[str]:
+    """The ``names`` in ``directory`` that the copy of the checkout leaves out."""
+    return [n for n in names
+            if n in ("__pycache__", ".pytest_cache", ".hypothesis")
+            or (Path(directory) == ROOT and n == ".git")
+            or (Path(directory) == ROOT / "perfbench" and n == ".work")]
+
+
 def run(mutant: Mutant) -> tuple[str, list[str]]:
     """Apply ``mutant`` to a copy of the checkout and run its named tests:
     the verdict and the node IDs that failed."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=lambda d, names: [
-            n for n in names
-            if n in ("__pycache__", ".pytest_cache")
-            or (Path(d) == ROOT and n == ".git") or (Path(d) == ROOT / "perfbench" and n == ".work")
-        ])
+        shutil.copytree(ROOT, tree, ignore=left_out)
         path = tree / mutant.file
         try:
             mutated = mutate(path.read_text(), mutant)

@@ -1,4 +1,5 @@
-"""Time each public training-step function at the benchmark's shapes.
+"""Time each public training-step function and the other layers at the
+benchmark's shapes.
 
 Usage (from the root of a source checkout):
 
@@ -7,36 +8,35 @@ Usage (from the root of a source checkout):
 SRC is the ``src`` tree whose ``cclearn`` is timed (default: this
 checkout's). The process pins itself to one CPU and runs one BLAS thread,
 as the benchmark's stages do. It prints a ``machine:`` line (Python, numpy,
-CPU), then one JSON line per shape set: the microseconds per call of
-``forward``, ``combined_loss_and_grads``, ``backward``, ``sgd_step``,
-``batch_class_means`` and ``ema_update``, and of one whole step, each the
-best of 7 ``timeit`` repeats of N calls. A last JSON line gives the
-microseconds per row of the codec's ``write_rows`` into an ``io.BytesIO``,
-each the best of 7 repeats of one 4096-row call, at two shapes: the
-``scale-50k`` table (64 float cells, the label and the domain) and the PCA
-projection (2 float cells, the label and the domain). The same line gives
-the microseconds per row of ``load_table`` on a 4096-row ``scale-50k``
-table, saved once to a temporary directory and read through its sidecar,
-the best of 7 repeats of one call, and the microseconds per call of
-``save_model``, ``load_model``, ``save_bank`` and ``load_bank`` at the
-``scale-50k`` model shape (D 64, hidden (64, 64), F 32, K 10, every class
-seen) in a temporary directory, each the best of 7 repeats of one call. It
-ends with the microseconds per row (of one domain) of ``generate_domains``
-on the ``scale-50k`` synth config, and per call of ``auc_macro_ovr`` on 50k
-softmax rows of K 10, and of ``pca_2d`` and ``project_into`` on 50k feature
-rows of F 32, each the best of 7 repeats of one call.
+CPU, the repeats), then one JSON line per shape set: the microseconds per
+call of ``forward``, ``combined_loss_and_grads``, ``backward``,
+``sgd_step``, ``batch_class_means``, ``ema_update`` and one whole step,
+each the best of 7 ``timeit`` repeats of N calls.
 
-The shape sets are the ``desk`` workload's training step at alpha 1 and at
-alpha 0, and the ``scale-50k`` workload's fine-tune step (alpha 0, the
-fine-tune batch). The bank has every class seen and every batch holds every
-class, as in all but the first steps of a run. At alpha 0 the training loop
-calls neither ``batch_class_means`` nor ``ema_update``, and neither is
-timed.
+The shape sets are the ``desk`` training step at alpha 1 and at alpha 0,
+and the ``scale-50k`` fine-tune step (alpha 0, the fine-tune batch). The
+bank has every class seen and every batch holds every class, as in all but
+the first steps of a run. At alpha 0 the loop calls neither
+``batch_class_means`` nor ``ema_update``, and neither is timed.
+
+A last JSON line times the other layers at the ``scale-50k`` shapes (D 64,
+hidden (64, 64), F 32, K 10, 50k rows), each the best of ``layer_repeat`` =
+min(7, N) repeats of one call: ``--number 1`` makes one call, and the
+default keeps the best of 7. Per row: the codec's ``write_rows`` into an
+``io.BytesIO`` at the table shape (64 float cells, the label and the
+domain) and the PCA projection shape (2 float cells), ``load_table`` of a
+saved table through its sidecar (both 4096 rows), ``generate_domains`` (per
+row of one domain) and ``trainer.infer`` of the logits. Per call:
+``save_model``, ``load_model``, ``save_bank`` and ``load_bank`` (every class
+seen), ``auc_macro_ovr`` on softmax rows, ``pca_2d`` and ``project_into`` on
+feature rows, and ``quadratic_weighted_kappa`` on labels. The fixtures are
+built once, their files in one temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -70,6 +70,12 @@ def shape_sets() -> list[dict]:
              feature_dim=tune.feature_dim, classes=scale.synth["num_classes"],
              batch=tune.batch_size, alpha=tune.alpha, m0=tune.m0),
     ]
+
+
+def best_us(fn, number: int, per: int, digits: int, repeat: int = REPEAT) -> float:
+    """Microseconds per call of ``fn``, divided by ``per``: the best of
+    ``repeat`` ``timeit`` repeats of ``number`` calls, rounded to ``digits``."""
+    return round(min(timeit.repeat(fn, number=number, repeat=repeat)) / number / per * 1e6, digits)
 
 
 def time_step(shape: dict, number: int) -> dict:
@@ -111,106 +117,63 @@ def time_step(shape: dict, number: int) -> dict:
     # last: each call moves the parameters, so the cache above goes stale
     calls["sgd_step"] = lambda: sgd_step(params, grads, lr)
     calls["step"] = step
-    return {
-        name: round(min(timeit.repeat(fn, number=number, repeat=REPEAT)) / number * 1e6, 2)
-        for name, fn in calls.items()
-    }
+    return {name: best_us(fn, number, 1, 2) for name, fn in calls.items()}
 
 
-def time_writer() -> dict:
-    """Microseconds per row of ``write_rows`` at the table and projection shapes."""
-    import io
-
+def time_layers(repeat: int) -> dict:
+    """Microseconds per row or per call of the layers outside the step at the
+    ``scale-50k`` shapes, each the best of ``repeat`` single calls."""
     import numpy as np
 
     from cclearn import codec
-
-    rng = np.random.default_rng(0)
-    synth = WORKLOADS["scale-50k"].synth
-    labels = rng.integers(0, synth["num_classes"], WRITE_ROWS)
-    shapes = {"table": (rng.normal(size=(WRITE_ROWS, synth["input_dim"])), "\r\n"),
-              "projection": (rng.normal(size=(WRITE_ROWS, 2)), "\n")}
-
-    domain = codec.csv_cell("target")
-
-    def call(cells, end):
-        return lambda: codec.write_rows(io.BytesIO(), ",", end, cells, labels, domain)
-
-    return {
-        name: round(min(timeit.repeat(call(*shape), number=1, repeat=REPEAT)) / WRITE_ROWS * 1e6, 3)
-        for name, shape in shapes.items()
-    }
-
-
-def time_reader() -> float:
-    """Microseconds per row of ``load_table`` on a saved ``scale-50k`` table."""
-    import numpy as np
-
-    from cclearn.data import Dataset, load_table, save_table
-
-    rng = np.random.default_rng(0)
-    synth = WORKLOADS["scale-50k"].synth
-    k = synth["num_classes"]
-    ds = Dataset(rng.normal(size=(WRITE_ROWS, synth["input_dim"])), rng.integers(0, k, WRITE_ROWS),
-                 "target", k)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "target.csv"
-        save_table(ds, path)
-        best = min(timeit.repeat(lambda: load_table(path, k), number=1, repeat=REPEAT))
-    return round(best / WRITE_ROWS * 1e6, 3)
-
-
-def time_checkpoints() -> dict:
-    """Microseconds per call of the model and bank writers and readers at the
-    ``scale-50k`` model shape."""
-    import numpy as np
-
     from cclearn.centroids import bank_from_features, load_bank, save_bank
-    from cclearn.model import init_params, load_model, save_model
-    from cclearn.trainer import TrainConfig
-
-    rng = np.random.default_rng(0)
-    synth, train = WORKLOADS["scale-50k"].synth, TrainConfig(**WORKLOADS["scale-50k"].train)
-    k = synth["num_classes"]
-    params = init_params(synth["input_dim"], train.hidden_dims, train.feature_dim, k, rng)
-    bank = bank_from_features(rng.normal(size=(k, train.feature_dim)), np.arange(k), k)
-    with tempfile.TemporaryDirectory() as tmp:
-        model, bank_file = Path(tmp) / "model.txt", Path(tmp) / "bank.txt"
-        calls = {  # each save before its load
-            "save_model": lambda: save_model(params, model), "load_model": lambda: load_model(model),
-            "save_bank": lambda: save_bank(bank, bank_file), "load_bank": lambda: load_bank(bank_file),
-        }
-        return {f"{name}_us_per_call": round(min(timeit.repeat(fn, number=1, repeat=REPEAT)) * 1e6, 1)
-                for name, fn in calls.items()}
-
-
-def time_layers() -> dict:
-    """Microseconds per row of ``generate_domains`` and per call of the
-    metric and PCA layers at the ``scale-50k`` shapes."""
-    import numpy as np
-
-    from cclearn.data import SynthConfig, generate_domains
+    from cclearn.data import Dataset, SynthConfig, generate_domains, load_table, save_table
     from cclearn.diagnostics import pca_2d, project_into
     from cclearn.losses import softmax
-    from cclearn.metrics import auc_macro_ovr
-    from cclearn.trainer import TrainConfig
+    from cclearn.metrics import auc_macro_ovr, quadratic_weighted_kappa
+    from cclearn.model import init_params, load_model, save_model
+    from cclearn.trainer import TrainConfig, infer
 
     rng = np.random.default_rng(0)
     synth = SynthConfig(**WORKLOADS["scale-50k"].synth)
-    rows, k = sum(synth.class_counts()), synth.num_classes
+    train = TrainConfig(**WORKLOADS["scale-50k"].train)
+    k, d, f, rows = synth.num_classes, synth.input_dim, train.feature_dim, sum(synth.class_counts())
+    table = Dataset(rng.normal(size=(WRITE_ROWS, d)), rng.integers(0, k, WRITE_ROWS), "target", k)
+    projected, domain = rng.normal(size=(WRITE_ROWS, 2)), codec.csv_cell(table.domain)
+    params = init_params(d, train.hidden_dims, f, k, rng)
+    bank = bank_from_features(rng.normal(size=(k, f)), np.arange(k), k)
     probs, labels = softmax(rng.normal(size=(rows, k))), np.arange(rows) % k
-    feats = rng.normal(size=(rows, TrainConfig(**WORKLOADS["scale-50k"].train).feature_dim))
+    predicted = probs.argmax(axis=1)
+    feats, x = rng.normal(size=(rows, f)), rng.normal(size=(rows, d))
     basis = pca_2d(feats)
 
-    def best(fn):
-        return min(timeit.repeat(fn, number=1, repeat=REPEAT)) * 1e6
+    def write(cells, end):
+        return lambda: codec.write_rows(io.BytesIO(), ",", end, cells, table.labels, domain)
 
-    return {
-        "generate_domains_us_per_row": round(best(lambda: generate_domains(synth)) / rows, 3),
-        "auc_macro_ovr_us_per_call": round(best(lambda: auc_macro_ovr(probs, labels)), 1),
-        "pca_2d_us_per_call": round(best(lambda: pca_2d(feats)), 1),
-        "project_into_us_per_call": round(best(lambda: project_into(basis, feats)), 1),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, model, bank_file = (Path(tmp) / name for name in ("target.csv", "model.txt", "bank.txt"))
+        save_table(table, path)
+        save_model(params, model)
+        save_bank(bank, bank_file)
+        calls = {  # name: (call, rows or 1, digits)
+            "table": (write(table.features, "\r\n"), WRITE_ROWS, 3),
+            "projection": (write(projected, "\n"), WRITE_ROWS, 3),
+            "load_table_us_per_row": (lambda: load_table(path, k), WRITE_ROWS, 3),
+            "save_model_us_per_call": (lambda: save_model(params, model), 1, 1),
+            "load_model_us_per_call": (lambda: load_model(model), 1, 1),
+            "save_bank_us_per_call": (lambda: save_bank(bank, bank_file), 1, 1),
+            "load_bank_us_per_call": (lambda: load_bank(bank_file), 1, 1),
+            "generate_domains_us_per_row": (lambda: generate_domains(synth), rows, 3),
+            "auc_macro_ovr_us_per_call": (lambda: auc_macro_ovr(probs, labels), 1, 1),
+            "pca_2d_us_per_call": (lambda: pca_2d(feats), 1, 1),
+            "project_into_us_per_call": (lambda: project_into(basis, feats), 1, 1),
+            "quadratic_weighted_kappa_us_per_call": (
+                lambda: quadratic_weighted_kappa(labels, predicted, k), 1, 1),
+            "infer_us_per_row": (lambda: infer(params, x, 2), rows, 3),
+        }
+        us = {name: best_us(fn, 1, per, digits, repeat) for name, (fn, per, digits) in calls.items()}
+    return {"writer": "write_rows", "rows": WRITE_ROWS,
+            "us_per_row": {name: us.pop(name) for name in ("table", "projection")}, **us}
 
 
 def main() -> int:
@@ -220,6 +183,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be >= 1")
+    layer_repeat = min(REPEAT, args.number)  # one call per repeat
 
     os.environ.update(dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)))  # before numpy loads
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -235,14 +199,13 @@ def main() -> int:
     print("machine: " + json.dumps({
         "python": platform.python_version(), "numpy": np.__version__, "cpu": cpu,
         "pinned_cpu": sorted(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
-        "number": args.number, "repeat": REPEAT,
+        "number": args.number, "repeat": REPEAT, "layer_repeat": layer_repeat,
     }, sort_keys=True))
     for shape in shape_sets():
         us = time_step(shape, args.number)
         print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
                           "batch": shape["batch"], "us_per_call": us}))
-    print(json.dumps({"writer": "write_rows", "rows": WRITE_ROWS, "us_per_row": time_writer(),
-                      "load_table_us_per_row": time_reader(), **time_checkpoints(), **time_layers()}))
+    print(json.dumps(time_layers(layer_repeat)))
     return 0
 
 
