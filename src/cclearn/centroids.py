@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import read_rows, write_rows
+from .codec import read_rows, write_file
 from .data import check_labels
 from .errors import DegenerateVectorError, StateError
 
@@ -171,11 +171,10 @@ def save_bank(bank: CentroidBank, path) -> None:
     then K lines with F centroid values each (row-major). Floats use %.17g,
     which round-trips float64 exactly.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{bank.num_classes} {bank.feature_dim}\n")
-        write_rows(fh, " ", "\n", [[bank.m0, bank.m]])
-        fh.write(" ".join(str(int(s)) for s in bank.seen) + "\n")
-        write_rows(fh, " ", "\n", bank.centroids)
+    write_file(
+        path, " ", "\n", f"{bank.num_classes} {bank.feature_dim}\n", ([[bank.m0, bank.m]],),
+        " ".join(str(int(s)) for s in bank.seen) + "\n", (bank.centroids,),
+    )
 
 
 def load_bank(path) -> CentroidBank:

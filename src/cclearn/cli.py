@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import centroids, diagnostics, trainer
-from .codec import csv_cell, write_rows
+from .codec import csv_cell, write_file
 from .data import SynthConfig, generate_domains, load_table, save_table, split_dataset
 from .errors import StateError
 from .model import load_model, save_model
@@ -44,9 +44,8 @@ def _load_json(path: Path) -> dict:
 
 
 def _echo_config(config, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)  # tuples as lists
-        fh.write("\n")
+    text = json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)  # tuples as lists
+    write_file(path, " ", "\n", text + "\n")
 
 
 def _command_config(args, cls, default=None):
@@ -69,8 +68,7 @@ def _write_run(out: Path, config, params, bank, report, **artifacts: str) -> Non
         "config": CONFIG_FILE, "model": MODEL_FILE, "bank": BANK_FILE, "history": HISTORY_FILE,
         **artifacts,
     }
-    with open(out / REPORT_FILE, "w", encoding="utf-8") as fh:
-        fh.write(trainer.render_report(report))
+    write_file(out / REPORT_FILE, " ", "\n", trainer.render_report(report))
 
 
 def _model_table(path: str, run: Path, params, what: str = "dataset"):
@@ -152,9 +150,7 @@ def cmd_evaluate(args) -> None:
     for res in results:
         names += [res.name] + [f"{res.name}_class{k}" for k in range(len(res.per_class or ()))]
         values += [res.value, *(res.per_class or ())]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("metric,domain,value\n")
-        write_rows(fh, ",", "\n", names, csv_cell(ds.domain), values)
+    write_file(out_path, ",", "\n", "metric,domain,value\n", (names, csv_cell(ds.domain), values))
     for res in results:
         print(f"{res.name} [{res.domain}]: {res.value:.6g}")
     print(f"wrote {out_path}")
@@ -189,12 +185,12 @@ def cmd_diagnose(args) -> None:
     spread_path = run / f"spread_{stem}.txt"
     diagnostics.save_heatmap(heatmap, heat_path)
     diagnostics.save_projection(coords, labels, domain, pca_path)
-    with open(spread_path, "w", encoding="utf-8") as fh:
-        fh.write(f"spread {spread:.17g}\n")
-        fh.write(f"explained_pc1 {basis.explained[0]:.17g}\n")
-        fh.write(f"explained_pc2 {basis.explained[1]:.17g}\n")
-        fh.write(f"centroids {'trained' if use_trained else 'empirical'}\n")
-        fh.write(f"mean_heatmap_diagonal {heatmap.mean_diagonal:.17g}\n")
+    write_file(
+        spread_path, " ", "\n",
+        (["spread", "explained_pc1", "explained_pc2"], [spread, *basis.explained]),
+        f"centroids {'trained' if use_trained else 'empirical'}\n",
+        (["mean_heatmap_diagonal"], [heatmap.mean_diagonal]),
+    )
     for path in (heat_path, pca_path, spread_path):
         print(f"wrote {path}")
 

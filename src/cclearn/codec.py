@@ -1,4 +1,4 @@
-"""The text codec behind the dataset tables, checkpoints and CSV run files.
+"""The text codec behind the dataset tables, checkpoints and every run file.
 
 A row is its cells joined by one separator, then a line end. Float cells
 are written as %.17g, which round-trips every float64 exactly; every other
@@ -73,14 +73,27 @@ def csv_cell(text: str) -> str:
     return out.getvalue()[:-3]
 
 
+def write_file(path, sep: str, end: str, *parts) -> None:
+    """Write ``parts`` in order to the file at ``path``, opened in binary
+    mode: a str part as its UTF-8 bytes, a tuple part as the columns of one
+    ``write_rows(fh, sep, end, *part)`` call. No line end is translated: a
+    ``\\n`` is written ``\\n`` on every platform."""
+    with open(path, "wb") as fh:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part.encode())
+            else:
+                write_rows(fh, sep, end, *part)
+
+
 def write_rows(fh, sep: str, end: str, *columns) -> None:
     """Write each row's cells joined by ``sep``, then ``end``.
 
     A column is a 1-D array (one cell per row) or a 2-D one (a run of cells
     per row) of floats, integers, bools or str, or a str, the same cell in
     every row. Float cells are written %.17g, every other cell ``str(v)``.
-    ``sep`` is one ASCII character. A text file is written str, any other
-    file the UTF-8 bytes.
+    ``sep`` is one ASCII character. ``fh`` is a binary file: it gets the
+    UTF-8 bytes.
     """
     if len(sep) != 1 or not sep.isascii():
         raise ValueError(f"the separator must be one ASCII character, got {sep!r}")
@@ -98,8 +111,7 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
     for start in range(0, n, step):
         rows = min(step, n - start)
         block = [c if isinstance(c, str) else c[start : start + rows].reshape(rows, -1) for c in columns]
-        chunk = _render_rows(sep, end, rows, block)
-        fh.write(chunk.decode("utf-8") if isinstance(fh, io.TextIOBase) else chunk)
+        fh.write(_render_rows(sep, end, rows, block))
 
 
 def _render_rows(sep: str, end: str, rows: int, block: list) -> bytes:

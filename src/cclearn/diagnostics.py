@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import CentroidBank, batch_class_means
-from .codec import csv_cell, write_rows
+from .codec import csv_cell, write_file
 from .errors import StateError, UndefinedProjectionError
 
 _SIGN_EPS = 1e-12
@@ -120,14 +120,11 @@ def feature_spread(features: np.ndarray) -> float:
 def save_heatmap(hm: HeatmapMatrix, path) -> None:
     """CSV: one row per class i with columns class,count,c0..c{K-1}."""
     num_classes = hm.values.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("class,count," + ",".join(f"c{j}" for j in range(num_classes)) + "\n")
-        write_rows(fh, ",", "\n", np.arange(num_classes), hm.class_counts, hm.values)
+    header = "class,count," + ",".join(f"c{j}" for j in range(num_classes)) + "\n"
+    write_file(path, ",", "\n", header, (np.arange(num_classes), hm.class_counts, hm.values))
 
 
 def save_projection(coords: np.ndarray, labels: np.ndarray, domain: str, path) -> None:
     """CSV: pc1,pc2,label,domain rows, the domain quoted as the csv module
     quotes it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pc1,pc2,label,domain\n")
-        write_rows(fh, ",", "\n", coords, labels, csv_cell(domain))
+    write_file(path, ",", "\n", "pc1,pc2,label,domain\n", (coords, labels, csv_cell(domain)))

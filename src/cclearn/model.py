@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centroids import row_norms
-from .codec import read_rows, write_rows
+from .codec import read_rows, write_file
 from .errors import StateError
 
 
@@ -275,13 +275,9 @@ def save_model(params: ModelParams, path) -> None:
     bias line, and finally the head weight rows and head bias. %.17g floats
     round-trip float64 exactly.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{params.input_dim} {params.feature_dim} {params.num_classes} {len(params.weights)}\n"
-            + " ".join(str(w.shape[1]) for w in params.weights) + "\n"
-        )
-        for block in params.blocks:
-            write_rows(fh, " ", "\n", block)
+    dims = f"{params.input_dim} {params.feature_dim} {params.num_classes} {len(params.weights)}\n"
+    sizes = " ".join(str(w.shape[1]) for w in params.weights) + "\n"
+    write_file(path, " ", "\n", dims + sizes, *((block,) for block in params.blocks))
 
 
 def load_model(path) -> ModelParams:

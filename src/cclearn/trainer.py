@@ -19,13 +19,13 @@ run through one loop, ``_fit``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
 
 from .centroids import CentroidBank, batch_class_means, ema_update, update_smoothing
-from .codec import write_rows
+from .codec import write_file
 from .data import Dataset, JsonConfig, key, make_batches
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
@@ -261,13 +261,11 @@ def _fit(
 
 
 def write_history_csv(report: RunReport, path) -> None:
-    h = report.history
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,m,lr,ce,cont,total,ema_samples,val_accuracy,val_kappa\n")
-        write_rows(
-            fh, ",", "\n", [r.epoch for r in h], [[r.m, r.lr, r.ce, r.cont, r.total] for r in h],
-            [r.ema_samples for r in h], [[r.val_accuracy, r.val_kappa] for r in h],
-        )
+    columns = fields(EpochRecord)  # in order: each column's header name and its cells' type
+    write_file(
+        path, ",", "\n", ",".join(f.name for f in columns) + "\n",
+        tuple(np.array([getattr(r, f.name) for r in report.history], f.type) for f in columns),
+    )
 
 
 def render_report(report: RunReport) -> str:

@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cclearn import diagnostics, trainer
 from cclearn.centroids import CentroidBank, load_bank, save_bank
 from cclearn.cli import main
+from cclearn.codec import csv_cell
 from cclearn.data import Dataset, load_table, save_table
+from cclearn.model import load_model
 
 SYNTH = {
     "num_classes": 3,
@@ -119,6 +125,25 @@ class TestSynthData:
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: features contain non-finite values")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("counts", [2**62, [2**62] * 4])
+    def test_a_huge_class_count_fails_cleanly(self, tmp_path, counts):
+        """The counts sum past int64. As Python ints their sum is too large
+        to size an array; summed as int64 it would wrap, and numpy would
+        write past its buffers. Run in a subprocess, so that a crash fails
+        this test and not the whole suite."""
+        config = write_json(
+            tmp_path / "synth.json", dict(SYNTH, num_classes=4, samples_per_class=counts)
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cclearn.cli", "synth-data", "--config", str(config),
+             "--out", str(tmp_path / "x")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
         assert not (tmp_path / "x").exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
@@ -285,6 +310,42 @@ def test_eval_and_pca_files_quote_the_domain(tmp_path, data_dir, run_dir, domain
             assert {len(row) for row in rows} == {width}, name
             assert {row[column] for row in rows[1:]} == {domain}, name
             assert "\r" not in text.replace(domain, ""), name  # rows end with \n
+
+
+@pytest.mark.parametrize("fit", [False, True])
+@pytest.mark.parametrize("domain", ["target", 'site "A", 5%'])
+def test_eval_and_spread_files_equal_an_in_process_oracle(tmp_path, data_dir, run_dir, domain, fit):
+    """The header, ``csv_cell`` and ``:.17g`` f-strings that the CLI wrote these
+    files with before the codec did, over the values that ``evaluate_model``,
+    ``feature_spread``, ``pca_2d`` and the heatmap give in this process."""
+    target = load_table(data_dir / "target.csv")
+    ds = Dataset(target.features, target.labels, domain, target.num_classes)
+    save_table(ds, tmp_path / "odd.csv")
+    args = ["--run", str(run_dir), "--data", str(tmp_path / "odd.csv")]
+    assert main(["evaluate", *args]) == 0
+    fit_args = ["--fit-data", str(data_dir / "source.csv")] if fit else []
+    assert main(["diagnose", *args, *fit_args]) == 0
+
+    params, bank = load_model(run_dir / "model.txt"), load_bank(run_dir / "bank.txt")
+    lines = ["metric,domain,value"]
+    for res in trainer.evaluate_model(params, ds):
+        cells = [(res.name, res.value)]
+        cells += [(f"{res.name}_class{k}", v) for k, v in enumerate(res.per_class or ())]
+        lines += [f"{name},{csv_cell(domain)},{value:.17g}" for name, value in cells]
+    assert (run_dir / "eval_odd.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    feats = trainer.infer(params, ds.features, 1)
+    fit_rows = load_table(data_dir / "source.csv").features if fit else ds.features
+    basis = diagnostics.pca_2d(trainer.infer(params, fit_rows, 1))
+    assert bank.seen.all()  # so diagnose uses the trained centroids
+    heatmap = diagnostics.class_centroid_heatmap(feats, ds.labels, bank)
+    assert (run_dir / "spread_odd.txt").read_bytes() == (
+        f"spread {diagnostics.feature_spread(feats):.17g}\n"
+        f"explained_pc1 {basis.explained[0]:.17g}\n"
+        f"explained_pc2 {basis.explained[1]:.17g}\n"
+        "centroids trained\n"
+        f"mean_heatmap_diagonal {heatmap.mean_diagonal:.17g}\n"
+    ).encode()
 
 
 def test_plain_domain_cells_are_written_bare(data_dir, run_dir):

@@ -2,6 +2,7 @@
 reader's fast path checked against the line-by-line scan, and the parsed
 sidecar checked against the text."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from cclearn import centroids, codec, data, diagnostics, model, trainer
+from cclearn import cli, codec, data
 from cclearn.centroids import CentroidBank, load_bank, save_bank
 from cclearn.data import Dataset, load_table, save_table
 from cclearn.diagnostics import HeatmapMatrix, save_heatmap, save_projection
@@ -67,6 +68,10 @@ GOLDEN = {
     "history": "339b1b22679753a76cab75b46015cdd81ad15ea0abe996c342b6a6b7e59237fd",
     "heatmap": "b934f6d54fe66258dcd39851e2fd7002e193c655b7c98dd9ced7791048373af3",
     "projection": "5ef7e51ce11eca7210d8af4062befae11db3f269b4b8b542888948f2b7d27f55",
+    # the CLI's run files of the same bank, model and report, as written
+    # before they moved onto codec.write_file
+    "config": "2f56618a92862a16a7f98aa2e7cef07865e73804ab5230e160e200c58164337b",
+    "report": "c857ebe2b9205f98e93b19700a4359fd1bd8ec83a24a6343848947d853a69f09",
 }
 
 
@@ -89,6 +94,14 @@ def golden_writers():
         np.array([[1.0 / 3.0, math.nan], [-0.0, 0.1]]), np.array([3, 0]), np.array([False, True])
     )
     quoted = Dataset(np.array([[1.5], [-2.0]]), np.array([1, 0]), 'site "A", 5%', 2)
+
+    def run_file(name):  # the file ``name`` of the run directory that the CLI writes
+        def write(path):
+            run = Path(f"{path}.run")
+            run.mkdir()
+            cli._write_run(run, report.config, params, bank, report)
+            os.replace(run / name, path)
+        return write
     return {
         "table": lambda p: save_table(Dataset(TRICKY, np.array([0, 1, 2]), "target", 3), p),
         "quoted_table": lambda p: save_table(quoted, p),
@@ -97,6 +110,8 @@ def golden_writers():
         "history": lambda p: write_history_csv(report, p),
         "heatmap": lambda p: save_heatmap(heatmap, p),
         "projection": lambda p: save_projection(TRICKY[:, :2], np.array([0, 2, 1]), "target", p),
+        "config": run_file(cli.CONFIG_FILE),
+        "report": run_file(cli.REPORT_FILE),
     }
 
 
@@ -110,9 +125,43 @@ def test_golden_bytes(tmp_path, name):
 def test_table_lines_end_with_crlf_and_other_files_with_lf(tmp_path):
     writers = golden_writers()
     writers["table"](tmp_path / "t.csv")
-    writers["model"](tmp_path / "m.txt")
     assert (tmp_path / "t.csv").read_bytes().count(b"\r\n") == 4
-    assert b"\r" not in (tmp_path / "m.txt").read_bytes()
+    for name in sorted(set(writers) - {"table", "quoted_table"}):
+        writers[name](tmp_path / name)
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
+
+
+# the only functions that open a file for writing; every other writer goes
+# through codec.write_file, so a rule for how files are written lives in three places
+FILE_WRITERS = {("codec", "write_file"), ("data", "save_table"), ("data", "_write_sidecar")}
+# calls that write a file without an open() in sight
+WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savetxt", "tofile"}
+
+
+def file_writes(module: str, tree: ast.AST, where: str | None = None):
+    """(module, enclosing function, line) of each call under ``tree`` that
+    opens a file for writing: an ``open`` whose mode is not a literal read
+    mode, or one of WRITE_CALLS."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from file_writes(module, node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            reads = isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+            if name == "open" and not reads or name in WRITE_CALLS:
+                yield module, where, node.lineno
+        yield from file_writes(module, node, where)
+
+
+def test_only_three_functions_open_a_file_for_writing():
+    package = Path(codec.__file__).parent
+    writes = [w for path in sorted(package.glob("*.py"))
+              for w in file_writes(path.stem, ast.parse(path.read_text()))]
+    assert {(module, where) for module, where, _ in writes} == FILE_WRITERS, writes
 
 
 @pytest.fixture()
@@ -171,26 +220,26 @@ def test_a_row_wider_than_the_budget_is_a_chunk_of_its_own(tmp_path, chunk_rows)
     ((np.zeros((2, 0)), np.zeros(2)), 0),  # no cells per row
 ])
 def test_array_columns_are_1_or_2_d_with_one_row_count(columns, position):
-    out = io.StringIO()
+    out = io.BytesIO()
     with pytest.raises(ValueError, match=f"column {position} has shape"):
         codec.write_rows(out, ",", "\n", *columns)
-    assert out.getvalue() == ""
+    assert out.getvalue() == b""
 
 
 def test_a_row_needs_a_column_that_is_not_a_str():
     with pytest.raises(ValueError, match="not a str"):
-        codec.write_rows(io.StringIO(), ",", "\n", "a", "b")
+        codec.write_rows(io.BytesIO(), ",", "\n", "a", "b")
 
 
 # ------------------------------------------- %.17g cells against the % operator
 
-WRITER_MODULES = [data, model, centroids, trainer, diagnostics]
+WRITER_MODULES = [data, codec]
 
 
 def codec_text(sep, end, *columns) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     codec.write_rows(buf, sep, end, *columns)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def reference_text(sep, end, *columns) -> str:
@@ -380,7 +429,7 @@ def test_any_separator_end_and_str_columns(sep, end, columns):
 @pytest.mark.parametrize("sep", ["", ",,", ", ", "\u00e9"])
 def test_a_separator_is_one_ascii_character(sep):
     with pytest.raises(ValueError, match="separator"):
-        codec.write_rows(io.StringIO(), sep, "\n", [[1.0, 2.0]])
+        codec.write_rows(io.BytesIO(), sep, "\n", [[1.0, 2.0]])
 
 
 # ------------------------------------------------------------------ round trips

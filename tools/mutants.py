@@ -73,6 +73,20 @@ MUTANTS = [
         "if False:",
         ("tests/test_cli.py::test_run_file_errors_name_a_path",),  # its @example cases
     ),
+    Mutant(  # the spread file's explained-variance lines swapped
+        "spread-explained-swapped", "src/cclearn/cli.py",
+        "[spread, *basis.explained]", "[spread, *basis.explained[::-1]]",
+        ("tests/test_cli.py::test_eval_and_spread_files_equal_an_in_process_oracle",),
+    ),
+    Mutant(  # every header line of every run file lost
+        "write-file-drops-str-parts", "src/cclearn/codec.py", "fh.write(part.encode())", "pass",
+        ("tests/test_codec.py::test_golden_bytes",),
+    ),
+    Mutant(
+        "history-fields-reversed", "src/cclearn/trainer.py",
+        "columns = fields(EpochRecord)", "columns = fields(EpochRecord)[::-1]",
+        ("tests/test_codec.py::test_golden_bytes[history]",),
+    ),
     Mutant(
         "digits-round-half-up", "src/cclearn/codec.py", "np.rint(e)", "np.floor(e + 0.5)",
         ("tests/test_codec.py::test_half_way_ties_round_to_even",
