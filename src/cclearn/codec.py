@@ -2,9 +2,12 @@
 
 A row is its cells joined by one separator, then a line end. Float cells
 are written as %.17g, which round-trips every float64 exactly; every other
-cell is ``str(v)``. Rows are rendered in chunks of CHUNK_CELLS cells, each
-a byte matrix with one row per line and _PAD in unused bytes, deleted
-before the write. Float cells take their digits from an exact float64
+cell is ``str(v)``, rendered once per call for each distinct value of its
+column and taken into each chunk by ``np.searchsorted``. Rows are rendered
+in chunks of CHUNK_CELLS cells, each a byte matrix with one row per line and
+_PAD in unused bytes, deleted before the write. A float's decade comes from
+its binary exponent e, floor(e log10 2) = (e * 78913) >> 18 (Adams, Ryu,
+PLDI 2018), and one ``_TENS`` comparison, its digits from an exact float64
 product (``_render_floats``), byte for byte as Python's ``'%.17g' % v``.
 """
 
@@ -108,33 +111,40 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
                              f"are 1-D or 2-D, of {n} rows of cells, of floats, integers, bools or str")
     width = sum(c.shape[1] if not isinstance(c, str) and c.ndim == 2 else 1 for c in columns)
     step = max(1, CHUNK_CELLS // max(1, width))
-    for start in range(0, n, step):
-        rows = min(step, n - start)
-        block = [c if isinstance(c, str) else c[start : start + rows].reshape(rows, -1) for c in columns]
-        fh.write(_render_rows(sep, end, rows, block))
-
-
-def _render_rows(sep: str, end: str, rows: int, block: list) -> bytes:
-    """The UTF-8 bytes of ``rows`` rows of the str cells and 2-D arrays
-    ``block``, each row's cells joined by ``sep`` and followed by ``end``."""
-    # in row order: uint8 matrices (one row, or one per row) and (float array, byte after it)
-    pieces: list = []
-    for i, col in enumerate(block):
-        tail = end if i == len(block) - 1 else sep
-        if isinstance(col, str):
-            pieces.append(_padded([col + tail]))
-        elif col.dtype.kind == "f":
+    # once per call, in row order, as (cells, values, rendered): 2-D floats, None and
+    # the byte after each row's last one; a non-float cell column, its sorted distinct
+    # values and their padded texts with the text after each; or one padded row
+    parts: list = []
+    for i, c in enumerate(columns):
+        tail = end if i == len(columns) - 1 else sep
+        if isinstance(c, str):
+            parts.append((None, None, _padded([c + tail])))
+        elif c.dtype.kind == "f":
             last = tail.encode()
-            pieces.append((col, last[0] if last else _PAD))
+            parts.append((c if c.ndim == 2 else c[:, None], None, last[0] if last else _PAD))
             if len(last) > 1:
-                pieces.append(np.frombuffer(last[1:], np.uint8)[None])
+                parts.append((None, None, np.frombuffer(last[1:], np.uint8)[None]))
         else:
-            tails = [sep] * (col.shape[1] - 1) + [tail]
-            pieces += [_padded([f"{v}{t}" for v in cells]) for cells, t in zip(col.T.tolist(), tails)]
-    words = [_GLYPH // 8 * p[0].shape[1] if isinstance(p, tuple) else -(-p.shape[1] // 8) for p in pieces]
+            cols = c.T if c.ndim == 2 else c[None]
+            for cells, t in zip(cols, [sep] * (len(cols) - 1) + [tail]):
+                # with counts np.unique sorts: no numpy.ma import, no hash table of every cell
+                values = np.unique(cells, return_counts=True)[0]
+                parts.append((cells, values, _padded([f"{v}{t}" for v in values.tolist()])))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        block = [rendered if cells is None else (cells[rows], rendered) if values is None
+                 else rendered[np.searchsorted(values, cells[rows])] for cells, values, rendered in parts]
+        fh.write(_render_rows(sep, rows.stop - start, block))
+
+
+def _render_rows(sep: str, rows: int, block: list) -> bytes:
+    """The UTF-8 bytes of ``rows`` rows of ``block``, in row order: uint8
+    matrices of one row or one per row, and (2-D float cells, the byte after
+    each row's last one), the floats joined by ``sep``."""
+    words = [_GLYPH // 8 * p[0].shape[1] if isinstance(p, tuple) else -(-p.shape[1] // 8) for p in block]
     raw = np.full((rows, 8 * sum(words)), _PAD, np.uint8)
     at = 0
-    for piece, width in zip(pieces, words):
+    for piece, width in zip(block, words):
         if isinstance(piece, tuple):
             a, last = piece
             glyphs = raw.view(np.uint64)[:, at : at + width].reshape(rows, a.shape[1], -1)
@@ -169,8 +179,8 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
     ax = np.abs(x)
     fast = (ax >= _TENS[0]) & (ax < _TENS[-1])
     ax = np.where(fast, ax, 1.0)
-    e10 = np.floor(np.log10(ax)).astype(np.intp).clip(-4, 14)  # off by one near powers of ten
-    e10 = e10 + (ax >= _TENS[e10 + 5]) - (ax < _TENS[e10 + 4])
+    e10 = ((ax.view(np.int64) >> 52) - 1023) * 78913 >> 18  # floor(log10 2**e): one low at most
+    e10 += ax >= _TENS[e10 + 5]
     q = _digits(ax, 16 - e10)  # < 10**17: no double in the window rounds up to the next decade
     top = q // 10**16
     rest = q - top * 10**16

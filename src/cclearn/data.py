@@ -30,6 +30,7 @@ _STREAM_BASE = 11
 _STREAM_AFFINE = 12
 _STREAM_SPLIT = 14
 _NOISE_ROWS = 1024  # rows per block of the synthetic noise draw
+CELL_BUDGET = 2**31  # cells of one synthetic table, rows x input_dim: 16 GiB of float64
 
 SIDECAR = ".parsed"  # save_table leaves the parsed arrays of <table> in <table>.parsed
 # a domain holding one of these is quoted in the table, or (NUL) refused by
@@ -153,13 +154,23 @@ class SynthConfig(JsonConfig):
 
     def validate(self) -> None:
         """The rules of the keys, then the lengths of the list keys: one count
-        per class, one angle per rotation plane, one shift per dimension."""
+        per class, one angle per rotation plane, one shift per dimension. Then,
+        in Python ints, a table's rows x input_dim cells (and so the class means'
+        num_classes x input_dim) must fit CELL_BUDGET: the largest key is named."""
         super().validate()
         for name, n in (("samples_per_class", self.num_classes),
                         ("rotation_angle", self.input_dim // 2), ("translation", self.input_dim)):
             value = getattr(self, name)
             if isinstance(value, (tuple, list)) and len(value) != n:
                 raise ValueError(f"config key {name!r} must list {n} values, got {len(value)}")
+        rows = (sum(map(int, self.samples_per_class)) if isinstance(self.samples_per_class, (tuple, list))
+                else int(self.samples_per_class) * int(self.num_classes))
+        sizes = {"num_classes": int(self.num_classes), "samples_per_class": rows // int(self.num_classes),
+                 "input_dim": int(self.input_dim)}
+        if rows * sizes["input_dim"] > CELL_BUDGET:
+            name = max(sizes, key=sizes.get)
+            raise ValueError(f"config key {name!r} must keep a table within {CELL_BUDGET} cells, "
+                             f"got {rows} rows x {self.input_dim} input_dim")
 
 
 def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:

@@ -43,8 +43,10 @@ package reads one rule per field from the field's ``key``; they take the
 config as ``self``. Each is kept here exactly as it first shipped, or, for
 the four fast paths, the config checks and the rotation, as it stood before
 them, except that ``class_counts`` lists a shared count once rather than
-once per class, and that ``rotation_matrix_givens`` and
-``translation_vector`` drop the package's names.
+once per class, that ``synth_config_validate`` also refuses a table (rows x
+input_dim) or class means (num_classes x input_dim) of more than 2**31
+cells, and that ``rotation_matrix_givens`` and ``translation_vector`` drop
+the package's names.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
     for start in range(0, n, 2048):
         rows = min(2048, n - start)
         block = np.hstack([
-            np.full((rows, 1), c, dtype=object) if isinstance(c, str)
+            np.array([[c]] * rows, dtype=object) if isinstance(c, str)  # np.full would strip a trailing NUL
             else np.asarray(c[start : start + rows]).reshape(rows, -1).astype(object) for c in columns
         ])
         text = "".join([
@@ -594,6 +596,10 @@ def synth_config_validate(self) -> None:
         raise ValueError("standard deviations must be >= 0")
     if self.scale <= 0:
         raise ValueError(f"scale must be > 0, got {self.scale}")
+    counts = class_counts(self)
+    rows = sum(counts) if len(counts) > 1 else counts[0] * int(self.num_classes)
+    if max(rows, int(self.num_classes)) * int(self.input_dim) > 2**31:
+        raise ValueError("a table and its class means must hold at most 2**31 cells")
 
 
 def require_numbers(config, kind: type, scalars: tuple[str, ...], sequences=()) -> None:

@@ -127,23 +127,38 @@ class TestSynthData:
         assert capsys.readouterr().err.startswith("error: features contain non-finite values")
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("counts", [2**62, [2**62] * 4])
-    def test_a_huge_class_count_fails_cleanly(self, tmp_path, counts):
-        """The counts sum past int64. As Python ints their sum is too large
-        to size an array; summed as int64 it would wrap, and numpy would
-        write past its buffers. Run in a subprocess, so that a crash fails
-        this test and not the whole suite."""
-        config = write_json(
-            tmp_path / "synth.json", dict(SYNTH, num_classes=4, samples_per_class=counts)
-        )
+    @staticmethod
+    def synth_data_in_a_subprocess(tmp_path, payload: dict) -> subprocess.CompletedProcess:
+        """``cclearn synth-data`` of the config ``payload`` into ``tmp_path / "x"``,
+        run in a subprocess, so that a crash fails one test and not the whole suite."""
+        config = write_json(tmp_path / "synth.json", payload)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "cclearn.cli", "synth-data", "--config", str(config),
              "--out", str(tmp_path / "x")],
             env=env, capture_output=True, text=True, timeout=300,
         )
+
+    @pytest.mark.parametrize("counts", [2**62, [2**62] * 4])
+    def test_a_huge_class_count_fails_cleanly(self, tmp_path, counts):
+        """The counts sum past int64. As Python ints their sum is too large
+        to size an array; summed as int64 it would wrap, and numpy would
+        write past its buffers."""
+        proc = self.synth_data_in_a_subprocess(
+            tmp_path, dict(SYNTH, num_classes=4, samples_per_class=counts))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: "), proc.stderr
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"num_classes": 2**70}, "num_classes"),  # past the index range: no tuple of counts is built
+        # one cell past the budget: 2**31 + 1 rows of one feature
+        ({"num_classes": 2, "input_dim": 1, "samples_per_class": [2**30, 2**30 + 1]}, "samples_per_class"),
+    ])
+    def test_a_table_past_the_cell_budget_fails_cleanly(self, tmp_path, changes, key):
+        proc = self.synth_data_in_a_subprocess(tmp_path, dict(SYNTH, **changes))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: config key '{key}' must keep a table within"), proc.stderr
         assert not (tmp_path / "x").exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):

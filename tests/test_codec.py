@@ -171,9 +171,9 @@ def chunk_rows(monkeypatch):
     seen = []
     render = codec._render_rows
 
-    def spy(sep, end, rows, block):
+    def spy(sep, rows, block):
         seen.append(rows)
-        return render(sep, end, rows, block)
+        return render(sep, rows, block)
 
     def use(budget):
         monkeypatch.setattr(codec, "CHUNK_CELLS", budget)
@@ -424,6 +424,50 @@ CELLS = np.array([[1.5, -1e-300], [math.nan, 0.1]])
 ])
 def test_any_separator_end_and_str_columns(sep, end, columns):
     assert codec_text(sep, end, *columns) == reference_text(sep, end, *columns)
+
+
+# -------------------------------- non-float cells, rendered once per distinct value
+
+CELL_KINDS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+              np.bool_, np.str_]
+
+
+@st.composite
+def cell_columns(draw, rows: int) -> np.ndarray:
+    """A 1-D or 2-D column of ``rows`` rows of integers, bools or str, whose
+    cells are all equal, a few values or all distinct."""
+    kind = draw(st.sampled_from(CELL_KINDS))
+    shape = (rows, *draw(st.sampled_from([(), (1,), (3,)])))
+    size = math.prod(shape)
+    cells = (st.booleans() if kind is np.bool_ else st.text(max_size=3) if kind is np.str_
+             else st.integers(int(np.iinfo(kind).min), int(np.iinfo(kind).max)))
+    spread = draw(st.sampled_from(["equal", "few", "distinct"] if kind is not np.bool_ else ["equal", "few"]))
+    if spread == "equal":
+        values = [draw(cells)] * size
+    elif spread == "few":
+        values = draw(st.lists(st.sampled_from(draw(st.lists(cells, min_size=2, max_size=3))),
+                               min_size=size, max_size=size))
+    else:
+        values = draw(st.lists(cells, min_size=size, max_size=size, unique=True))
+    return np.array(values, dtype=kind).reshape(shape)
+
+
+@SETTINGS
+@given(data=st.data(), sep=st.sampled_from([",", " ", "\t"]), end=st.sampled_from(["\n", "\r\n", "", "\u00e9\n"]))
+def test_non_float_cells_match_the_row_at_a_time_writer(chunk_rows, data, sep, end):
+    rows = data.draw(st.sampled_from([0, 1, 7, 40]), label="rows")
+    budget = data.draw(st.sampled_from([1, 5]), label="chunk cells")  # 2 rows a chunk at most
+    seen = chunk_rows(budget)
+    columns = data.draw(st.lists(cell_columns(rows), min_size=2, max_size=3), label="columns")
+    if data.draw(st.booleans(), label="a float column"):
+        columns.insert(1, np.linspace(-1.5, 1e5, rows))
+    for at, text in [(len(columns), "last"), (1, "middle"), (0, "first")]:
+        if data.draw(st.booleans(), label=f"a str column {text}"):
+            columns.insert(at, data.draw(st.text(max_size=3), label=text))
+    before = len(seen)
+    assert codec_text(sep, end, *columns) == reference_text(sep, end, *columns)
+    step = max(1, budget // sum(1 if isinstance(c, str) or c.ndim == 1 else c.shape[1] for c in columns))
+    assert seen[before:] == [min(step, rows - start) for start in range(0, rows, step)]
 
 
 @pytest.mark.parametrize("sep", ["", ",,", ", ", "\u00e9"])
@@ -831,6 +875,24 @@ def test_tables_save_and_load_without_openssl(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_non_float_cells_load_no_numpy_module():
+    """Without counts, np.unique asks whether its input is masked, and numpy 2
+    then imports numpy.ma: 15-90 ms in every CLI stage that writes a label."""
+    script = "\n".join([
+        "import io, sys",
+        "import numpy as np",
+        "from cclearn import codec",
+        "before = set(sys.modules)",
+        "cells = np.arange(3), np.array([[True], [False], [True]]), np.array(['a', 'b', 'a']), 's'",
+        "codec.write_rows(io.BytesIO(), ',', '\\n', *cells)",
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

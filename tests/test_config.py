@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from cclearn.data import SynthConfig
+from cclearn.data import CELL_BUDGET, SynthConfig
 from cclearn.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,6 +107,26 @@ def test_list_keys_must_fit_the_data_shape(changes, message):
     SynthConfig(**fitting).validate()
 
 
+@pytest.mark.parametrize("changes, name", [
+    ({"num_classes": 2**70}, "num_classes"),
+    ({"input_dim": 2**70}, "input_dim"),
+    ({"samples_per_class": (2**70, 1, 1, 1)}, "samples_per_class"),
+    # one or two cells past the budget
+    ({"num_classes": 2, "input_dim": 1, "samples_per_class": (2**30, 2**30 + 1)}, "samples_per_class"),
+    ({"num_classes": 2, "input_dim": 2**30 + 1, "samples_per_class": 1}, "input_dim"),
+])
+def test_a_table_past_the_cell_budget_names_its_largest_key(changes, name):
+    with pytest.raises(ValueError, match=f"^config key '{name}' must keep a table within 2147483648 cells"):
+        SynthConfig(**changes).validate()
+
+
+def test_a_table_at_the_cell_budget_is_accepted():
+    assert CELL_BUDGET == 2**31  # as README states it
+    SynthConfig(num_classes=2, input_dim=1, samples_per_class=2**30).validate()
+    SynthConfig(num_classes=2, input_dim=2**30, samples_per_class=1).validate()
+    SynthConfig(num_classes=2**31, input_dim=1, samples_per_class=1).validate()
+
+
 # ------------------------------------------------------------ the README tables
 
 def readme_table(heading: str) -> dict[str, tuple[str, str]]:
@@ -115,6 +135,11 @@ def readme_table(heading: str) -> dict[str, tuple[str, str]]:
     section = text.split(f"### {heading}\n\n", 1)[1].split("\n\n", 1)[0]
     rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
     return {cells[0].strip("| `"): (cells[1], cells[2]) for cells in rows}
+
+
+# the keys whose product SynthConfig.validate holds to CELL_BUDGET, and how README states it
+BUDGETED = ("num_classes", "input_dim", "samples_per_class")
+BUDGET = "; a table's rows × D at most 2**31"
 
 
 def allowed(rule: tuple) -> str:
@@ -136,4 +161,5 @@ def test_readme_lists_every_key_its_default_and_its_rule(cls, heading):
     for f in fields(cls):
         default, rule = table[f.name]
         assert json.loads(default) == json.loads(json.dumps(f.default)), f.name
-        assert rule == allowed(f.metadata["rule"]), f.name
+        budget = BUDGET if cls is SynthConfig and f.name in BUDGETED else ""
+        assert rule == allowed(f.metadata["rule"]) + budget, f.name

@@ -31,12 +31,13 @@ def test_prints_the_machine_and_a_cost_per_step_function():
         "writer", "rows", "us_per_row", "load_table_us_per_row", "save_model_us_per_call",
         "load_model_us_per_call", "save_bank_us_per_call", "load_bank_us_per_call",
         "generate_domains_us_per_row", "auc_macro_ovr_us_per_call", "pca_2d_us_per_call",
-        "project_into_us_per_call", "quadratic_weighted_kappa_us_per_call", "infer_us_per_row"]
+        "project_into_us_per_call", "quadratic_weighted_kappa_us_per_call", "infer_us_per_row",
+        "write_history_csv_us_per_call"]
     assert sorted(writer["us_per_row"]) == ["projection", "table"]
     assert all(us > 0 for us in writer["us_per_row"].values())
     assert writer["load_table_us_per_row"] > 0
     for name in ("save_model", "load_model", "save_bank", "load_bank", "auc_macro_ovr", "pca_2d",
-                 "project_into", "quadratic_weighted_kappa"):
+                 "project_into", "quadratic_weighted_kappa", "write_history_csv"):
         assert writer[f"{name}_us_per_call"] > 0
     assert writer["generate_domains_us_per_row"] > 0
     assert writer["infer_us_per_row"] > 0

@@ -97,6 +97,23 @@ MUTANTS = [
         ("tests/test_codec.py::test_golden_bytes",
          "tests/test_codec.py::test_the_kernel_equals_the_oracle_on_ties_at_every_k"),
     ),
+    Mutant(  # each decade left at its binary exponent's estimate, one low near powers of ten
+        "decade-no-tens-correction", "src/cclearn/codec.py", "    e10 += ax >= _TENS[e10 + 5]\n", "",
+        ("tests/test_codec.py::test_the_neighbours_of_every_power_of_ten_and_of_the_window_edges",
+         "tests/test_codec.py::test_a_million_values_across_the_fixed_notation_window"),
+    ),
+    Mutant(  # each non-float cell written as the next smaller distinct value
+        "cell-lookup-off-by-one", "src/cclearn/codec.py",
+        "rendered[np.searchsorted(values, cells[rows])]", "rendered[np.searchsorted(values, cells[rows]) - 1]",
+        ("tests/test_codec.py::test_golden_bytes",
+         "tests/test_codec.py::test_any_separator_end_and_str_columns",
+         "tests/test_codec.py::test_chunked_writes_match_the_row_at_a_time_writer"),
+    ),
+    Mutant(  # bytes unchanged: numpy 2 imports numpy.ma in every stage that writes a label
+        "cell-unique-imports-numpy-ma", "src/cclearn/codec.py",
+        "np.unique(cells, return_counts=True)[0]", "np.unique(cells)",
+        ("tests/test_codec.py::test_non_float_cells_load_no_numpy_module",),
+    ),
     Mutant(  # bytes unchanged: only the rows per chunk move
         "width-ignores-str-columns", "src/cclearn/codec.py",
         "else 1 for c in columns)", "else 1 for c in columns if not isinstance(c, str))",

@@ -29,8 +29,9 @@ saved table through its sidecar (both 4096 rows), ``generate_domains`` (per
 row of one domain) and ``trainer.infer`` of the logits. Per call:
 ``save_model``, ``load_model``, ``save_bank`` and ``load_bank`` (every class
 seen), ``auc_macro_ovr`` on softmax rows, ``pca_2d`` and ``project_into`` on
-feature rows, and ``quadratic_weighted_kappa`` on labels. The fixtures are
-built once, their files in one temporary directory.
+feature rows, ``quadratic_weighted_kappa`` on labels and ``write_history_csv``
+of a 50-epoch history. The fixtures are built once, their files in one
+temporary directory.
 
 The two ``write_rows`` keys (``us_per_row``) are timed after the 50k-row
 fixtures were built and ``pca_2d``'s large temporaries freed. By then
@@ -60,6 +61,7 @@ from run import BLAS_ENV, BLAS_THREADS, WORKLOADS  # noqa: E402
 
 REPEAT = 7  # timeit repeats; the best is kept
 WRITE_ROWS = 4096  # rows per timed write_rows call
+HISTORY_EPOCHS = 50  # rows of the timed history.csv
 
 
 def shape_sets() -> list[dict]:
@@ -141,7 +143,7 @@ def time_layers(repeat: int) -> dict:
     from cclearn.losses import softmax
     from cclearn.metrics import auc_macro_ovr, quadratic_weighted_kappa
     from cclearn.model import init_params, load_model, save_model
-    from cclearn.trainer import TrainConfig, infer
+    from cclearn.trainer import EpochRecord, RunReport, TrainConfig, infer, write_history_csv
 
     rng = np.random.default_rng(0)
     synth = SynthConfig(**WORKLOADS["scale-50k"].synth)
@@ -155,12 +157,15 @@ def time_layers(repeat: int) -> dict:
     predicted = probs.argmax(axis=1)
     feats, x = rng.normal(size=(rows, f)), rng.normal(size=(rows, d))
     basis = pca_2d(feats)
+    history = RunReport(train, [EpochRecord(e, *rng.random(5).tolist(), 1000 * e, *rng.random(2).tolist())
+                                for e in range(HISTORY_EPOCHS)])
 
     def write(cells, end):
         return lambda: codec.write_rows(io.BytesIO(), ",", end, cells, table.labels, domain)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path, model, bank_file = (Path(tmp) / name for name in ("target.csv", "model.txt", "bank.txt"))
+        path, model, bank_file, history_file = (
+            Path(tmp) / name for name in ("target.csv", "model.txt", "bank.txt", "history.csv"))
         save_table(table, path)
         save_model(params, model)
         save_bank(bank, bank_file)
@@ -179,6 +184,7 @@ def time_layers(repeat: int) -> dict:
             "quadratic_weighted_kappa_us_per_call": (
                 lambda: quadratic_weighted_kappa(labels, predicted, k), 1, 1),
             "infer_us_per_row": (lambda: infer(params, x, 2), rows, 3),
+            "write_history_csv_us_per_call": (lambda: write_history_csv(history, history_file), 1, 1),
         }
         us = {name: best_us(fn, 1, per, digits, repeat) for name, (fn, per, digits) in calls.items()}
     return {"writer": "write_rows", "rows": WRITE_ROWS,
