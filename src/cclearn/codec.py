@@ -94,21 +94,24 @@ def write_rows(fh, sep: str, end: str, *columns) -> None:
 
     A column is a 1-D array (one cell per row) or a 2-D one (a run of cells
     per row) of floats, integers, bools or str, or a str, the same cell in
-    every row. Float cells are written %.17g, every other cell ``str(v)``.
+    every row. Float cells are written %.17g, every other cell ``str(v)``,
+    a ``U`` array's as numpy holds them (a list cell ending in NUL is refused).
     ``sep`` is one ASCII character. ``fh`` is a binary file: it gets the
     UTF-8 bytes.
     """
     if len(sep) != 1 or not sep.isascii():
         raise ValueError(f"the separator must be one ASCII character, got {sep!r}")
-    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    given, columns = columns, [c if isinstance(c, str) else np.asarray(c) for c in columns]
     if all(isinstance(c, str) for c in columns):
         raise ValueError("write_rows needs a column that is not a str")
     n = next((len(c) for c in columns if not isinstance(c, str) and c.ndim), 0)
-    for i, c in enumerate(columns):
+    for i, (g, c) in enumerate(zip(given, columns)):
         if not isinstance(c, str) and (c.ndim not in (1, 2) or len(c) != n or 0 in c.shape[1:]
                                        or c.dtype.kind not in "fiubU"):
             raise ValueError(f"column {i} has shape {c.shape} and dtype {c.dtype}: array columns "
                              f"are 1-D or 2-D, of {n} rows of cells, of floats, integers, bools or str")
+        if isinstance(g, (list, tuple)) and any(str(v).endswith("\0") for v in np.array(g, object).flat):
+            raise ValueError(f"column {i} holds a str ending in NUL, which numpy's str arrays drop")
     width = sum(c.shape[1] if not isinstance(c, str) and c.ndim == 2 else 1 for c in columns)
     step = max(1, CHUNK_CELLS // max(1, width))
     # once per call, in row order, as (cells, values, rendered): 2-D floats, None and

@@ -30,7 +30,7 @@ _STREAM_BASE = 11
 _STREAM_AFFINE = 12
 _STREAM_SPLIT = 14
 _NOISE_ROWS = 1024  # rows per block of the synthetic noise draw
-CELL_BUDGET = 2**31  # cells of one synthetic table, rows x input_dim: 16 GiB of float64
+CELL_BUDGET = 2**31  # cells of a synthetic table (rows x D) or parameters of a new model: 16 GiB of float64
 
 SIDECAR = ".parsed"  # save_table leaves the parsed arrays of <table> in <table>.parsed
 # a domain holding one of these is quoted in the table, or (NUL) refused by
@@ -147,11 +147,6 @@ class SynthConfig(JsonConfig):
     target_noise_std: float = key(1.5, Real, ge=0)
     seed: int = key(0, Integral, ge=0)
 
-    def class_counts(self) -> tuple[int, ...]:
-        if isinstance(self.samples_per_class, (tuple, list)):
-            return tuple(int(c) for c in self.samples_per_class)
-        return (int(self.samples_per_class),) * self.num_classes
-
     def validate(self) -> None:
         """The rules of the keys, then the lengths of the list keys: one count
         per class, one angle per rotation plane, one shift per dimension. Then,
@@ -215,9 +210,9 @@ def generate_domains(config: SynthConfig) -> tuple[Dataset, Dataset]:
     The domains share every random draw, each drawn once, so the only
     differences are the affine map and the per-domain noise level.
     """
-    config.validate()
-    counts = config.class_counts()
-    total = sum(counts)
+    config.validate()  # the budget checks the counts as Python ints before numpy sizes anything
+    labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
+    total = len(labels)
     rng = np.random.default_rng([config.seed, _STREAM_BASE])
     mean_dirs = rng.standard_normal((config.num_classes, config.input_dim))
     mean_dirs /= np.linalg.norm(mean_dirs, axis=1, keepdims=True)
@@ -228,10 +223,9 @@ def generate_domains(config: SynthConfig) -> tuple[Dataset, Dataset]:
     # noise after it keeps the base stream's order.
     source = rng.standard_normal((total, config.input_dim))  # the deviations
     source *= config.class_std
-    start = 0
-    for mean, count in zip(means, counts):
-        source[start : start + count] += mean
-        start += count
+    bounds = labels.searchsorted(np.arange(config.num_classes + 1))  # each class's block of rows
+    for mean, start, stop in zip(means, bounds[:-1], bounds[1:]):
+        source[start:stop] += mean
     rot = rotation_matrix(config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0])
     target = source @ rot.T
     target *= config.scale
@@ -243,7 +237,6 @@ def generate_domains(config: SynthConfig) -> tuple[Dataset, Dataset]:
         for x, std in ((source, config.source_noise_std), (target, config.target_noise_std)):
             x[start : start + len(drawn)] += np.multiply(drawn, std, out=scaled[: len(drawn)])
     del noise, scaled  # freed before Dataset checks the tables
-    labels = np.repeat(np.arange(config.num_classes), counts)
     return (Dataset(source, labels, "source", config.num_classes),
             Dataset(target, labels.copy(), "target", config.num_classes))
 

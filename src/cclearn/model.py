@@ -22,6 +22,7 @@ import numpy as np
 
 from .centroids import row_norms
 from .codec import read_rows, write_file
+from .data import CELL_BUDGET
 from .errors import StateError
 
 
@@ -132,6 +133,8 @@ def init_params(
     sizes = [int(input_dim), *[int(h) for h in hidden_dims], int(feature_dim), int(num_classes)]
     if any(s < 1 for s in sizes) or num_classes < 2:
         raise ValueError(f"layer sizes must be positive and classes >= 2, got {sizes}")
+    if sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) > CELL_BUDGET:  # in Python ints
+        raise ValueError(f"layer sizes {sizes} hold more than {CELL_BUDGET} parameters")
     params = ModelParams.zeros(list(zip(sizes[:-1], sizes[1:])))
     for w in [*params.weights, params.head_weight]:
         bound = 1.0 / math.sqrt(w.shape[0])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -69,6 +70,17 @@ def run_dir(tmp_path, data_dir):
     return out
 
 
+def cli_in_a_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """``cclearn *argv`` in a subprocess whose address space is capped at 1 GiB,
+    so that a crash, or an allocation that a size budget should have refused,
+    fails one test rather than the whole suite or the machine."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "cclearn.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=300, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+
+
 def read_all_bytes(directory: Path) -> dict[str, bytes]:
     return {
         p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()
@@ -129,15 +141,9 @@ class TestSynthData:
 
     @staticmethod
     def synth_data_in_a_subprocess(tmp_path, payload: dict) -> subprocess.CompletedProcess:
-        """``cclearn synth-data`` of the config ``payload`` into ``tmp_path / "x"``,
-        run in a subprocess, so that a crash fails one test and not the whole suite."""
+        """``cclearn synth-data`` of the config ``payload`` into ``tmp_path / "x"``."""
         config = write_json(tmp_path / "synth.json", payload)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "cclearn.cli", "synth-data", "--config", str(config),
-             "--out", str(tmp_path / "x")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        return cli_in_a_subprocess("synth-data", "--config", str(config), "--out", str(tmp_path / "x"))
 
     @pytest.mark.parametrize("counts", [2**62, [2**62] * 4])
     def test_a_huge_class_count_fails_cleanly(self, tmp_path, counts):
@@ -151,7 +157,7 @@ class TestSynthData:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("changes, key", [
-        ({"num_classes": 2**70}, "num_classes"),  # past the index range: no tuple of counts is built
+        ({"num_classes": 2**70}, "num_classes"),  # past the index range: numpy could not size it
         # one cell past the budget: 2**31 + 1 rows of one feature
         ({"num_classes": 2, "input_dim": 1, "samples_per_class": [2**30, 2**30 + 1]}, "samples_per_class"),
     ])
@@ -228,6 +234,19 @@ class TestTrain:
             "--data", str(data_dir / "source.csv"), "--out", str(out),
         ]) == 0
         assert read_all_bytes(out) == read_all_bytes(run_dir)
+
+    @pytest.mark.parametrize("hidden", [[1000000, 1000000], [2**70]])
+    def test_a_model_past_the_parameter_budget_fails_cleanly(self, tmp_path, data_dir, hidden):
+        """Without the budget, the first allocates 7.28 TiB (a MemoryError in the
+        capped subprocess) and numpy refuses the second with a message that
+        names no size."""
+        config = write_json(tmp_path / "train.json", dict(TRAIN, hidden_dims=hidden))
+        proc = cli_in_a_subprocess("train", "--config", str(config), "--data", str(data_dir / "source.csv"),
+                                   "--out", str(tmp_path / "x"))
+        sizes = [SYNTH["input_dim"], *hidden, TRAIN["feature_dim"], SYNTH["num_classes"]]
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: layer sizes {sizes} hold more than {2**31} parameters\n"
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:
@@ -482,6 +501,61 @@ def test_run_file_errors_name_a_path(run_files, case):
         assert code == 2 and str(run / "bank.txt") in err and str(run / "model.txt") in err, err
     if corruption in ("other F", "other D") and name == "model.txt" or corruption == "huge":
         assert code == 2 and str(run / name) in err, err
+
+
+# each integer key small or past 2**31, never at it: a num_classes of 2**31 with
+# one feature and one row per class is a table within the budget, of 16 GiB
+SIZE = st.one_of(st.integers(1, 8), st.integers(2**31 + 1, 2**70))
+
+
+@st.composite
+def size_cases(draw):
+    """A synth-data or a train config, each integer key drawn from SIZE. The
+    epoch count is drawn small: it sets how long a run takes, which no budget
+    bounds, and 2**31 epochs of a small model is a valid run."""
+    if draw(st.booleans()):
+        config = {key: draw(SIZE) for key in ("num_classes", "input_dim", "seed")}
+        config["samples_per_class"] = draw(SIZE | st.lists(SIZE, min_size=1, max_size=8))
+        return "synth-data", config
+    config = {key: draw(SIZE) for key in ("feature_dim", "batch_size", "warmup_epochs", "seed")}
+    config.update(hidden_dims=draw(st.lists(SIZE, max_size=3)), epochs=draw(st.integers(0, 2)))
+    return "train", config
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=size_cases())
+@example(case=("synth-data", {"num_classes": 2**70}))
+@example(case=("synth-data", {"num_classes": 2, "input_dim": 2**31 + 1, "samples_per_class": 1}))
+@example(case=("train", {"hidden_dims": [1000000, 1000000]}))
+@example(case=("train", {"hidden_dims": [2**70]}))
+def test_configs_past_a_size_budget_fail_cleanly(run_files, case):
+    """Each config ends in exit 0, or in exit 2 with an ``error:`` line and no
+    --out written. A table over 2**31 cells is refused, naming a config key;
+    a model over 2**31 parameters (of the SYNTH table's D and K), naming its
+    layer sizes."""
+    command, payload = case
+    with tempfile.TemporaryDirectory(dir=run_files) as tmp:
+        config, out = write_json(Path(tmp) / "config.json", payload), Path(tmp) / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(run_files / "data" / "source.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2) and (code == 0) == out.exists(), err
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1, err
+    if command == "synth-data":
+        counts = payload.get("samples_per_class", 200)
+        k, d = payload.get("num_classes", 4), payload.get("input_dim", 16)
+        rows = sum(counts) if isinstance(counts, list) else counts * k
+        assert code == 0 or err.startswith("error: config key '"), err
+        assert rows * d <= 2**31 or code == 2, err
+    else:
+        sizes = [SYNTH["input_dim"], *payload["hidden_dims"], payload.get("feature_dim", 32),
+                 SYNTH["num_classes"]]
+        over = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) > 2**31
+        assert not over or err == f"error: layer sizes {sizes} hold more than {2**31} parameters\n", err
 
 
 def test_unknown_flag_exits_nonzero():

@@ -417,13 +417,26 @@ CELLS = np.array([[1.5, -1e-300], [math.nan, 0.1]])
 
 @pytest.mark.parametrize("sep, end, columns", [
     (",", "\n", (CELLS,)),
-    ("\t", "\r\n", ([7, 8], ["a\0", "\u00e9"], CELLS)),
+    ("\t", "\r\n", ([7, 8], np.array(["a\0", "\u00e9"]), CELLS)),  # a U array holds "a"
     (" ", "", (CELLS[:, 0], CELLS[:, 1])),
     ("|", "\u00e9%%\n", ("%d", CELLS, '"q", 5%', np.array([[7, -8], [9, 10]]))),
     ("\0", "\r\n", ("", CELLS[:, 1], "\u00e9")),
 ])
 def test_any_separator_end_and_str_columns(sep, end, columns):
     assert codec_text(sep, end, *columns) == reference_text(sep, end, *columns)
+
+
+@pytest.mark.parametrize("column", [["a\0"], ("b", "a\0"), [["x", "a\0"]]])
+def test_a_list_cell_ending_in_nul_is_refused(column):
+    """numpy's str arrays drop a trailing NUL, so a list or tuple column would
+    lose it silently; a str column keeps it."""
+    buf = io.BytesIO()
+    rows = [1.5] * len(column)
+    with pytest.raises(ValueError, match=r"^column 1 holds a str ending in NUL"):
+        codec.write_rows(buf, ",", "\n", rows, column)
+    assert buf.getvalue() == b""
+    codec.write_rows(buf, ",", "\n", [1.5], "a\0")
+    assert buf.getvalue() == b"1.5,a\x00\n"
 
 
 # -------------------------------- non-float cells, rendered once per distinct value

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cclearn import model
 from cclearn.centroids import CentroidBank, ema_update, row_norms
 from cclearn.errors import DegenerateVectorError, StateError
 from cclearn.losses import combined_loss_and_grads
@@ -509,3 +510,15 @@ class TestInit:
             init_params(0, (4,), 2, 2, 0)
         with pytest.raises(ValueError):
             init_params(3, (4,), 2, 1, 0)
+
+    def test_a_model_past_the_parameter_budget_is_refused(self, monkeypatch):
+        """The (fan_in + 1) x fan_out blocks of [3, 4, 2, 2] hold 16 + 10 + 6
+        = 32 parameters: a budget of 32 admits them, one of 31 refuses them,
+        naming the sizes, before anything is allocated."""
+        monkeypatch.setattr(model, "CELL_BUDGET", 32)
+        assert init_params(3, (4,), 2, 2, 0).flat.size == 32
+        monkeypatch.setattr(model, "CELL_BUDGET", 31)
+        with pytest.raises(ValueError, match=r"^layer sizes \[3, 4, 2, 2\] hold more than 31 parameters$"):
+            init_params(3, (4,), 2, 2, 0)
+        with pytest.raises(ValueError, match=r"^layer sizes \[3, 1180591620717411303424, 2, 2\] hold"):
+            init_params(3, (2**70,), 2, 2, 0)  # summed as Python ints: numpy never sees the size

@@ -120,6 +120,11 @@ MUTANTS = [
         ("tests/test_codec.py::test_chunked_writes_match_the_row_at_a_time_writer",
          "tests/test_codec.py::test_projection_rows_are_chunked_by_cells"),
     ),
+    Mutant(  # a list cell's trailing NUL dropped again, silently
+        "nul-cell-accepted", "src/cclearn/codec.py",
+        "if isinstance(g, (list, tuple)) and any(", "if False and any(",
+        ("tests/test_codec.py::test_a_list_cell_ending_in_nul_is_refused",),
+    ),
     Mutant(
         "columns-row-count-unchecked", "src/cclearn/codec.py", "len(c) != n or ", "",
         ("tests/test_codec.py::test_array_columns_are_1_or_2_d_with_one_row_count",),
@@ -173,6 +178,18 @@ MUTANTS = [
         "noise[: total - start]", "noise[: total - start - 1]",
         ("tests/test_data.py::TestGenerateDomains::test_bit_equal_to_the_whole_array_expressions",
          "tests/test_data.py::TestGenerateDomains::test_a_noise_block_of_one_row"),
+    ),
+    Mutant(  # each class mean added to the next class's block of rows
+        "class-block-bounds-side", "src/cclearn/data.py",
+        "labels.searchsorted(np.arange(config.num_classes + 1))",
+        'labels.searchsorted(np.arange(config.num_classes + 1), "right")',
+        ("tests/test_data.py::TestGenerateDomains::test_bit_equal_to_the_whole_array_expressions",),
+    ),
+    Mutant(  # the capped subprocess fails to allocate 7.28 TiB
+        "parameter-budget-off", "src/cclearn/model.py",
+        "if sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) > CELL_BUDGET:", "if False:",
+        ("tests/test_cli.py::TestTrain::test_a_model_past_the_parameter_budget_fails_cleanly",
+         "tests/test_model.py::TestInit::test_a_model_past_the_parameter_budget_is_refused"),
     ),
     Mutant(  # aim 3, gradients: the normalization Jacobian without its inner term
         "gradient-no-normalization-inner-term", "src/cclearn/model.py",

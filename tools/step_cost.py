@@ -148,7 +148,8 @@ def time_layers(repeat: int) -> dict:
     rng = np.random.default_rng(0)
     synth = SynthConfig(**WORKLOADS["scale-50k"].synth)
     train = TrainConfig(**WORKLOADS["scale-50k"].train)
-    k, d, f, rows = synth.num_classes, synth.input_dim, train.feature_dim, sum(synth.class_counts())
+    k, d, f = synth.num_classes, synth.input_dim, train.feature_dim
+    rows = k * synth.samples_per_class  # one count for every class in this workload
     table = Dataset(rng.normal(size=(WRITE_ROWS, d)), rng.integers(0, k, WRITE_ROWS), "target", k)
     projected, domain = rng.normal(size=(WRITE_ROWS, 2)), codec.csv_cell(table.domain)
     params = init_params(d, train.hidden_dims, f, k, rng)
