@@ -249,8 +249,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        memory = f"{args.command} ran out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {memory}{exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -2,11 +2,11 @@
 
 The synthetic generator draws class means on a sphere and Gaussian samples
 around them. The target domain is the *same* underlying draw pushed through
-an affine map x <- scale * R x + t, R the identity with one Givens block on
-each seeded disjoint axis pair (an odd D leaves one axis fixed), and its own
-noise level: an acquisition-device / population / site change of controllable
-severity. Identical seeds produce bitwise-identical datasets, and a trivial
-map (R=I, t=0, scale=1, equal noise) makes source and target bitwise equal.
+an affine map x <- scale * R x + t, R turning seeded disjoint axis pairs (i, j)
+to xi*cos - xj*sin and xi*sin + xj*cos with ufuncs, so that no BLAS kernel
+touches a table, and its own noise level: a device / population / site change
+of controllable severity. Identical seeds give bitwise-identical datasets, and
+a trivial map (R=I, t=0, scale=1, equal noise) gives bitwise-equal domains.
 """
 
 from __future__ import annotations
@@ -168,11 +168,10 @@ class SynthConfig(JsonConfig):
                              f"got {rows} rows x {self.input_dim} input_dim")
 
 
-def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]) -> np.ndarray:
-    """Orthogonal matrix: the identity with one 2x2 Givens block on each of
-    floor(dim/2) seeded disjoint axis pairs, so an odd ``dim`` leaves one axis
-    fixed. ``angles`` is one angle for all planes or one per plane; angle 0
-    yields the identity."""
+def rotation_planes(dim: int, angles: float | Sequence[float], seed_key: Sequence[int]):
+    """(i, j, cos, sin): floor(dim/2) seeded disjoint axis pairs (i[p], j[p]), which
+    leave one axis of an odd ``dim`` fixed, and each plane's cosine and sine from
+    ``math`` (np.cos varies by CPU); ``angles`` is one angle or one per plane."""
     rng = np.random.default_rng(list(seed_key))
     perm = rng.permutation(dim)
     n_planes = dim // 2
@@ -184,22 +183,15 @@ def rotation_matrix(dim: int, angles: float | Sequence[float], seed_key: Sequenc
             raise ValueError(
                 f"need {n_planes} rotation angles for dim {dim}, got {len(plane_angles)}"
             )
-    rot = np.eye(dim)
-    for p, theta in enumerate(plane_angles):
-        i, j = perm[2 * p], perm[2 * p + 1]
-        rot[i, i] = rot[j, j] = math.cos(theta)
-        rot[j, i] = math.sin(theta)
-        rot[i, j] = -rot[j, i]
-    return rot
+    cos, sin = (np.array([f(theta) for theta in plane_angles]) for f in (math.cos, math.sin))
+    return perm[0 : 2 * n_planes : 2], perm[1 : 2 * n_planes : 2], cos, sin
 
 
 def _translation_vector(config: SynthConfig) -> np.ndarray:
-    if np.isscalar(config.translation):
-        if float(config.translation) == 0.0:
-            return np.zeros(config.input_dim)
+    if np.isscalar(config.translation):  # a translation of 0 scales the direction to zeros
         rng = np.random.default_rng([config.seed, _STREAM_AFFINE, 1])
         direction = rng.standard_normal(config.input_dim)
-        direction /= np.linalg.norm(direction)
+        direction /= np.sqrt(np.add.reduce(direction * direction))  # not np.linalg.norm's BLAS ddot
         return float(config.translation) * direction
     return np.asarray(config.translation, dtype=np.float64)
 
@@ -217,25 +209,29 @@ def generate_domains(config: SynthConfig) -> tuple[Dataset, Dataset]:
     mean_dirs = rng.standard_normal((config.num_classes, config.input_dim))
     mean_dirs /= np.linalg.norm(mean_dirs, axis=1, keepdims=True)
     means = config.spread * mean_dirs
-    # In place, with the ufuncs of means[labels] + class_std * deviations (+ noise):
-    # IEEE addition commutes, so each class mean added to its block of rows gives
-    # the same bits. The affine map draws from its own generators, so drawing the
-    # noise after it keeps the base stream's order.
+    # In place, with the ufuncs of means[labels] + class_std * deviations (+ noise): IEEE
+    # addition commutes, so each class mean added to its block of rows gives the same bits.
+    # The map draws from its own generators, so the noise continues the base stream.
     source = rng.standard_normal((total, config.input_dim))  # the deviations
     source *= config.class_std
     bounds = labels.searchsorted(np.arange(config.num_classes + 1))  # each class's block of rows
     for mean, start, stop in zip(means, bounds[:-1], bounds[1:]):
         source[start:stop] += mean
-    rot = rotation_matrix(config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0])
-    target = source @ rot.T
-    target *= config.scale
-    target += _translation_vector(config)
-    # the noise, drawn in row blocks: consecutive draws continue one stream
+    i, j, cos, sin = rotation_planes(config.input_dim, config.rotation_angle,
+                                     [config.seed, _STREAM_AFFINE, 0])
+    shift, target = _translation_vector(config), source * config.scale  # plane columns are set below
+    # the map and the noise, in row blocks: consecutive draws continue one stream
     noise, scaled = np.empty((2, min(total, _NOISE_ROWS), config.input_dim))
     for start in range(0, total, _NOISE_ROWS):
         drawn = rng.standard_normal(out=noise[: total - start])  # the last block may be short
-        for x, std in ((source, config.source_noise_std), (target, config.target_noise_std)):
-            x[start : start + len(drawn)] += np.multiply(drawn, std, out=scaled[: len(drawn)])
+        x, y = source[start : start + len(drawn)], target[start : start + len(drawn)]
+        pairs = scaled[: len(drawn), : 2 * len(i)].reshape(len(drawn), 2, len(i))  # free until the noise
+        xi, xj = np.take(x, (i, j), axis=1, out=pairs).transpose(1, 0, 2)  # each plane's noise-free columns
+        y[:, i] = (xi * cos - xj * sin) * config.scale
+        y[:, j] = (xi * sin + xj * cos) * config.scale
+        y += shift
+        for block, std in ((x, config.source_noise_std), (y, config.target_noise_std)):
+            block += np.multiply(drawn, std, out=scaled[: len(drawn)])
     del noise, scaled  # freed before Dataset checks the tables
     return (Dataset(source, labels, "source", config.num_classes),
             Dataset(target, labels.copy(), "target", config.num_classes))

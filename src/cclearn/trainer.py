@@ -223,7 +223,10 @@ def _fit(
             except ValueError as exc:
                 if not isinstance(exc, DegenerateVectorError) and np.isfinite(logits).all():
                     raise  # not a divergence: the error keeps its type
-                raise TrainingError(f"diverged at epoch {epoch}, step {opt.step}: {exc}") from exc
+                what = f"diverged at epoch {epoch}, step {opt.step}" if opt.step else (  # nothing moved yet
+                    "the initial model's features cannot be normalised before any step (hidden_dims "
+                    f"{list(config.hidden_dims)}, feature_dim {config.feature_dim}, seed {config.seed})")
+                raise TrainingError(f"{what}: {exc}") from exc
             if not math.isfinite(breakdown.total):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
             grads = backward(params, cache, d_feat, d_logits)

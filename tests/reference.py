@@ -23,11 +23,12 @@ the ReLU output. ``generate_blobs_expression``
 applies the synthetic scale, affine map and noise as whole-array expressions
 where the package applies them in place and adds each class mean to its
 block of rows; it takes the class counts, the rotation and the translation
-from this module, not from the package. ``rotation_matrix_givens`` builds
-the rotation as a product of one dense Givens matrix per plane, where the
-package writes each plane's 2x2 block into one identity; the two agree in
-every value, but a zero entry's sign may differ. ``translation_vector`` is
-the package's translation, copied. ``feature_spread_expression`` squares a
+from this module, not from the package, and rotates one plane at a time in a
+Python loop, from its own permutation draw, where the package rotates every
+plane of a block of rows at once. ``rotation_matrix_givens`` builds the
+rotation as a product of one dense Givens matrix per plane, the oracle of the
+planes that ``rotation_planes`` returns. ``translation_vector`` is the
+package's translation, copied. ``feature_spread_expression`` squares a
 second copy of the centered features where the package squares them in
 place.
 ``row_norms_flatnonzero``, ``contrast_branch_gathered``,
@@ -45,8 +46,12 @@ the four fast paths, the config checks and the rotation, as it stood before
 them, except that ``class_counts`` lists a shared count once rather than
 once per class, that ``synth_config_validate`` also refuses a table (rows x
 input_dim) or class means (num_classes x input_dim) of more than 2**31
-cells, and that ``rotation_matrix_givens`` and ``translation_vector`` drop
-the package's names.
+cells, that ``rotation_matrix_givens`` and ``translation_vector`` drop
+the package's names, and that, since the package rotates with ufuncs and no
+BLAS call, ``generate_blobs_expression`` rotates plane by plane, not by a
+dense matrix product, and ``translation_vector`` takes its norm with
+``np.add.reduce``, not ``np.linalg.norm``, and no longer special-cases a
+translation of 0.
 """
 
 from __future__ import annotations
@@ -404,10 +409,17 @@ def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndar
     if domain == "source":
         x = x + config.source_noise_std * noise
     else:
-        rot = rotation_matrix_givens(
-            config.input_dim, config.rotation_angle, [config.seed, _STREAM_AFFINE, 0]
-        )
-        x = config.scale * (x @ rot.T) + translation_vector(config)
+        perm = np.random.default_rng([config.seed, _STREAM_AFFINE, 0]).permutation(config.input_dim)
+        angles = config.rotation_angle
+        if np.isscalar(angles):
+            angles = [angles] * (config.input_dim // 2)
+        rotated = x.copy()
+        for p, theta in enumerate(angles):
+            i, j = perm[2 * p], perm[2 * p + 1]
+            c, s = math.cos(theta), math.sin(theta)
+            rotated[:, i] = x[:, i] * c - x[:, j] * s
+            rotated[:, j] = x[:, i] * s + x[:, j] * c
+        x = config.scale * rotated + translation_vector(config)
         x = x + config.target_noise_std * noise
     return x, labels
 
@@ -445,11 +457,9 @@ def rotation_matrix_givens(dim: int, angles: float | Sequence[float], seed_key: 
 
 def translation_vector(config: SynthConfig) -> np.ndarray:
     if np.isscalar(config.translation):
-        if float(config.translation) == 0.0:
-            return np.zeros(config.input_dim)
         rng = np.random.default_rng([config.seed, _STREAM_AFFINE, 1])
         direction = rng.standard_normal(config.input_dim)
-        direction /= np.linalg.norm(direction)
+        direction /= np.sqrt(np.add.reduce(direction * direction))
         return float(config.translation) * direction
     return np.asarray(config.translation, dtype=np.float64)
 

@@ -156,6 +156,22 @@ class TestSynthData:
         assert proc.stderr.startswith("error: "), proc.stderr
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("input_dim", [134217728, 50000])
+    def test_a_wide_table_is_written_or_fails_for_memory_cleanly(self, tmp_path, input_dim):
+        """Both tables fit the cell budget. One row of 2**27 features is 1 GiB,
+        past the subprocess's address cap; 50 000 features are written."""
+        proc = self.synth_data_in_a_subprocess(
+            tmp_path, {"num_classes": 2, "samples_per_class": 1, "input_dim": input_dim})
+        if input_dim == 50000:
+            assert proc.returncode == 0, proc.stderr
+            for domain in ("source", "target"):
+                assert load_table(tmp_path / "x" / f"{domain}.csv").features.shape == (2, 50000)
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("error: synth-data ran out of memory: "), proc.stderr
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("changes, key", [
         ({"num_classes": 2**70}, "num_classes"),  # past the index range: numpy could not size it
         # one cell past the budget: 2**31 + 1 rows of one feature
@@ -216,6 +232,17 @@ class TestTrain:
             "--out", str(tmp_path / "r"),
         ]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_features_dead_at_init_are_no_divergence(self, tmp_path, capsys, data_dir, seed):
+        # one hidden unit whose ReLU is dead at init: every feature row is zero before any step
+        config = write_json(tmp_path / "train.json", {"hidden_dims": [1], "feature_dim": 1, "epochs": 2})
+        assert main(["train", "--config", str(config), "--data", str(data_dir / "source.csv"),
+                     "--out", str(tmp_path / "r"), "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the initial model's features cannot be normalised before any step "
+                              f"(hidden_dims [1], feature_dim 1, seed {seed}): "), err
+        assert "diverged" not in err and not (tmp_path / "r").exists()
 
     def test_same_seed_reruns_are_byte_identical(self, tmp_path, data_dir):
         config = write_json(tmp_path / "train.json", TRAIN)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +16,14 @@ from cclearn.data import (
     generate_domains,
     load_table,
     make_batches,
-    rotation_matrix,
+    rotation_planes,
     save_table,
     split_dataset,
 )
 from cclearn.errors import TableParseError
 from reference import generate_blobs_expression, rotation_matrix_givens
 
+ROOT = Path(__file__).resolve().parents[1]
 SMALL = dict(num_classes=3, input_dim=5, samples_per_class=12, spread=4.0, class_std=1.0)
 
 
@@ -123,21 +129,33 @@ class TestGenerateDomains:
         assert source.labels.tobytes() == target.labels.tobytes()
 
 
-class TestRotationMatrix:
-    def test_orthogonal(self):
-        for dim in (2, 5, 16):
-            rot = rotation_matrix(dim, 0.7, [0, 1])
-            np.testing.assert_allclose(rot @ rot.T, np.eye(dim), atol=1e-12)
+def dense_rotation(dim, i, j, cos, sin):
+    """The D x D matrix of the planes ``rotation_planes`` returns."""
+    rot = np.eye(dim)
+    rot[i, i] = rot[j, j] = cos
+    rot[j, i], rot[i, j] = sin, -sin
+    return rot
 
-    def test_zero_angle_is_exact_identity(self):
-        rot = rotation_matrix(8, 0.0, [3, 4])
-        np.testing.assert_array_equal(rot, np.eye(8))
+
+class TestRotationPlanes:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 17])
+    def test_disjoint_pairs_leave_an_odd_axis_fixed(self, dim):
+        i, j, cos, sin = rotation_planes(dim, 0.7, [0, 1])
+        assert len(i) == len(j) == len(cos) == len(sin) == dim // 2
+        assert len(set(i.tolist()) | set(j.tolist())) == 2 * (dim // 2)
+        assert set(i.tolist()) | set(j.tolist()) <= set(range(dim))
+        assert cos.tolist() == [math.cos(0.7)] * (dim // 2) and sin.tolist() == [math.sin(0.7)] * (dim // 2)
+
+    def test_zero_angle_leaves_every_axis(self):
+        _, _, cos, sin = rotation_planes(8, 0.0, [3, 4])
+        assert cos.tolist() == [1.0] * 4 and sin.tolist() == [0.0] * 4
 
     def test_per_plane_angles(self):
-        rot = rotation_matrix(4, (0.3, 0.9), [0, 0])
-        np.testing.assert_allclose(rot @ rot.T, np.eye(4), atol=1e-12)
-        with pytest.raises(ValueError):
-            rotation_matrix(4, (0.3,), [0, 0])
+        _, _, cos, sin = rotation_planes(4, (0.3, 0.9), [0, 0])
+        assert cos.tolist() == [math.cos(0.3), math.cos(0.9)]
+        assert sin.tolist() == [math.sin(0.3), math.sin(0.9)]
+        with pytest.raises(ValueError, match="need 2 rotation angles"):
+            rotation_planes(4, (0.3,), [0, 0])
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 17, 64])
     def test_every_value_of_the_dense_givens_product(self, dim):
@@ -146,8 +164,50 @@ class TestRotationMatrix:
             key = [seed, 12, 0]
             per_plane = [0.1 + 0.7 * p for p in range(dim // 2)]
             for angles in (0.0, 0.35, -2.0, math.pi, per_plane):
-                assert np.array_equal(rotation_matrix(dim, angles, key),
+                assert np.array_equal(dense_rotation(dim, *rotation_planes(dim, angles, key)),
                                       rotation_matrix_givens(dim, angles, key)), (seed, angles)
+
+
+KERNEL_CHILD = """
+import hashlib, json, sys
+from cclearn.data import SynthConfig, generate_domains
+sys.path.insert(0, sys.argv[1])
+from step_cost import blas_core
+
+hashes = {}
+for shape in ({}, {"num_classes": 10, "input_dim": 64, "samples_per_class": 300}):
+    for ds in generate_domains(SynthConfig(**shape)):
+        hashes[f"{ds.domain}, D={ds.input_dim}"] = hashlib.sha256(ds.features.tobytes()).hexdigest()
+print(json.dumps({"core": blas_core(), "hashes": hashes}))
+"""
+
+
+def tables_under(coretype: str | None) -> dict:
+    """The kernel name and the table hashes of a child process whose OpenBLAS
+    runs ``coretype`` (its own choice when None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, str(ROOT / "tools")], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+def test_the_tables_are_the_same_under_every_openblas_kernel():
+    # the tables' contract is kernel-free; the name read back is only reported,
+    # since a forced kernel may name another (Zen reads back as Haswell)
+    default = tables_under(None)
+    if default["core"] is None:
+        pytest.skip("numpy does not run on a bundled OpenBLAS that names its kernel")
+    kernels = ["Haswell", "Zen", "Sandybridge", "Prescott"]
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        if "avx512f" in fh.read().split():
+            kernels.append("SkylakeX")
+    for coretype in kernels:
+        got = tables_under(coretype)
+        assert got["hashes"] == default["hashes"], (
+            f"OPENBLAS_CORETYPE={coretype} ran {got['core']}; the default ran {default['core']}")
 
 
 class TestMakeBatches:

@@ -60,10 +60,10 @@ def test_a_node_id_fails_only_through_its_own_tests():
 def test_a_surviving_stale_or_broken_entry_exits_1(monkeypatch, capsys):
     survivor = mutants.Mutant(  # a README heading: no test reads it
         "harmless", "README.md", "## CLI walkthrough", "## CLI walk-through",
-        ("tests/test_data.py::TestRotationMatrix::test_zero_angle_is_exact_identity",))
+        ("tests/test_data.py::TestRotationPlanes::test_zero_angle_leaves_every_axis",))
     stale = mutants.Mutant("stale", "README.md", "no such text", "", survivor.kills)
     broken = survivor._replace(  # fails before any mutation, so its failure shows nothing
-        name="broken", kills=("tests/test_data.py::TestRotationMatrix::test_no_such_test",))
+        name="broken", kills=("tests/test_data.py::TestRotationPlanes::test_no_such_test",))
     monkeypatch.setattr(mutants, "MUTANTS", [survivor, stale, broken])
     assert mutants.main() == 1
     survived, stale_line, broken_line = capsys.readouterr().out.splitlines()

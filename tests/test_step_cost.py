@@ -17,7 +17,8 @@ def test_prints_the_machine_and_a_cost_per_step_function():
     head, *lines = proc.stdout.splitlines()
     assert head.startswith("machine: ")
     machine = json.loads(head.removeprefix("machine: "))
-    assert {"python", "numpy", "cpu"} <= set(machine) and len(machine["pinned_cpu"]) == 1
+    assert {"python", "numpy", "cpu", "blas_core"} <= set(machine) and len(machine["pinned_cpu"]) == 1
+    assert machine["blas_core"] is None or machine["blas_core"].strip()
     assert (machine["number"], machine["repeat"], machine["layer_repeat"]) == (1, 7, 1)
     *rows, writer = [json.loads(line) for line in lines]
     assert [(r["shapes"], r["alpha"], r["batch"]) for r in rows] == [

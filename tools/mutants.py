@@ -48,10 +48,17 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant(
+    Mutant(  # the sine term of each plane's second column flips its sign
         "rotation-sine-sign", "src/cclearn/data.py",
-        "rot[j, i] = math.sin(theta)", "rot[j, i] = -math.sin(theta)",
-        ("tests/test_data.py::TestRotationMatrix::test_every_value_of_the_dense_givens_product",
+        "y[:, j] = (xi * sin + xj * cos)", "y[:, j] = (xj * cos - xi * sin)",
+        ("tests/test_data.py::TestGenerateBlobs::test_bit_equal_to_the_whole_array_expressions",
+         "tests/test_data.py::TestGenerateDomains::test_bit_equal_to_the_whole_array_expressions"),
+    ),
+    Mutant(  # the target starts uninitialised: an odd D's fixed axis is never written
+        "rotation-block-copy-dropped", "src/cclearn/data.py",
+        "shift, target = _translation_vector(config), source * config.scale",
+        "shift, target = _translation_vector(config), np.empty_like(source)",
+        ("tests/test_data.py::TestGenerateBlobs::test_bit_equal_to_the_whole_array_expressions",
          "tests/test_data.py::TestGenerateDomains::test_bit_equal_to_the_whole_array_expressions"),
     ),
     Mutant(

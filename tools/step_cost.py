@@ -8,10 +8,11 @@ Usage (from the root of a source checkout):
 SRC is the ``src`` tree whose ``cclearn`` is timed (default: this
 checkout's). The process pins itself to one CPU and runs one BLAS thread,
 as the benchmark's stages do. It prints a ``machine:`` line (Python, numpy,
-CPU, the repeats), then one JSON line per shape set: the microseconds per
-call of ``forward``, ``combined_loss_and_grads``, ``backward``,
-``sgd_step``, ``batch_class_means``, ``ema_update`` and one whole step,
-each the best of 7 ``timeit`` repeats of N calls.
+CPU, the OpenBLAS kernel as ``blas_core``, the repeats), then one JSON line
+per shape set: the microseconds per call of ``forward``,
+``combined_loss_and_grads``, ``backward``, ``sgd_step``,
+``batch_class_means``, ``ema_update`` and one whole step, each the best of
+7 ``timeit`` repeats of N calls.
 
 The shape sets are the ``desk`` training step at alpha 1 and at alpha 0,
 and the ``scale-50k`` fine-tune step (alpha 0, the fine-tune batch). The
@@ -46,6 +47,7 @@ write took 10.0-16.1 us per row in a fresh process and 7.6-9.0 after one
 from __future__ import annotations
 
 import argparse
+import ctypes
 import io
 import json
 import os
@@ -192,6 +194,24 @@ def time_layers(repeat: int) -> dict:
             "us_per_row": {name: us.pop(name) for name in ("table", "projection")}, **us}
 
 
+def blas_core() -> str | None:
+    """The kernel name that numpy's OpenBLAS reports (``OPENBLAS_CORETYPE``
+    may force it), or None when no loaded OpenBLAS names one. Read after
+    numpy's import, from the libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            name = getattr(ctypes.CDLL(path), symbol, None)
+            if name is not None:
+                name.argtypes, name.restype = [], ctypes.c_char_p
+                return name().decode()
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
@@ -213,7 +233,7 @@ def main() -> int:
     except OSError:
         pass
     print("machine: " + json.dumps({
-        "python": platform.python_version(), "numpy": np.__version__, "cpu": cpu,
+        "python": platform.python_version(), "numpy": np.__version__, "cpu": cpu, "blas_core": blas_core(),
         "pinned_cpu": sorted(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
         "number": args.number, "repeat": REPEAT, "layer_repeat": layer_repeat,
     }, sort_keys=True))
