@@ -137,9 +137,7 @@ def ema_update(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) -> Cent
     blended = bank.m * bank.centroids[rows] + (1.0 - bank.m) * f_mean[rows]
     if not old.all():  # a class seen for the first time adopts its mean as it is
         blended = np.where(old[:, None], blended, f_mean[rows])
-    # one dot product per row, as np.linalg.norm takes it for a single row;
-    # norm(..., axis=1) and einsum sum in another order and change the bits
-    norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]
+    norms = np.sqrt(np.add.reduce(blended * blended, axis=1))
     bad = (norms < NORM_EPS) | (norms == np.inf)  # finite rows: no NaN norm
     if bad.any():
         i = np.flatnonzero(bad)[0]

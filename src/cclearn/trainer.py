@@ -35,10 +35,10 @@ from .model import ModelParams, OptimState, backward, forward, init_params, lr_a
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
-# Inference runs ``forward`` over blocks of INFER_ROWS to 2 * INFER_ROWS - 1
-# rows, so only one block's cache is alive at a time. ``np.array_split`` leaves
-# no short tail: a block of a few rows takes BLAS's small-matrix path and
-# moves the last bits of its logits. Tables under 2 * INFER_ROWS rows are one block.
+# Inference runs ``forward`` over k = len(x) // INFER_ROWS blocks (at least one), so
+# only one block's cache is alive at a time. Cut i falls at len(x) * i // k rounded down
+# to a multiple of 64 rows: a row keeps the offset in BLAS's row panels that it has in
+# one whole-table pass, whose bits the blocks then give on each OpenBLAS kernel tested.
 INFER_ROWS = 4096
 
 @dataclass
@@ -91,7 +91,8 @@ def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
     """``forward(params, x)[output]`` (1: normalized features, 2: logits), the
     same bits computed block by block."""
     parts, start = [], 0
-    for block in np.array_split(x, max(1, len(x) // INFER_ROWS)):
+    k = max(1, len(x) // INFER_ROWS)
+    for block in np.split(x, [len(x) * i // k // 64 * 64 for i in range(1, k)]):
         try:
             parts.append(forward(params, block)[output])
         except DegenerateVectorError as exc:

@@ -51,7 +51,12 @@ the package's names, and that, since the package rotates with ufuncs and no
 BLAS call, ``generate_blobs_expression`` rotates plane by plane, not by a
 dense matrix product, and ``translation_vector`` takes its norm with
 ``np.add.reduce``, not ``np.linalg.norm``, and no longer special-cases a
-translation of 0.
+translation of 0, and that, since the package takes the blend norms of
+``ema_update`` as a ufunc sum with no BLAS call, ``ema_update_loop`` takes
+each blended row's norm as ``np.sqrt(np.add.reduce(b * b))``, not
+``np.linalg.norm``'s dot product, and ``ema_update_gathered`` takes the same
+with ``axis=1``, not a stacked ``@``; the two stay a per-class loop and a
+gathered form.
 """
 
 from __future__ import annotations
@@ -165,7 +170,7 @@ def ema_update_loop(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray) ->
             blended = bank.m * bank.centroids[k] + (1.0 - bank.m) * f_mean[k]
         else:
             blended = f_mean[k]
-        norm = float(np.linalg.norm(blended))
+        norm = float(np.sqrt(np.add.reduce(blended * blended)))
         if norm < NORM_EPS:
             raise DegenerateVectorError(
                 f"class {k} blend collapses to norm {norm:.3e}; refusing EMA update"
@@ -563,9 +568,7 @@ def ema_update_gathered(bank: CentroidBank, f_mean: np.ndarray, mask: np.ndarray
     blended = f_mean[rows]
     old = bank.seen[rows]
     blended[old] = bank.m * bank.centroids[rows[old]] + (1.0 - bank.m) * blended[old]
-    # one dot product per row, as np.linalg.norm takes it for a single row;
-    # norm(..., axis=1) and einsum sum in another order and change the bits
-    norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]
+    norms = np.sqrt(np.add.reduce(blended * blended, axis=1))
     bad = np.flatnonzero((norms < NORM_EPS) | (norms == np.inf))  # finite rows: no NaN norm
     if bad.size:
         k, norm = rows[bad[0]], norms[bad[0]]

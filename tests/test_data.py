@@ -1,9 +1,4 @@
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +18,6 @@ from cclearn.data import (
 from cclearn.errors import TableParseError
 from reference import generate_blobs_expression, rotation_matrix_givens
 
-ROOT = Path(__file__).resolve().parents[1]
 SMALL = dict(num_classes=3, input_dim=5, samples_per_class=12, spread=4.0, class_std=1.0)
 
 
@@ -166,48 +160,6 @@ class TestRotationPlanes:
             for angles in (0.0, 0.35, -2.0, math.pi, per_plane):
                 assert np.array_equal(dense_rotation(dim, *rotation_planes(dim, angles, key)),
                                       rotation_matrix_givens(dim, angles, key)), (seed, angles)
-
-
-KERNEL_CHILD = """
-import hashlib, json, sys
-from cclearn.data import SynthConfig, generate_domains
-sys.path.insert(0, sys.argv[1])
-from step_cost import blas_core
-
-hashes = {}
-for shape in ({}, {"num_classes": 10, "input_dim": 64, "samples_per_class": 300}):
-    for ds in generate_domains(SynthConfig(**shape)):
-        hashes[f"{ds.domain}, D={ds.input_dim}"] = hashlib.sha256(ds.features.tobytes()).hexdigest()
-print(json.dumps({"core": blas_core(), "hashes": hashes}))
-"""
-
-
-def tables_under(coretype: str | None) -> dict:
-    """The kernel name and the table hashes of a child process whose OpenBLAS
-    runs ``coretype`` (its own choice when None)."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
-    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, str(ROOT / "tools")], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    return json.loads(proc.stdout)
-
-
-def test_the_tables_are_the_same_under_every_openblas_kernel():
-    # the tables' contract is kernel-free; the name read back is only reported,
-    # since a forced kernel may name another (Zen reads back as Haswell)
-    default = tables_under(None)
-    if default["core"] is None:
-        pytest.skip("numpy does not run on a bundled OpenBLAS that names its kernel")
-    kernels = ["Haswell", "Zen", "Sandybridge", "Prescott"]
-    with open("/proc/cpuinfo", encoding="utf-8") as fh:
-        if "avx512f" in fh.read().split():
-            kernels.append("SkylakeX")
-    for coretype in kernels:
-        got = tables_under(coretype)
-        assert got["hashes"] == default["hashes"], (
-            f"OPENBLAS_CORETYPE={coretype} ran {got['core']}; the default ran {default['core']}")
 
 
 class TestMakeBatches:

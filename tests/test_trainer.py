@@ -384,6 +384,7 @@ class TestInfer:
         assert all(np.shares_memory(block, x) for block in blocks)  # views, not copies
         assert logits.shape == (rows, 2)
         sizes = [len(block) for block in blocks]
+        assert all(start % 64 == 0 for start in np.cumsum(sizes[:-1]))  # cut on BLAS's row panels
         if rows < 2 * INFER_ROWS:
             assert sizes == [rows]
         else:

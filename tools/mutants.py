@@ -205,6 +205,18 @@ MUTANTS = [
         ("tests/test_acceptance.py::test_criterion_2_gradient_correctness",
          "tests/test_model.py::TestBackward::test_full_model_matches_finite_differences"),
     ),
+    Mutant(  # blocks cut mid row-panel: other bits under Haswell and Zen at 50k rows
+        "infer-cuts-unaligned", "src/cclearn/trainer.py",
+        "len(x) * i // k // 64 * 64", "len(x) * i // k",
+        ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",),
+    ),
+    Mutant(  # the blend norms through BLAS again: the bank's bits follow the kernel
+        "ema-blend-norm-blas", "src/cclearn/centroids.py",
+        "norms = np.sqrt(np.add.reduce(blended * blended, axis=1))",
+        "norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, 0, 0]",
+        ("tests/test_centroids.py::test_ema_update_is_bit_equal_to_the_per_class_loop",
+         "tests/test_step_oracles.py::test_ema_update_matches_the_oracle"),
+    ),
     Mutant(  # aim 3, the schedule: m one epoch ahead
         "schedule-one-epoch-ahead", "src/cclearn/centroids.py",
         "(epoch / total_epochs)", "((epoch + 1) / total_epochs)",
