@@ -9,8 +9,8 @@ branches, including the normalization Jacobian
 
     d(f/|f|)^T g = (g - (fhat.g) fhat) / |f|
 
-for the contrast side. Training uses plain SGD with a half-cycle cosine
-learning-rate schedule and a linear warm-up ramp.
+for the contrast side; it is skipped when g is +0.0 in every entry. Training
+uses plain SGD with a half-cycle cosine learning-rate schedule and a linear warm-up ramp.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ def backward(
     cache: ForwardCache,
     d_normalized: np.ndarray,
     d_logits: np.ndarray,
+    out: Gradients | None = None,
 ) -> Gradients:
-    """Exact parameter gradients from the two branch gradients.
+    """Exact parameter gradients from the two branch gradients, written over ``out`` if given.
 
     ``d_normalized`` is d(loss)/d(normalized features) and ``d_logits`` is
     d(loss)/d(logits); both branches are merged at the raw features and
@@ -194,21 +195,22 @@ def backward(
         )
     d_normalized = np.asarray(d_normalized, dtype=np.float64)
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    batch = cache.raw.shape[0]
     if d_normalized.shape != cache.normalized.shape:
         raise ValueError(f"d_normalized shape {d_normalized.shape} mismatches forward batch")
-    if d_logits.shape != (batch, params.num_classes):
+    if d_logits.shape != (len(cache.raw), params.num_classes):
         raise ValueError(f"d_logits shape {d_logits.shape} mismatches forward batch")
+    if out is not None and out.shapes != params.shapes:
+        raise ValueError(f"gradient layers {out.shapes} do not match parameters {params.shapes}")
 
-    fhat = cache.normalized
-    inner = np.add.reduce(fhat * d_normalized, axis=1, keepdims=True)
-    d_raw = (d_normalized - inner * fhat) / cache.norms[:, None]
-    d_raw = d_raw + d_logits @ params.head_weight.T
+    upstream = 0.0  # the Jacobian's term, in every entry, when every entry of d_normalized is +0.0
+    if d_normalized.view(np.uint64).any():  # -0.0 and NaN entries take this path
+        inner = np.add.reduce(cache.normalized * d_normalized, axis=1, keepdims=True)
+        upstream = (d_normalized - inner * cache.normalized) / cache.norms[:, None]
+    upstream = upstream + d_logits @ params.head_weight.T  # d(loss)/d(raw features)
 
-    grads = Gradients.zeros(params.shapes)
+    grads = Gradients.zeros(params.shapes) if out is None else out
     np.matmul(cache.raw.T, d_logits, out=grads.head_weight)
     np.add.reduce(d_logits, axis=0, out=grads.head_bias)
-    upstream = d_raw
     for i in range(len(params.weights) - 1, -1, -1):
         if i < len(params.weights) - 1:
             upstream = upstream * (cache.layer_inputs[i + 1] > 0.0)

@@ -35,10 +35,11 @@ from .model import ModelParams, OptimState, backward, forward, init_params, lr_a
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
-# Inference runs ``forward`` over k = len(x) // INFER_ROWS blocks (at least one), so
-# only one block's cache is alive at a time. Cut i falls at len(x) * i // k rounded down
-# to a multiple of 64 rows: a row keeps the offset in BLAS's row panels that it has in
-# one whole-table pass, whose bits the blocks then give on each OpenBLAS kernel tested.
+# Inference runs ``forward`` over k = len(x) // INFER_ROWS blocks (at least one), so only one
+# block's cache is alive at a time. Cuts fall on multiples of 64 rows, so each row keeps its
+# whole-table offset in BLAS's row panels and the whole-table bits on each OpenBLAS kernel tested.
+# For m, r = divmod(len(x), 64), the last block holds 64 * (m // k - (r > 0)) + r rows and the
+# others share the rest in 64-row units, larger first, so no block is larger than one before it.
 INFER_ROWS = 4096
 
 @dataclass
@@ -91,8 +92,9 @@ def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
     """``forward(params, x)[output]`` (1: normalized features, 2: logits), the
     same bits computed block by block."""
     parts, start = [], 0
-    k = max(1, len(x) // INFER_ROWS)
-    for block in np.split(x, [len(x) * i // k // 64 * 64 for i in range(1, k)]):
+    (m, r), k = divmod(len(x), 64), max(1, len(x) // INFER_ROWS)
+    q, extra = divmod(m - m // k + (r > 0), max(1, k - 1))  # 64-row units of all but the last block
+    for block in np.split(x, [64 * (i * q + min(i, extra)) for i in range(1, k)]):
         try:
             parts.append(forward(params, block)[output])
         except DegenerateVectorError as exc:
@@ -204,6 +206,7 @@ def _fit(
     opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs,
                      math.ceil(n / config.batch_size))
     report = RunReport(config=config)
+    grads = None  # the first step's backward allocates the one buffer every step writes
     for epoch in range(config.epochs):
         if source:
             update_smoothing(bank, epoch, config.epochs)
@@ -230,7 +233,7 @@ def _fit(
                 raise TrainingError(f"{what}: {exc}") from exc
             if not math.isfinite(breakdown.total):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
-            grads = backward(params, cache, d_feat, d_logits)
+            grads = backward(params, cache, d_feat, d_logits, out=grads)
             if source:
                 lr = lr_at(opt, opt.step)
             opt.step += 1

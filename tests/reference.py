@@ -19,7 +19,10 @@ two-product.
 ``forward_keeping_pre_activations`` and ``backward_from_pre_activations``
 build three arrays per layer and keep each pre-activation for the ReLU
 mask, where the package builds one buffer per layer and takes the mask from
-the ReLU output. ``generate_blobs_expression``
+the ReLU output. ``backward_through_the_jacobian`` is ``model.backward``'s
+body as it stood before the package skipped the normalization Jacobian for
+a ``d_normalized`` of +0.0 entries: it computes the Jacobian's term for every
+input and builds a new ``Gradients`` on every call. ``generate_blobs_expression``
 applies the synthetic scale, affine map and noise as whole-array expressions
 where the package applies them in place and adds each class mean to its
 block of rows; it takes the class counts, the rotation and the translation
@@ -73,6 +76,7 @@ from cclearn.data import _STREAM_AFFINE, _STREAM_BASE, SynthConfig, check_labels
 from cclearn.diagnostics import HeatmapMatrix
 from cclearn.errors import DegenerateVectorError, StateError, UndefinedMetricError
 from cclearn.losses import _nll_and_softmax, softmax
+from cclearn.model import Gradients
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -393,6 +397,28 @@ def backward_from_pre_activations(params, x, d_normalized, d_logits) -> list[np.
         if i > 0:
             upstream = upstream @ params.weights[i].T
     return [*g_weights, *g_biases, raw.T @ d_logits, d_logits.sum(axis=0)]
+
+
+def backward_through_the_jacobian(params, cache, d_normalized, d_logits) -> Gradients:
+    """Every parameter gradient from the two branch gradients of ``forward``'s
+    ``cache``, the normalization Jacobian's term computed for every input."""
+    fhat = cache.normalized
+    inner = np.add.reduce(fhat * d_normalized, axis=1, keepdims=True)
+    d_raw = (d_normalized - inner * fhat) / cache.norms[:, None]
+    d_raw = d_raw + d_logits @ params.head_weight.T
+
+    grads = Gradients.zeros(params.shapes)
+    np.matmul(cache.raw.T, d_logits, out=grads.head_weight)
+    np.add.reduce(d_logits, axis=0, out=grads.head_bias)
+    upstream = d_raw
+    for i in range(len(params.weights) - 1, -1, -1):
+        if i < len(params.weights) - 1:
+            upstream = upstream * (cache.layer_inputs[i + 1] > 0.0)
+        np.matmul(cache.layer_inputs[i].T, upstream, out=grads.weights[i])
+        np.add.reduce(upstream, axis=0, out=grads.biases[i])
+        if i > 0:
+            upstream = upstream @ params.weights[i].T
+    return grads
 
 
 def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndarray, np.ndarray]:

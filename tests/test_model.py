@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -26,7 +27,11 @@ from cclearn.model import (
     save_model,
     sgd_step,
 )
-from reference import backward_from_pre_activations, forward_keeping_pre_activations
+from reference import (
+    backward_from_pre_activations,
+    backward_through_the_jacobian,
+    forward_keeping_pre_activations,
+)
 
 
 def identity_net(dim=2, classes=2):
@@ -260,6 +265,108 @@ def test_views_at_odd_offsets_are_bit_equal_to_fresh_copies(case):
     expected = [*forward_keeping_pre_activations(copies, x)[:3],
                 *backward_from_pre_activations(copies, x, d_normalized, d_logits)]
     assert [(a.shape, a.tobytes()) for a in got] == [(e.shape, e.tobytes()) for e in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=forward_cases())
+def test_out_is_written_over_and_returned_with_the_bits_of_a_new_gradients(case):
+    params, x, d_normalized, d_logits = case
+    try:
+        _, _, _, cache = forward(params, x)
+    except DegenerateVectorError:
+        return
+    out = Gradients.zeros(params.shapes)
+    out.flat[:] = np.nan  # every entry must be written
+    views = param_tensors(out)
+    assert backward(params, cache, d_normalized, d_logits, out=out) is out
+    fresh = backward(params, cache, d_normalized, d_logits)
+    assert fresh is not out and out.flat.tobytes() == fresh.flat.tobytes()
+    assert all(a is b for a, b in zip(param_tensors(out), views))  # the same views, written in place
+
+
+@pytest.mark.parametrize("shapes", [
+    [(3, 4), (4, 2), (2, 3)],  # the head matches; a backbone layer is wider
+    [(3, 5), (5, 2), (2, 2)],  # the head has fewer classes
+    [(3, 5), (2, 3)],  # a layer fewer
+])
+def test_out_of_other_shapes_is_refused_and_left_unwritten(shapes):
+    params = init_params(3, (5,), 2, 3, 7)
+    _, _, _, cache = forward(params, np.random.default_rng(7).standard_normal((4, 3)))
+    out = Gradients.zeros(shapes)
+    out.flat[:] = np.arange(out.flat.size)
+    before = out.flat.tobytes()
+    with pytest.raises(ValueError, match="gradient layers"):
+        backward(params, cache, np.ones((4, 2)), np.ones((4, 3)), out=out)
+    assert out.flat.tobytes() == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=forward_cases())
+def test_a_d_normalized_of_positive_zeros_skips_the_jacobian_with_its_bits(case):
+    """The Jacobian's term is +0.0 in every entry for such an input, and the
+    skip must not compute it: a cache of NaN normalized features, which the
+    Jacobian reads, gives the same bits."""
+    params, x, _, d_logits = case
+    try:
+        _, _, _, cache = forward(params, x)
+    except DegenerateVectorError:
+        return
+    zeros = np.zeros_like(cache.normalized)
+    expected = backward_through_the_jacobian(params, cache, zeros, d_logits).flat.tobytes()
+    assert backward(params, cache, zeros, d_logits).flat.tobytes() == expected
+    unread = dataclasses.replace(cache, normalized=np.full_like(cache.normalized, np.nan))
+    assert backward(params, unread, zeros, d_logits).flat.tobytes() == expected
+
+
+class SumsFromTheFirstProduct(np.ndarray):
+    """An operand whose matrix products are summed from the first product on,
+    so that a sum of -0.0 products stays -0.0. OpenBLAS zeroes the output of
+    a product before it sums into it, and numpy's ``add.reduce`` starts from
+    +0.0, so neither ever returns -0.0 there, and the sign of a zero in the
+    gradient at the raw features never reaches a parameter gradient. A BLAS
+    without that zeroing would show it, and the skip must give the same bits
+    then too."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        inputs = [np.asarray(v) for v in inputs]
+        if ufunc is not np.matmul or method != "__call__":
+            return getattr(ufunc, method)(*inputs, out=out, **kwargs)
+        a, m = inputs
+        product = a[:, :1] * m[:1]
+        for k in range(1, m.shape[0]):
+            product = product + a[:, k:k + 1] * m[k:k + 1]
+        if out is None:
+            return product
+        out[0][...] = product
+        return out[0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits(sign):
+    """The head's product and the first layer's weight gradient, the two
+    products around the gradient at the raw features, are summed from their
+    first product. A batch of one-hot-saturated softmax rows gives a d_logits
+    of +0.0, and a head weight row of negative entries then makes the head's
+    term -0.0 at feature 0 down the whole batch. For a d_normalized of +0.0
+    entries the Jacobian's term is +0.0, and the skip must turn each of them
+    into +0.0 too. For one of -0.0 entries the term at feature 0, positive in
+    every row beside a negative feature, is -0.0, and keeps them -0.0: such an
+    input takes the full path."""
+    params = ModelParams([np.eye(2)], [np.zeros(2)], np.array([[-1.0, -2.0, -0.5], [1.0, -1.0, 2.0]]),
+                         np.zeros(3))
+    _, _, _, cache = forward(params, np.array([[1.0, -2.0], [3.0, -1.0], [2.0, -5.0]]))
+    params.head_weight = params.head_weight.view(SumsFromTheFirstProduct)  # still a view of flat
+    cache.layer_inputs[0] = cache.layer_inputs[0].view(SumsFromTheFirstProduct)
+    d_normalized, d_logits = sign * np.zeros((3, 2)), np.zeros((3, 3))
+    assert np.signbit(d_logits @ params.head_weight.T)[:, 0].all()
+    expected = backward_through_the_jacobian(params, cache, d_normalized, d_logits)
+    assert np.signbit(expected.weights[0][0, 0]) == (sign < 0)  # x[:, 0] > 0 times feature 0
+    assert backward(params, cache, d_normalized, d_logits).flat.tobytes() == expected.flat.tobytes()
+    unread = dataclasses.replace(cache, normalized=np.full((3, 2), np.nan))
+    read = backward_through_the_jacobian(params, unread, d_normalized, d_logits).flat
+    assert np.isnan(read).any()  # the full path reads the normalized features
+    got = backward(params, unread, d_normalized, d_logits).flat
+    assert got.tobytes() == (expected.flat if sign > 0 else read).tobytes()
 
 
 def test_tensors_are_views_into_flat_in_checkpoint_order(tmp_path):

@@ -168,6 +168,25 @@ class TestTrain:
         for a, b in zip(model_tensors(params), model_tensors(reference)):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_each_run_writes_every_step_into_one_gradients(self, alpha, monkeypatch):
+        calls = []  # (out given, gradients returned) per step
+
+        def recording_backward(*args, out=None):
+            calls.append((out, backward(*args, out=out)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(trainer, "backward", recording_backward)
+        tr, va, config = small_run(alpha=alpha, epochs=3)
+        params, bank, _ = train(tr, va, config)
+        steps = len(calls)
+        finetune(params, bank, va)
+        runs = [calls[:steps], calls[steps:]]
+        assert [len(run) for run in runs] == [3 * math.ceil(len(tr) / 32), math.ceil(len(va) / 32)]
+        for (first, grads), *rest in runs:  # the first step allocates, the others write over it
+            assert first is None and all(out is grads and got is grads for out, got in rest)
+        assert runs[0][0][1] is not runs[1][0][1]
+
     def test_seen_centroids_unit_norm_every_epoch(self):
         tr, va, config = small_run(alpha=1.0, epochs=5)
 
@@ -389,6 +408,20 @@ class TestInfer:
             assert sizes == [rows]
         else:
             assert min(sizes) >= INFER_ROWS and max(sizes) < 2 * INFER_ROWS
+
+    def test_blocks_never_grow(self, monkeypatch):
+        """A block no larger than those before it fits in the memory they freed."""
+        sizes = []
+        monkeypatch.setattr(trainer, "forward", lambda params, x: (sizes.append(len(x)), x, x, x))
+        for rows in [*range(2 * INFER_ROWS, 2 * INFER_ROWS + 130), *range(2 * INFER_ROWS, 400_001, 4093),
+                     10000, 12345, 30001, 50000]:
+            sizes.clear()
+            assert infer(None, np.zeros((rows, 1)), 2).shape == (rows, 1)
+            assert sum(sizes) == rows and len(sizes) == rows // INFER_ROWS
+            assert sizes == sorted(sizes, reverse=True), rows
+            assert all(start % 64 == 0 for start in np.cumsum(sizes[:-1]))
+            assert min(sizes) >= INFER_ROWS - 63
+        assert sizes == [4224] * 2 + [4160] * 9 + [4112]  # 50 000 rows: 781 row panels of 64, and 16
 
     @pytest.mark.parametrize("rows", [10000, 50000])
     def test_bit_equal_to_whole_table_forward_at_the_scale_shape(self, rows):

@@ -1,10 +1,15 @@
-"""Smoke test of ``tools/walkthrough_bytes.py``: one tree against itself."""
+"""Smoke test of ``tools/walkthrough_bytes.py``: one tree against itself,
+and the kernel of each side's processes."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("walkthrough_bytes", ROOT / "tools" / "walkthrough_bytes.py")
+walkthrough_bytes = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(walkthrough_bytes)
 
 
 def test_a_tree_matches_itself_on_the_desk_walkthrough(tmp_path):
@@ -29,3 +34,34 @@ def test_a_tree_matches_itself_on_the_desk_walkthrough(tmp_path):
         for run in ("base", "tuned"):
             logits = work / "logits" / f"{run}.bin"
             assert logits.stat().st_size == rows * 4 * 8
+
+
+def test_each_side_runs_every_process_under_its_own_kernel(tmp_path, monkeypatch):
+    kernels = {}  # side: the OPENBLAS_CORETYPE of each of its processes
+    real_run = subprocess.run
+
+    def recording_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "diff":
+            return real_run(cmd, cwd=cwd, env=env, **kwargs)
+        kernels.setdefault(Path(cwd).name, []).append(env.get("OPENBLAS_CORETYPE"))
+        if "diagnose" in cmd:  # the files the tool keeps a copy of
+            run = Path(cwd, cmd[cmd.index("--run") + 1])
+            run.mkdir(parents=True, exist_ok=True)
+            for name in ("heatmap_target.csv", "pca_target.csv", "spread_target.txt"):
+                (run / name).touch()
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+
+    def main(work, *options):
+        monkeypatch.setattr(sys, "argv", ["walkthrough_bytes.py", "--workload", "desk", "--work",
+                                          str(tmp_path / work), *options, "old_src", "new_src"])
+        return walkthrough_bytes.main()
+
+    steps = len(walkthrough_bytes.steps(walkthrough_bytes.WORKLOADS["desk"].alpha)) + 1  # and the logits
+    assert main("kernels", "--coretype", "Haswell", "Zen") == 0
+    assert kernels == {"old": ["Haswell"] * steps, "new": ["Zen"] * steps}
+    kernels.clear()  # without the option each side keeps the caller's choice
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Sandybridge")
+    assert main("inherited") == 0
+    assert kernels == {"old": ["Sandybridge"] * steps, "new": ["Sandybridge"] * steps}

@@ -200,15 +200,37 @@ MUTANTS = [
     ),
     Mutant(  # aim 3, gradients: the normalization Jacobian without its inner term
         "gradient-no-normalization-inner-term", "src/cclearn/model.py",
-        "d_raw = (d_normalized - inner * fhat) / cache.norms[:, None]",
-        "d_raw = d_normalized / cache.norms[:, None]",
+        "upstream = (d_normalized - inner * cache.normalized) / cache.norms[:, None]",
+        "upstream = d_normalized / cache.norms[:, None]",
         ("tests/test_acceptance.py::test_criterion_2_gradient_correctness",
          "tests/test_model.py::TestBackward::test_full_model_matches_finite_differences"),
     ),
+    Mutant(  # -0.0 entries, whose bits are not zero, skip the Jacobian as +0.0 entries do
+        "jacobian-skip-on-nonzero", "src/cclearn/model.py",
+        "if d_normalized.view(np.uint64).any():", "if d_normalized.any():",
+        ("tests/test_model.py::test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits",),
+    ),
+    Mutant(  # the skip keeps a -0.0 of the head's term, where the Jacobian's +0.0 turns it into +0.0
+        "jacobian-skip-keeps-negative-zero", "src/cclearn/model.py",
+        "upstream = 0.0  #", "upstream = -0.0  #",
+        ("tests/test_model.py::test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits",),
+    ),
+    Mutant(  # every step allocates its gradients again, and the caller's buffer is never written
+        "backward-ignores-out", "src/cclearn/model.py",
+        "grads = Gradients.zeros(params.shapes) if out is None else out",
+        "grads = Gradients.zeros(params.shapes)",
+        ("tests/test_model.py::test_out_is_written_over_and_returned_with_the_bits_of_a_new_gradients",
+         "tests/test_trainer.py::TestTrain::test_each_run_writes_every_step_into_one_gradients"),
+    ),
     Mutant(  # blocks cut mid row-panel: other bits under Haswell and Zen at 50k rows
         "infer-cuts-unaligned", "src/cclearn/trainer.py",
-        "len(x) * i // k // 64 * 64", "len(x) * i // k",
+        "[64 * (i * q + min(i, extra)) for i in range(1, k)]", "[len(x) * i // k for i in range(1, k)]",
         ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",),
+    ),
+    Mutant(  # the extra 64-row units go to the last blocks: a later block outgrows the first
+        "infer-larger-blocks-last", "src/cclearn/trainer.py",
+        "64 * (i * q + min(i, extra))", "64 * (i * q + max(0, i - (k - 1 - extra)))",
+        ("tests/test_trainer.py::TestInfer::test_blocks_never_grow",),
     ),
     Mutant(  # the blend norms through BLAS again: the bank's bits follow the kernel
         "ema-blend-norm-blas", "src/cclearn/centroids.py",

@@ -12,7 +12,11 @@ CPU, the OpenBLAS kernel as ``blas_core``, the repeats), then one JSON line
 per shape set: the microseconds per call of ``forward``,
 ``combined_loss_and_grads``, ``backward``, ``sgd_step``,
 ``batch_class_means``, ``ema_update`` and one whole step, each the best of
-7 ``timeit`` repeats of N calls.
+7 ``timeit`` repeats of N calls. The whole step writes its gradients into one
+``Gradients`` kept across its calls (``backward``'s ``out``), as the training
+loop does within a run; the ``backward`` key times the call without ``out``,
+which returns a new ``Gradients``. ``out`` changes what the step times, not
+which keys are printed.
 
 The shape sets are the ``desk`` training step at alpha 1 and at alpha 0,
 and the ``scale-50k`` fine-tune step (alpha 0, the fine-tune batch). The
@@ -97,7 +101,7 @@ def time_step(shape: dict, number: int) -> dict:
 
     from cclearn.centroids import CentroidBank, batch_class_means, ema_update
     from cclearn.losses import combined_loss_and_grads
-    from cclearn.model import backward, forward, init_params, sgd_step
+    from cclearn.model import Gradients, backward, forward, init_params, sgd_step
 
     rng = np.random.default_rng(0)
     params = init_params(shape["input_dim"], shape["hidden"], shape["feature_dim"],
@@ -110,11 +114,12 @@ def time_step(shape: dict, number: int) -> dict:
     ema_update(bank, *batch_class_means(fhat, y, shape["classes"]))  # every class seen
     _, d_feat, d_logits = combined_loss_and_grads(fhat, logits, y, bank, alpha, tau)
     means, mask = batch_class_means(fhat, y, shape["classes"])
+    buffer = Gradients.zeros(params.shapes)  # one per run, as in the training loop
 
     def step():
         _, fhat, logits, cache = forward(params, x)
         _, d_feat, d_logits = combined_loss_and_grads(fhat, logits, y, bank, alpha, tau)
-        sgd_step(params, backward(params, cache, d_feat, d_logits), lr)
+        sgd_step(params, backward(params, cache, d_feat, d_logits, out=buffer), lr)
         if alpha > 0:
             ema_update(bank, *batch_class_means(fhat, y, shape["classes"]))
 

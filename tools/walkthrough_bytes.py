@@ -3,7 +3,7 @@
 Usage (from the root of a source checkout):
 
     python3 tools/walkthrough_bytes.py --workload desk|desk-ce|scale-50k \\
-        --seed N [--work DIR] OLD_SRC NEW_SRC
+        --seed N [--work DIR] [--coretype OLD NEW] OLD_SRC NEW_SRC
 
 Each tree runs, in its own directory under --work (a temporary directory by
 default), the benchmark's walkthrough for the workload and seed: the
@@ -18,6 +18,12 @@ file holds logits, only their argmax, kappa and rank-based AUC, so a change
 in their last bits shows only there. Then ``diff -r`` compares the two
 directories: ``data/``, ``runs/`` (the ``.parsed`` sidecars included),
 ``diagnose/`` and ``logits/``.
+
+With ``--coretype OLD NEW`` every process of the OLD_SRC side runs with
+``OPENBLAS_CORETYPE=OLD`` and every process of the NEW_SRC side with
+``OPENBLAS_CORETYPE=NEW``: the two trees may be one, to compare two OpenBLAS
+kernels. A name that the bundled OpenBLAS does not know leaves it on its own
+choice, so the kernel each side ran under is best checked apart.
 
 Exits 0 and prints "no difference" when every byte matches, 1 when a byte
 differs or a step fails, and 2 on bad arguments.
@@ -65,15 +71,18 @@ for run in ("base", "tuned"):
 """
 
 
-def run_walkthrough(src: Path, work: Path, workload: str, seed: int) -> None:
-    """Run every step in ``work`` with ``src`` on the import path; SystemExit
-    naming the step when one fails."""
+def run_walkthrough(src: Path, work: Path, workload: str, seed: int, coretype: str | None = None) -> None:
+    """Run every step in ``work`` with ``src`` on the import path, under the
+    OpenBLAS kernel ``coretype`` when given; SystemExit naming the step when
+    one fails."""
     spec = WORKLOADS[workload]
     work.mkdir(parents=True)
     (work / "synth.json").write_text(json.dumps({**spec.synth, "seed": seed}))
     (work / "train.json").write_text(json.dumps({**spec.train, "seed": seed}))
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     env.update(dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     for i, args in enumerate([*steps(spec.alpha), ["logits"]]):
         code = LOGITS if args == ["logits"] else CLI
         proc = subprocess.run(
@@ -95,14 +104,17 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--work", help="directory to run in; must not exist")
+    parser.add_argument("--coretype", nargs=2, metavar=("OLD", "NEW"),
+                        help="the OPENBLAS_CORETYPE of each side's processes")
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work) if args.work else Path(tmp)
-        for side, src in (("old", args.old_src), ("new", args.new_src)):
-            run_walkthrough(src, work / side, args.workload, args.seed)
+        kernels = args.coretype or (None, None)
+        for side, src, kernel in zip(("old", "new"), (args.old_src, args.new_src), kernels):
+            run_walkthrough(src, work / side, args.workload, args.seed, kernel)
         diff = subprocess.run(
             ["diff", "-r", str(work / "old"), str(work / "new")], capture_output=True, text=True
         )
