@@ -178,7 +178,7 @@ def save_bank(bank: CentroidBank, path) -> None:
 def load_bank(path) -> CentroidBank:
     """Read a ``save_bank`` file; any malformed, truncated or non-finite
     content, or a seen centroid that is not unit length, raises StateError
-    naming the file."""
+    naming the file, and a bad cell's line."""
     head, rows = read_rows(path, 3, "bank")
     try:
         num_classes, feature_dim = (int(t) for t in head[0])

@@ -36,7 +36,7 @@ def _load_json(path: Path) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ValueError(f"malformed JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")

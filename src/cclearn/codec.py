@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from contextlib import closing
 
 import numpy as np
 
@@ -232,28 +234,60 @@ def _digits(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     return p.astype(np.intp) + np.rint(e).astype(np.intp)
 
 
-def read_rows(path, n_header: int, what: str) -> tuple[list[list[str]], list[np.ndarray]]:
-    """Split a "header, then float rows" file into header tokens and float rows.
+def read_cells(path, sep: str, error: type[Exception]):
+    """Yield (line, cells) for each record of the text file at ``path``: the
+    physical line where it starts and its cells as csv splits them at ``sep``,
+    quoted only where ``sep`` is ``,`` (an empty line has none). Bad UTF-8 or a
+    csv.Error raises ``error`` naming the file and line. Read it under
+    ``contextlib.closing`` to close the file as soon as you stop."""
+    quoting = csv.QUOTE_MINIMAL if sep == "," else csv.QUOTE_NONE
+    with open(path, "rb") as fh:
+        reader = csv.reader(_text_lines(path, fh, error), delimiter=sep, quoting=quoting)
+        start = 1
+        try:
+            for cells in reader:
+                yield start, cells
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}") from None
 
-    Blank lines are skipped. Raises StateError naming the file when it holds
-    a byte outside ASCII or an underscore (which ``float`` and ``int`` would
-    read as a digit or a separator, but no writer emits), has fewer than
-    ``n_header`` lines, or a row holds a non-numeric or non-finite value.
-    """
+
+def _text_lines(path, fh, error: type[Exception]):
+    """The physical lines of a binary file as text, split as ``newline=""``
+    splits them; one that is not UTF-8 raises ``error`` naming it."""
+    lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))  # fh splits after b"\n"
+    for lineno, line in enumerate(lines, 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(
+                f"{path}: line {lineno}: byte {exc.start + 1} is not UTF-8 ({exc.reason})"
+            ) from None
+
+
+def numbers(cells: list[str], where: str, error: type[Exception]) -> list[float]:
+    """The cells as floats; ``error`` naming ``where`` if a cell holds ``_`` or
+    a character outside ASCII (which ``float`` and ``int`` read as a separator
+    or a digit, but no writer emits), is no number, or is not finite."""
+    text = "".join(cells)
+    if "_" in text or not text.isascii():
+        raise error(f"{where}: a number holds '_' or a non-ASCII character")
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise StateError(f"{what} file {path} holds a non-ASCII byte") from None
-    if "_" in text:
-        raise StateError(f"{what} file {path} holds an underscore")
-    lines = [ln.split() for ln in text.split("\n") if ln.strip()]
+        values = list(map(float, cells))
+    except ValueError:
+        raise error(f"{where}: non-numeric value") from None
+    if not all(map(math.isfinite, values)):
+        raise error(f"{where}: non-finite value")
+    return values
+
+
+def read_rows(path, n_header: int, what: str) -> tuple[list[list[str]], list[np.ndarray]]:
+    """Split a "header, then float rows" file, one space between cells, into header
+    tokens and float rows, skipping empty lines. StateError names the file if it has
+    fewer than ``n_header`` lines, and the line that ``read_cells`` or ``numbers`` refuses."""
+    with closing(read_cells(path, " ", StateError)) as records:
+        lines = [(cells, numbers(cells, f"{what} file {path}: line {line}", StateError))
+                 for line, cells in records if cells]
     if len(lines) < n_header:
         raise StateError(f"{what} file {path} is truncated")
-    try:
-        rows = [np.array([float(t) for t in ln], dtype=np.float64) for ln in lines[n_header:]]
-    except ValueError:
-        raise StateError(f"{what} file {path} holds a non-numeric value") from None
-    if not all(np.isfinite(row).all() for row in rows):
-        raise StateError(f"{what} file {path} holds a non-finite value")
-    return lines[:n_header], rows
+    return [cells for cells, _ in lines[:n_header]], [np.array(v) for _, v in lines[n_header:]]

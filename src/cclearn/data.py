@@ -11,18 +11,18 @@ a trivial map (R=I, t=0, scale=1, equal noise) gives bitwise-equal domains.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import os
 import zlib
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
-from .codec import csv_cell, write_rows
+from .codec import csv_cell, numbers, read_cells, write_rows
 from .errors import TableParseError
 
 # fixed sub-stream tags so every random draw is attributable to the one seed
@@ -403,13 +403,10 @@ def load_table(path, num_classes: int | None = None) -> Dataset:
 def _scan_table(path, num_classes: int | None) -> Dataset:
     """Line-by-line csv parse: the reference reader and the source of every parse
     error, which names the physical line where the failing record starts."""
-    with open(path, "rb") as fh:
-        lines = csv.reader(_text_lines(path, fh))
-        reader = _records(path, lines)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableParseError(f"{path}: empty file") from None
+    with closing(read_cells(path, ",", TableParseError)) as records:
+        _, header = next(records, (None, None))
+        if header is None:
+            raise TableParseError(f"{path}: empty file")
         if len(header) < 3 or header[-2:] != ["label", "domain"]:
             raise TableParseError(
                 f"{path}: line 1: header must end with 'label,domain', got {header}"
@@ -421,30 +418,14 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
                 f"{path}: line 1: feature columns must be f0..f{dim - 1} in order"
             )
         rows, labels, domain = [], [], None
-        end = lines.line_num
-        for row in reader:
-            lineno, end = end + 1, lines.line_num
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != dim + 2:
                 raise TableParseError(
                     f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
                 )
-            # float and int also read "1_0" as 10 and non-ASCII digits as
-            # digits, which no writer emits
-            numbers = "".join(row[: dim + 1])
-            if "_" in numbers or not numbers.isascii():
-                raise TableParseError(
-                    f"{path}: line {lineno}: a feature or label holds '_' or a non-ASCII character"
-                )
-            try:
-                values = [float(v) for v in row[:dim]]
-            except ValueError:
-                raise TableParseError(
-                    f"{path}: line {lineno}: non-numeric feature value"
-                ) from None
-            if not all(math.isfinite(v) for v in values):
-                raise TableParseError(f"{path}: line {lineno}: non-finite feature value")
+            values = numbers(row[: dim + 1], f"{path}: line {lineno}", TableParseError)
             try:
                 label = int(row[dim])
             except ValueError:
@@ -462,35 +443,10 @@ def _scan_table(path, num_classes: int | None) -> Dataset:
                 raise TableParseError(
                     f"{path}: line {lineno}: mixed domain tags ({row[dim + 1]!r} vs {domain!r})"
                 )
-            rows.append(values)
+            rows.append(values[:dim])
             labels.append(label)
     if not rows:
         raise TableParseError(f"{path}: no samples")
     labels_arr = np.array(labels, dtype=np.int64)
     k = num_classes if num_classes is not None else int(labels_arr.max()) + 1
     return Dataset(np.array(rows, dtype=np.float64), labels_arr, domain, k)
-
-
-def _text_lines(path, fh):
-    """The physical lines of a binary file as text, split where ``newline=""``
-    splits them (after \\n, \\r\\n or a lone \\r); a line that is not UTF-8
-    raises a TableParseError naming it."""
-    lineno = 0
-    for chunk in fh:  # a binary file splits only after b"\n"
-        for line in chunk.splitlines(keepends=True):
-            lineno += 1
-            try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TableParseError(
-                    f"{path}: line {lineno}: byte {exc.start + 1} is not UTF-8 ({exc.reason})"
-                ) from None
-
-
-def _records(path, reader):
-    """The rows of a csv reader, with a csv.Error (say, a field over the size
-    limit) raised as a TableParseError naming the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None

@@ -287,7 +287,7 @@ def save_model(params: ModelParams, path) -> None:
 
 def load_model(path) -> ModelParams:
     """Read a ``save_model`` checkpoint; any malformed, truncated or non-finite
-    content raises StateError naming the file."""
+    content raises StateError naming the file, and a bad cell's line."""
     head, rows = read_rows(path, 2, "model")
     try:
         input_dim, feature_dim, num_classes, n_layers = (int(t) for t in head[0])

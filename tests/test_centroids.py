@@ -149,6 +149,23 @@ class TestBatchClassMeans:
                     np.testing.assert_allclose(means[c], rows.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda bank: batch_class_means(np.ones(2), np.array([0, 1]), 2), "non-empty 2-D array"),
+    (lambda bank: batch_class_means(np.ones((0, 2)), np.array([], int), 2), "non-empty 2-D array"),
+    (lambda bank: ema_update(bank, np.ones((2, 3)), np.ones(2, bool)), "f_mean shape"),
+    (lambda bank: ema_update(bank, np.ones((3, 2)), np.ones(2, bool)), "f_mean shape"),
+    (lambda bank: ema_update(bank, np.eye(2), np.ones(3, bool)), "mask shape"),
+    (lambda bank: ema_update(bank, np.eye(2), np.ones((2, 1), bool)), "mask shape"),
+])
+def test_misshapen_inputs_are_refused_and_the_bank_kept(call, match):
+    bank = CentroidBank(2, 2, 0.5)
+    ema_update(bank, np.eye(2), np.array([True, False]))
+    before = bank.centroids.tobytes(), bank.seen.tolist(), bank.m
+    with pytest.raises(ValueError, match=match):
+        call(bank)
+    assert (bank.centroids.tobytes(), bank.seen.tolist(), bank.m) == before
+
+
 class TestEmaUpdate:
     def make_seen_bank(self, centroids, m):
         centroids = np.asarray(centroids, dtype=np.float64)
@@ -306,6 +323,7 @@ class TestBankIO:
         "2 2\n0.9 0.9\n1 1.0\n1 0\n0 1\n",
         "2 2\n0.9 0.9_0\n1 1\n1 0\n0 1\n",
         "2 2\n0.9 0.9\n1 1\n1 0\n0 \u0661\n",
+        '2 2\n0.9 0.9\n1 1\n"1" 0\n0 1\n',  # no checkpoint cell is quoted
     ])
     def test_malformed_or_non_finite_bank_raises_state_error(self, tmp_path, text):
         path = tmp_path / "bank.txt"

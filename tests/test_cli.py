@@ -183,6 +183,19 @@ class TestSynthData:
         assert proc.stderr.startswith(f"error: config key '{key}' must keep a table within"), proc.stderr
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (b'{"seed": 1', "malformed JSON"), (b'{"seed": 1,}', "malformed JSON"),
+        (b'{"seed": \xff}', "malformed JSON"), (b"\xef\xbb\xbf{}", "malformed JSON"),
+        (b"[1, 2]", "must hold a JSON object"), (b"null", "must hold a JSON object"),
+    ])
+    def test_unreadable_config_fails_naming_it(self, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.json"
+        config.write_bytes(text)
+        assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(config) in err, err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["synth-data", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2

@@ -8,8 +8,10 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 import zlib
 from decimal import Decimal
 from fractions import Fraction
@@ -26,8 +28,8 @@ from cclearn import cli, codec, data
 from cclearn.centroids import CentroidBank, load_bank, save_bank
 from cclearn.data import Dataset, load_table, save_table
 from cclearn.diagnostics import HeatmapMatrix, save_heatmap, save_projection
-from cclearn.errors import TableParseError
-from cclearn.model import ModelParams, load_model, save_model
+from cclearn.errors import StateError, TableParseError
+from cclearn.model import ModelParams, init_params, load_model, save_model
 from cclearn.trainer import EpochRecord, RunReport, TrainConfig, write_history_csv
 
 TRICKY = np.array(
@@ -691,6 +693,78 @@ def test_numeric_cells_no_writer_emits_are_refused(tmp_path, kind, col):
     path.write_text("".join(",".join(line) + "\n" for line in corrupt(lines, kind, 1, col)))
     with pytest.raises(TableParseError, match="t.csv: line 3: "):
         load_table(path)
+
+
+# ----------------------------------------- one row reader for tables and checkpoints
+
+def with_bad_cell(tmp_path, kind: str, bad: str):
+    """A table, model.txt or bank.txt whose first cell on one data line is
+    ``bad``: (path, loader, error type, that line)."""
+    if kind == "table":
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,f1,label,domain\n1,2,0,source\n{bad},4,1,source\n")
+        return path, load_table, TableParseError, 3
+    if kind == "model":
+        path = tmp_path / "model.txt"
+        save_model(init_params(3, (), 2, 2, 0), path)
+        loader, line = load_model, 3
+    else:
+        path = tmp_path / "bank.txt"
+        path.write_text("2 2\n0.9 0.9\n1 1\n1 0\n0 1\n")
+        loader, line = load_bank, 5
+    lines = path.read_text().splitlines()
+    lines[line - 1] = " ".join([bad] + lines[line - 1].split(" ")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    return path, loader, StateError, line
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0661", "nan", "inf", "x", "\xa01"])
+@pytest.mark.parametrize("kind", ["table", "model", "bank"])
+def test_one_number_rule_refuses_a_bad_cell_naming_the_file_and_line(tmp_path, kind, bad):
+    path, loader, error, line = with_bad_cell(tmp_path, kind, bad)
+    with pytest.raises(error, match=f"{re.escape(str(path))}: line {line}: "):
+        loader(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row.replace(" ", "  "), lambda row: row + " ", lambda row: " " + row,
+    lambda row: " ", lambda row: row + "\0", lambda row: row.replace(" ", "\0 "),
+], ids=["doubled", "trailing", "leading", "blank", "nul-last", "nul-inside"])
+def test_checkpoint_cells_are_separated_by_exactly_one_space(tmp_path, edit):
+    path = tmp_path / "model.txt"
+    save_model(init_params(3, (), 2, 2, 0), path)
+    lines = path.read_text().split("\n")
+    lines[3] = edit(lines[3])  # csv refuses a NUL before Python 3.11, float after it
+    path.write_text("\n".join(lines))
+    with pytest.raises(StateError, match=f"{re.escape(str(path))}: line 4: "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["table", "model", "bank"])
+def test_a_reader_that_stops_early_closes_its_file(tmp_path, monkeypatch, kind):
+    path, loader, error, _ = with_bad_cell(tmp_path, kind, "x")
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(codec, "open", recording_open, raising=False)  # shadows the builtin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(error) as refused:
+            loader(path)
+        assert opened and all(fh.closed for fh in opened)  # while the traceback holds the reader
+        del refused
+
+
+def test_only_the_codec_imports_csv():
+    package = Path(codec.__file__).parent
+    importers = {path.stem for path in package.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "csv"}
+    assert importers == {"codec"}
 
 
 def test_well_formed_tables_never_reach_the_scan(tmp_path, monkeypatch):

@@ -255,6 +255,21 @@ class TestPca2d:
         assert lines[1].endswith(",0,source")
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda bank: class_centroid_heatmap(np.ones((2, 3)), np.array([0, 1]), bank), "bank dim 2"),
+    (lambda bank: class_centroid_heatmap(np.ones(2), np.array([0, 1]), bank), "bank dim 2"),
+    (lambda bank: pca_2d(np.ones(5)), "must be 2-D"),
+    (lambda bank: pca_2d(np.ones((2, 3, 4))), "must be 2-D"),
+    (lambda bank: project_into(pca_2d(np.eye(3)), np.ones((2, 2))), "basis dim 3"),
+    (lambda bank: project_into(pca_2d(np.eye(3)), np.ones(3)), "basis dim 3"),
+])
+def test_misshapen_features_are_refused(call, match):
+    bank = CentroidBank(2, 2, 0.0)
+    ema_update(bank, np.eye(2), np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match=match):
+        call(bank)
+
+
 class TestFeatureSpread:
     def test_identical_rows_zero(self):
         assert feature_spread(np.tile([1.0, 2.0], (4, 1))) == 0.0

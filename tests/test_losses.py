@@ -311,6 +311,21 @@ class TestCombinedLoss:
         with pytest.raises(ValueError):
             combined_loss_and_grads(feats, bad, labels, bank, 1.0, 1.0)[0]
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda f, z, y: (f[0], z, y), "features must be a non-empty 2-D array"),
+        (lambda f, z, y: (f[:0], z[:0], y[:0]), "features must be a non-empty 2-D array"),
+        (lambda f, z, y: (f, z[:-1], y), "logits shape"),
+        (lambda f, z, y: (f, z[:, 0], y), "logits shape"),
+        # a fourth logit and a label of class 3, which the 3-class bank lacks
+        (lambda f, z, y: (f, np.hstack([z, z[:, :1]]), np.where(y == 0, 3, y)), "exceed bank classes 3"),
+    ])
+    def test_misshapen_inputs_rejected(self, edit, match):
+        rng = np.random.default_rng(19)
+        bank, feats, logits, labels = self.full_setup(rng)
+        labels[0] = 0
+        with pytest.raises(ValueError, match=match):
+            combined_loss_and_grads(*edit(feats, logits, labels), bank, 1.0, 1.0)
+
     @pytest.mark.parametrize("alpha, tau", [
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
     ])

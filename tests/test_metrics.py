@@ -126,6 +126,11 @@ class TestKappa:
         with pytest.raises(ValueError):
             quadratic_weighted_kappa(np.array([0, 1]), np.array([0]), 2)
 
+    @pytest.mark.parametrize("num_classes", [1, 0, -1])
+    def test_fewer_than_two_classes_rejected(self, num_classes):
+        with pytest.raises(ValueError, match=f"at least 2 classes, got {num_classes}"):
+            quadratic_weighted_kappa(np.array([0, 0]), np.array([0, 0]), num_classes)
+
     def test_narrow_label_dtypes_do_not_overflow_the_cell_index(self):
         rng = np.random.default_rng(3)
         a, b = rng.integers(0, 20, 200), rng.integers(0, 20, 200)

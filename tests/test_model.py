@@ -318,6 +318,19 @@ def test_a_d_normalized_of_positive_zeros_skips_the_jacobian_with_its_bits(case)
     assert backward(params, unread, zeros, d_logits).flat.tobytes() == expected
 
 
+@pytest.mark.parametrize("d_normalized, d_logits, match", [
+    ((4, 3), (4, 3), "d_normalized shape"),
+    ((3, 2), (4, 3), "d_normalized shape"),
+    ((4, 2), (4, 2), "d_logits shape"),
+    ((4, 2), (5, 3), "d_logits shape"),
+])
+def test_branch_gradients_of_other_shapes_are_refused(d_normalized, d_logits, match):
+    params = init_params(3, (5,), 2, 3, 7)
+    _, _, _, cache = forward(params, np.random.default_rng(7).standard_normal((4, 3)))
+    with pytest.raises(ValueError, match=match):
+        backward(params, cache, np.ones(d_normalized), np.ones(d_logits))
+
+
 class SumsFromTheFirstProduct(np.ndarray):
     """An operand whose matrix products are summed from the first product on,
     so that a sum of -0.0 products stays -0.0. OpenBLAS zeroes the output of
@@ -516,6 +529,12 @@ class TestLrSchedule:
     def test_no_warmup_starts_at_base(self):
         opt = OptimState(base_lr=0.01, warmup_epochs=0, total_epochs=5, steps_per_epoch=4)
         assert lr_at(opt, 0) == pytest.approx(0.01, abs=1e-15)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_warmup_over_every_epoch_ramps_to_base_at_the_last_step(self, epochs):
+        opt = OptimState(base_lr=0.001, warmup_epochs=epochs, total_epochs=epochs, steps_per_epoch=4)
+        assert [lr_at(opt, s) for s in (0, opt.total_steps - 1, opt.total_steps)] == [
+            0.0, 0.001 * (opt.total_steps - 1) / opt.total_steps, 0.001]
 
     def test_out_of_schedule_rejected(self):
         opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=2, steps_per_epoch=5)

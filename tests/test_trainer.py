@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cclearn import trainer
-from cclearn.centroids import CentroidBank
+from cclearn.centroids import CentroidBank, bank_from_features
 from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
 from cclearn.errors import DegenerateVectorError, TrainingError
 from cclearn.losses import softmax
@@ -228,6 +228,27 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="parameters after epoch 0, step 0"):
                 train(huge, None, replace(config, batch_size=len(tr)))
+
+    def test_a_loss_that_overflows_from_finite_logits_aborts(self):
+        # each sample's own centroid points away from its feature: alpha * cont overflows
+        params = init_params(2, (), 2, 2, 0)
+        target = Dataset(np.array([[1.0, 0.3], [0.2, -1.0], [-1.0, 0.5]]), np.zeros(3, int), "target", 2)
+        labels = pseudo_label(params, target)
+        bank = bank_from_features(-forward(params, target.features)[1], labels, 2)
+        with pytest.raises(TrainingError, match=r"^non-finite loss at epoch 0, step 0: .*total=inf"):
+            finetune(params, bank, target, finetune_config(alpha=1e308, batch_size=3))
+
+    def test_finite_parameters_whose_validation_logits_overflow_abort(self):
+        # one step at 1e59 leaves finite weights of about 3e158: the tiny validation rows keep
+        # a finite feature norm, and their logits overflow
+        rng = np.random.default_rng(0)
+        tr = Dataset(rng.standard_normal((8, 3)) * 1e100, np.arange(8) % 2, "source", 2)
+        va = Dataset(rng.standard_normal((4, 3)) * 1e-6, np.array([0, 1, 0, 1]), "source", 2)
+        config = TrainConfig(alpha=0.0, epochs=1, batch_size=8, base_lr=1e59, warmup_epochs=0,
+                             hidden_dims=(), feature_dim=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="^non-finite validation logits after epoch 0, step 0$"):
+                train(tr, va, config)
 
     def test_val_dataset_dim_mismatch(self):
         tr, va, config = small_run()

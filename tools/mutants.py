@@ -256,6 +256,19 @@ MUTANTS = [
         "!= _file_digest(path):", "is None:",
         ("tests/test_codec.py::test_a_table_edited_after_saving_reads_as_text",),
     ),
+    Mutant(  # one number rule for every reader: a table, a model and a bank each read "1_0" as 10
+        "number-rule-admits-underscore", "src/cclearn/codec.py",
+        'if "_" in text or not text.isascii():', "if not text.isascii():",
+        ("tests/test_codec.py::test_numeric_cells_no_writer_emits_are_refused",
+         "tests/test_model.py::TestCheckpoint::test_non_finite_or_non_numeric_weight_names_the_file",
+         "tests/test_centroids.py::TestBankIO::test_malformed_or_non_finite_bank_raises_state_error"),
+    ),
+    Mutant(  # each record after the first named by the line before it
+        "reader-line-number-off-by-one", "src/cclearn/codec.py",
+        "start = reader.line_num + 1", "start = reader.line_num",
+        ("tests/test_data.py::TestTableIO::test_errors_name_the_physical_line_of_a_multi_line_record",
+         "tests/test_codec.py::test_one_number_rule_refuses_a_bad_cell_naming_the_file_and_line"),
+    ),
 ]
 
 
