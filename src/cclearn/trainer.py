@@ -35,11 +35,9 @@ from .model import ModelParams, OptimState, backward, forward, init_params, lr_a
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
-# Inference runs ``forward`` over k = len(x) // INFER_ROWS blocks (at least one), so only one
-# block's cache is alive at a time. Cuts fall on multiples of 64 rows, so each row keeps its
-# whole-table offset in BLAS's row panels and the whole-table bits on each OpenBLAS kernel tested.
-# For m, r = divmod(len(x), 64), the last block holds 64 * (m // k - (r > 0)) + r rows and the
-# others share the rest in 64-row units, larger first, so no block is larger than one before it.
+# ``infer`` splits the 64-row panels into max(1, len(x) // INFER_ROWS) groups, larger first,
+# and runs ``forward`` per group: one block's cache is alive at a time, none is larger than one
+# before it, and each row keeps its whole-table panel offset and bits on each OpenBLAS kernel tested.
 INFER_ROWS = 4096
 
 @dataclass
@@ -92,9 +90,8 @@ def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
     """``forward(params, x)[output]`` (1: normalized features, 2: logits), the
     same bits computed block by block."""
     parts, start = [], 0
-    (m, r), k = divmod(len(x), 64), max(1, len(x) // INFER_ROWS)
-    q, extra = divmod(m - m // k + (r > 0), max(1, k - 1))  # 64-row units of all but the last block
-    for block in np.split(x, [64 * (i * q + min(i, extra)) for i in range(1, k)]):
+    groups = np.array_split(np.arange(0, len(x), 64), max(1, len(x) // INFER_ROWS))
+    for block in np.split(x, [group[0] for group in groups[1:]]):
         try:
             parts.append(forward(params, block)[output])
         except DegenerateVectorError as exc:
@@ -203,6 +200,7 @@ def _fit(
     ``val_ds`` when given. Only ``source`` runs advance the smoothing, follow
     ``lr_at``'s schedule and, when alpha > 0, fold features into the bank."""
     n = len(ds)
+    fold = source and config.alpha > 0  # fold the batch's features into the bank
     opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs,
                      math.ceil(n / config.batch_size))
     report = RunReport(config=config)
@@ -211,8 +209,6 @@ def _fit(
         if source:
             update_smoothing(bank, epoch, config.epochs)
         ce_sum = cont_sum = 0.0
-        ema_samples = 0
-        lr = config.base_lr
         batches = make_batches(
             ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch],
             shuffle=config.shuffle,
@@ -234,15 +230,13 @@ def _fit(
             if not math.isfinite(breakdown.total):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
             grads = backward(params, cache, d_feat, d_logits, out=grads)
-            if source:
-                lr = lr_at(opt, opt.step)
+            lr = lr_at(opt, opt.step) if source else config.base_lr
             opt.step += 1
             sgd_step(params, grads, lr)
-            if source and config.alpha > 0:
+            if fold:
                 # the EMA sees the same features the loss saw (pre-step)
                 means, mask = batch_class_means(fhat, y, ds.num_classes)
                 ema_update(bank, means, mask)
-                ema_samples += len(batch)
             ce_sum += breakdown.ce * len(batch)
             cont_sum += breakdown.cont * len(batch)
         after = f"after epoch {epoch}, step {opt.step - 1}"
@@ -251,7 +245,7 @@ def _fit(
             raise TrainingError(f"non-finite parameters {after}")
         record = EpochRecord(
             epoch=epoch, m=bank.m, lr=lr, ce=ce_sum / n, cont=cont_sum / n,
-            total=ce_sum / n + config.alpha * cont_sum / n, ema_samples=ema_samples,
+            total=ce_sum / n + config.alpha * cont_sum / n, ema_samples=n if fold else 0,
         )
         if val_ds is not None:
             try:
@@ -287,10 +281,10 @@ def render_report(report: RunReport) -> str:
         f"  warmup_epochs: {cfg.warmup_epochs}",
         f"model: hidden={list(cfg.hidden_dims)} feature_dim={cfg.feature_dim}",
         "",
+        f"epochs run: {len(report.history)}",
     ]
     if report.history:
         last = report.history[-1]
-        out.append(f"epochs run: {len(report.history)}")
         out.append(
             f"final epoch: ce={last.ce:.6g} cont={last.cont:.6g} total={last.total:.6g} "
             f"m={last.m:.6g}"
@@ -299,8 +293,6 @@ def render_report(report: RunReport) -> str:
             out.append(
                 f"final val: accuracy={last.val_accuracy:.6g} kappa={last.val_kappa:.6g}"
             )
-    else:
-        out.append("epochs run: 0")
     if report.eval_results:
         out.append("")
         out.append("evaluation:")

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,14 @@ def test_ema_update_is_bit_equal_to_the_per_class_loop(case):
     assert ema_outcome(ema_update, *case) == ema_outcome(ema_update_loop, *case)
 
 
+# header values that parse but that a bank refuses, each with the end of its message
+REFUSED_HEADERS = {
+    "2 2\n0.9 1.5\n1 1\n1 0\n0 1\n": r"has smoothing m=1\.5 outside \[0, 1\]$",
+    "1 2\n0.9 0.9\n1\n1 0\n": "has a malformed header$",  # K = 1
+    "2 2\n1 1\n1 1\n1 0\n0 1\n": "has a malformed header$",  # m0 = 1
+}
+
+
 class TestBankIO:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -324,11 +333,19 @@ class TestBankIO:
         "2 2\n0.9 0.9_0\n1 1\n1 0\n0 1\n",
         "2 2\n0.9 0.9\n1 1\n1 0\n0 \u0661\n",
         '2 2\n0.9 0.9\n1 1\n"1" 0\n0 1\n',  # no checkpoint cell is quoted
+        *REFUSED_HEADERS,
     ])
     def test_malformed_or_non_finite_bank_raises_state_error(self, tmp_path, text):
         path = tmp_path / "bank.txt"
         path.write_text(text)
         with pytest.raises(StateError, match="bank.txt"):
+            load_bank(path)
+
+    @pytest.mark.parametrize("text", list(REFUSED_HEADERS))
+    def test_a_refused_header_names_its_fault(self, tmp_path, text):
+        path = tmp_path / "bank.txt"
+        path.write_text(text)
+        with pytest.raises(StateError, match=re.escape(f"bank file {path} ") + REFUSED_HEADERS[text]):
             load_bank(path)
 
     @pytest.mark.parametrize("text", [

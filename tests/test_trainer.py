@@ -443,8 +443,13 @@ class TestInfer:
             assert all(start % 64 == 0 for start in np.cumsum(sizes[:-1]))
             assert min(sizes) >= INFER_ROWS - 63
         assert sizes == [4224] * 2 + [4160] * 9 + [4112]  # 50 000 rows: 781 row panels of 64, and 16
+        sizes.clear()
+        infer(None, np.zeros((8257, 1)), 2)
+        assert sizes == [4160, 4097]  # 8257 rows: two groups of 65 row panels, the last of one row
 
-    @pytest.mark.parametrize("rows", [10000, 50000])
+    # 9063 (4544, 4519) and 18144 (3 x 4544, 4512) rows: blocks of two sizes. Not 8257: under Haswell
+    # and Zen at 2 or 4 BLAS threads its whole-table pass gives other bits than its blocks
+    @pytest.mark.parametrize("rows", [9063, 10000, 18144, 50000])
     def test_bit_equal_to_whole_table_forward_at_the_scale_shape(self, rows):
         params = init_params(64, (64, 64), 32, 10, 3)
         x = np.random.default_rng(rows).standard_normal((rows, 64))

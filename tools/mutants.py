@@ -70,7 +70,7 @@ MUTANTS = [
     ),
     Mutant(  # acceptance 6 compares checkpoints only, and passes on this mutant
         "bank-updated-at-alpha-zero", "src/cclearn/trainer.py",
-        "if source and config.alpha > 0:", "if source:",
+        "fold = source and config.alpha > 0", "fold = source",
         ("tests/test_trainer.py::TestTrain::test_alpha_zero_never_touches_bank",
          "tests/test_cli.py::TestDiagnose::test_empirical_centroid_fallback"),
     ),
@@ -224,13 +224,31 @@ MUTANTS = [
     ),
     Mutant(  # blocks cut mid row-panel: other bits under Haswell and Zen at 50k rows
         "infer-cuts-unaligned", "src/cclearn/trainer.py",
-        "[64 * (i * q + min(i, extra)) for i in range(1, k)]", "[len(x) * i // k for i in range(1, k)]",
+        "np.arange(0, len(x), 64)", "np.arange(0, len(x), 48)",
         ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",),
     ),
-    Mutant(  # the extra 64-row units go to the last blocks: a later block outgrows the first
+    Mutant(  # the groups reversed, the larger last: a later block outgrows the first
         "infer-larger-blocks-last", "src/cclearn/trainer.py",
-        "64 * (i * q + min(i, extra))", "64 * (i * q + max(0, i - (k - 1 - extra)))",
+        "groups = np.array_split(np.arange(0, len(x), 64), max(1, len(x) // INFER_ROWS))",
+        "groups = [g[::-1] for g in np.array_split(np.arange(0, len(x), 64)[::-1],"
+        " max(1, len(x) // INFER_ROWS))][::-1]",
         ("tests/test_trainer.py::TestInfer::test_blocks_never_grow",),
+    ),
+    Mutant(  # the fine-tune's constant rate follows the source schedule instead
+        "finetune-lr-follows-schedule", "src/cclearn/trainer.py",
+        "lr_at(opt, opt.step) if source else config.base_lr", "lr_at(opt, opt.step)",
+        ("tests/test_trainer.py::TestFinetune::test_bank_untouched",),
+    ),
+    Mutant(  # history.csv claims every sample folded into a bank that an alpha-0 run never touched
+        "ema-samples-counted-without-folding", "src/cclearn/trainer.py",
+        "ema_samples=n if fold else 0", "ema_samples=n",
+        ("tests/test_trainer.py::TestTrain::test_alpha_zero_never_touches_bank",),
+    ),
+    Mutant(  # a bank file's smoothing above 1 loads
+        "bank-m-outside-unit-interval", "src/cclearn/centroids.py",
+        "if not 0.0 <= m <= 1.0:", "if not 0.0 <= m:",
+        ("tests/test_centroids.py::TestBankIO::test_malformed_or_non_finite_bank_raises_state_error",
+         "tests/test_centroids.py::TestBankIO::test_a_refused_header_names_its_fault"),
     ),
     Mutant(  # the blend norms through BLAS again: the bank's bits follow the kernel
         "ema-blend-norm-blas", "src/cclearn/centroids.py",
