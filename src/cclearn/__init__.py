@@ -45,7 +45,6 @@ from .model import (
     ForwardCache,
     Gradients,
     ModelParams,
-    OptimState,
     backward,
     forward,
     init_params,

@@ -232,26 +232,7 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     return params
 
 
-@dataclass
-class OptimState:
-    """Learning-rate schedule bookkeeping; ``step`` is the next global step."""
-
-    base_lr: float
-    warmup_epochs: int
-    total_epochs: int
-    steps_per_epoch: int
-    step: int = 0
-
-    @property
-    def total_steps(self) -> int:
-        return self.total_epochs * self.steps_per_epoch
-
-    @property
-    def warmup_steps(self) -> int:
-        return self.warmup_epochs * self.steps_per_epoch
-
-
-def lr_at(opt: OptimState, step: int) -> float:
+def lr_at(step: int, base_lr: float, warmup_steps: int, total_steps: int) -> float:
     """Half-cycle cosine schedule with a linear warm-up ramp from 0.
 
     During warm-up: base_lr * step / warmup_steps. Afterwards:
@@ -260,16 +241,15 @@ def lr_at(opt: OptimState, step: int) -> float:
     the final step.
     """
     step = int(step)
-    if not 0 <= step <= opt.total_steps:
-        raise ValueError(f"step {step} outside schedule [0, {opt.total_steps}]")
-    warm = opt.warmup_steps
-    if step < warm:
-        return opt.base_lr * step / warm
-    span = opt.total_steps - warm
+    if not 0 <= step <= total_steps:
+        raise ValueError(f"step {step} outside schedule [0, {total_steps}]")
+    if step < warmup_steps:
+        return base_lr * step / warmup_steps
+    span = total_steps - warmup_steps
     if span == 0:
-        return opt.base_lr
-    progress = (step - warm) / span
-    return opt.base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+        return base_lr
+    progress = (step - warmup_steps) / span
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 def save_model(params: ModelParams, path) -> None:

@@ -30,7 +30,7 @@ from .data import Dataset, JsonConfig, key, make_batches
 from .errors import DegenerateVectorError, TrainingError, UndefinedMetricError
 from .losses import combined_loss_and_grads, softmax
 from .metrics import EvalResult, accuracy, auc_macro_ovr, quadratic_weighted_kappa
-from .model import ModelParams, OptimState, backward, forward, init_params, lr_at, sgd_step
+from .model import ModelParams, backward, forward, init_params, lr_at, sgd_step
 
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
@@ -201,8 +201,8 @@ def _fit(
     ``lr_at``'s schedule and, when alpha > 0, fold features into the bank."""
     n = len(ds)
     fold = source and config.alpha > 0  # fold the batch's features into the bank
-    opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs,
-                     math.ceil(n / config.batch_size))
+    steps = math.ceil(n / config.batch_size)
+    schedule = config.base_lr, config.warmup_epochs * steps, config.epochs * steps
     report = RunReport(config=config)
     grads = None  # the first step's backward allocates the one buffer every step writes
     for epoch in range(config.epochs):
@@ -213,7 +213,7 @@ def _fit(
             ds, config.batch_size, seed=[config.seed, _STREAM_SHUFFLE, epoch],
             shuffle=config.shuffle,
         )
-        for batch in batches:
+        for step, batch in enumerate(batches, epoch * steps):
             y = ds.labels[batch]
             try:  # ds is finite and of the model's input dim, so forward only refuses a norm
                 _, fhat, logits, cache = forward(params, ds.features[batch])
@@ -223,15 +223,14 @@ def _fit(
             except ValueError as exc:
                 if not isinstance(exc, DegenerateVectorError) and np.isfinite(logits).all():
                     raise  # not a divergence: the error keeps its type
-                what = f"diverged at epoch {epoch}, step {opt.step}" if opt.step else (  # nothing moved yet
+                what = f"diverged at epoch {epoch}, step {step}" if step else (  # nothing moved yet
                     "the initial model's features cannot be normalised before any step (hidden_dims "
                     f"{list(config.hidden_dims)}, feature_dim {config.feature_dim}, seed {config.seed})")
                 raise TrainingError(f"{what}: {exc}") from exc
             if not math.isfinite(breakdown.total):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, step {opt.step}: {breakdown}")
+                raise TrainingError(f"non-finite loss at epoch {epoch}, step {step}: {breakdown}")
             grads = backward(params, cache, d_feat, d_logits, out=grads)
-            lr = lr_at(opt, opt.step) if source else config.base_lr
-            opt.step += 1
+            lr = lr_at(step, *schedule) if source else config.base_lr
             sgd_step(params, grads, lr)
             if fold:
                 # the EMA sees the same features the loss saw (pre-step)
@@ -239,7 +238,7 @@ def _fit(
                 ema_update(bank, means, mask)
             ce_sum += breakdown.ce * len(batch)
             cont_sum += breakdown.cont * len(batch)
-        after = f"after epoch {epoch}, step {opt.step - 1}"
+        after = f"after epoch {epoch}, step {step}"
         # the loop checks only each step's input
         if not np.isfinite(params.flat).all():
             raise TrainingError(f"non-finite parameters {after}")

@@ -35,7 +35,6 @@ from cclearn.errors import UndefinedMetricError
 from cclearn.losses import combined_loss_and_grads, softmax
 from cclearn.metrics import accuracy, auc_binary, auc_macro_ovr, quadratic_weighted_kappa
 from cclearn.model import (
-    OptimState,
     backward,
     forward,
     init_params,
@@ -422,7 +421,8 @@ def test_criterion_6_alpha_zero_inertness(tmp_path):
         train_ds.num_classes, np.random.default_rng([config.seed, 101]),
     )
     steps = math.ceil(len(train_ds) / config.batch_size)
-    opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs, steps)
+    warmup_steps, total_steps = config.warmup_epochs * steps, config.epochs * steps
+    step = 0
     for epoch in range(config.epochs):
         for batch in make_batches(train_ds, config.batch_size,
                                   seed=[config.seed, 202, epoch], shuffle=True):
@@ -432,8 +432,8 @@ def test_criterion_6_alpha_zero_inertness(tmp_path):
             d_logits[np.arange(len(y)), y] -= 1.0
             d_logits /= len(y)
             grads = backward(reference, cache, np.zeros_like(fhat), d_logits)
-            lr = lr_at(opt, opt.step)
-            opt.step += 1
+            lr = lr_at(step, config.base_lr, warmup_steps, total_steps)
+            step += 1
             sgd_step(reference, grads, lr)
 
     save_model(params, tmp_path / "with_alpha0.txt")

@@ -18,7 +18,6 @@ from cclearn.losses import combined_loss_and_grads
 from cclearn.model import (
     Gradients,
     ModelParams,
-    OptimState,
     backward,
     forward,
     init_params,
@@ -502,50 +501,47 @@ class TestModelParams:
 
 class TestLrSchedule:
     def test_warmup_end_hits_base_lr(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=10, steps_per_epoch=20)
-        assert lr_at(opt, 20) == pytest.approx(0.001, abs=1e-15)
+        assert lr_at(20, 0.001, 1 * 20, 10 * 20) == pytest.approx(0.001, abs=1e-15)
 
     def test_warmup_ramps_from_zero(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=10, steps_per_epoch=20)
-        assert lr_at(opt, 0) == 0.0
-        assert lr_at(opt, 10) == pytest.approx(0.0005, abs=1e-15)
+        assert lr_at(0, 0.001, 1 * 20, 10 * 20) == 0.0
+        assert lr_at(10, 0.001, 1 * 20, 10 * 20) == pytest.approx(0.0005, abs=1e-15)
 
     def test_final_step_is_zero(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=10, steps_per_epoch=20)
-        assert abs(lr_at(opt, opt.total_steps)) < 1e-9
+        total_steps = 10 * 20
+        assert abs(lr_at(total_steps, 0.001, 1 * 20, total_steps)) < 1e-9
 
     def test_cosine_midpoint_is_half(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=11, steps_per_epoch=10)
-        midpoint = 10 + (opt.total_steps - 10) // 2
-        assert lr_at(opt, midpoint) == pytest.approx(0.0005, abs=1e-12)
+        total_steps = 11 * 10
+        midpoint = 10 + (total_steps - 10) // 2
+        assert lr_at(midpoint, 0.001, 1 * 10, total_steps) == pytest.approx(0.0005, abs=1e-12)
 
     def test_continuity_at_warmup_boundary(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=2, total_epochs=9, steps_per_epoch=7)
-        warm = opt.warmup_steps
-        ramp_side = opt.base_lr * warm / warm
-        cosine_side = lr_at(opt, warm)
+        base_lr, warm = 0.001, 2 * 7
+        ramp_side = base_lr * warm / warm
+        cosine_side = lr_at(warm, base_lr, warm, 9 * 7)
         assert abs(ramp_side - cosine_side) < 1e-12
 
     def test_no_warmup_starts_at_base(self):
-        opt = OptimState(base_lr=0.01, warmup_epochs=0, total_epochs=5, steps_per_epoch=4)
-        assert lr_at(opt, 0) == pytest.approx(0.01, abs=1e-15)
+        assert lr_at(0, 0.01, 0 * 4, 5 * 4) == pytest.approx(0.01, abs=1e-15)
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_warmup_over_every_epoch_ramps_to_base_at_the_last_step(self, epochs):
-        opt = OptimState(base_lr=0.001, warmup_epochs=epochs, total_epochs=epochs, steps_per_epoch=4)
-        assert [lr_at(opt, s) for s in (0, opt.total_steps - 1, opt.total_steps)] == [
-            0.0, 0.001 * (opt.total_steps - 1) / opt.total_steps, 0.001]
+        total_steps = epochs * 4
+        assert [lr_at(s, 0.001, total_steps, total_steps)
+                for s in (0, total_steps - 1, total_steps)] == [
+            0.0, 0.001 * (total_steps - 1) / total_steps, 0.001]
 
     def test_out_of_schedule_rejected(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=2, steps_per_epoch=5)
         with pytest.raises(ValueError):
-            lr_at(opt, 11)
+            lr_at(11, 0.001, 1 * 5, 2 * 5)
         with pytest.raises(ValueError):
-            lr_at(opt, -1)
+            lr_at(-1, 0.001, 1 * 5, 2 * 5)
 
     def test_monotone_decay_after_warmup(self):
-        opt = OptimState(base_lr=0.001, warmup_epochs=1, total_epochs=6, steps_per_epoch=8)
-        values = [lr_at(opt, s) for s in range(opt.warmup_steps, opt.total_steps + 1)]
+        warmup_steps, total_steps = 1 * 8, 6 * 8
+        values = [lr_at(s, 0.001, warmup_steps, total_steps)
+                  for s in range(warmup_steps, total_steps + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 

@@ -12,7 +12,6 @@ from cclearn.errors import DegenerateVectorError, TrainingError
 from cclearn.losses import softmax
 from cclearn.model import (
     ModelParams,
-    OptimState,
     backward,
     forward,
     init_params,
@@ -150,7 +149,9 @@ class TestTrain:
             np.random.default_rng([config.seed, 101]),
         )
         steps_per_epoch = math.ceil(len(tr) / config.batch_size)
-        opt = OptimState(config.base_lr, config.warmup_epochs, config.epochs, steps_per_epoch)
+        warmup_steps = config.warmup_epochs * steps_per_epoch
+        total_steps = config.epochs * steps_per_epoch
+        step = 0
         for epoch in range(config.epochs):
             batches = make_batches(
                 tr, config.batch_size, seed=[config.seed, 202, epoch], shuffle=True
@@ -162,8 +163,8 @@ class TestTrain:
                 d_logits[np.arange(len(y)), y] -= 1.0
                 d_logits /= len(y)
                 grads = backward(reference, cache, np.zeros_like(fhat), d_logits)
-                lr = lr_at(opt, opt.step)
-                opt.step += 1
+                lr = lr_at(step, config.base_lr, warmup_steps, total_steps)
+                step += 1
                 sgd_step(reference, grads, lr)
         for a, b in zip(model_tensors(params), model_tensors(reference)):
             np.testing.assert_array_equal(a, b)
@@ -221,6 +222,24 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="after epoch 0, step 0"):
                 train(tr, va, config)
+
+    def test_divergence_after_the_first_epoch_names_the_global_step(self):
+        tr, va, config = small_run(epochs=2)
+        steps = math.ceil(len(tr) / config.batch_size)
+
+        def poison(epoch, params, bank, record):
+            params.flat[0] = np.inf
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=f"^diverged at epoch 1, step {steps}:"):
+                train(tr, va, config, epoch_callback=poison)
+
+    def test_each_record_holds_the_rate_of_its_epochs_last_step(self):
+        tr, va, config = small_run(epochs=4, warmup_epochs=2)
+        steps = math.ceil(len(tr) / config.batch_size)
+        _, _, report = train(tr, va, config)
+        assert [r.lr for r in report.history] == [
+            lr_at((e + 1) * steps - 1, config.base_lr, 2 * steps, 4 * steps) for e in range(4)]
 
     def test_non_finite_parameters_after_the_last_step_abort(self):
         tr, _, config = small_run(epochs=1, base_lr=1e160, warmup_epochs=0)

@@ -236,8 +236,14 @@ MUTANTS = [
     ),
     Mutant(  # the fine-tune's constant rate follows the source schedule instead
         "finetune-lr-follows-schedule", "src/cclearn/trainer.py",
-        "lr_at(opt, opt.step) if source else config.base_lr", "lr_at(opt, opt.step)",
+        "lr_at(step, *schedule) if source else config.base_lr", "lr_at(step, *schedule)",
         ("tests/test_trainer.py::TestFinetune::test_bank_untouched",),
+    ),
+    Mutant(  # every epoch's steps count from 0 again: the schedule and the messages restart
+        "schedule-restarts-each-epoch", "src/cclearn/trainer.py",
+        "enumerate(batches, epoch * steps)", "enumerate(batches)",
+        ("tests/test_trainer.py::TestTrain::test_alpha_zero_bitwise_equals_centroid_free_loop",
+         "tests/test_trainer.py::TestTrain::test_divergence_after_the_first_epoch_names_the_global_step"),
     ),
     Mutant(  # history.csv claims every sample folded into a bank that an alpha-0 run never touched
         "ema-samples-counted-without-folding", "src/cclearn/trainer.py",
