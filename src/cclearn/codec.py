@@ -23,6 +23,7 @@ import numpy as np
 from .errors import StateError
 
 CHUNK_CELLS = 8192  # cells, not rows: 64 KiB float temporaries keep the render in L2 cache
+field_size_limit = csv.field_size_limit  # called bare: the most characters csv reads as one cell
 
 _PAD = 0xFF  # never a byte of UTF-8 text, so deleting it leaves exactly the text
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import csv_cell, numbers, read_cells, write_rows
+from .codec import csv_cell, field_size_limit, numbers, read_cells, write_rows
 from .errors import TableParseError
 
 # fixed sub-stream tags so every random draw is attributable to the one seed
@@ -33,9 +33,6 @@ _NOISE_ROWS = 1024  # rows per block of the synthetic noise draw
 CELL_BUDGET = 2**31  # cells of a synthetic table (rows x D) or parameters of a new model: 16 GiB of float64
 
 SIDECAR = ".parsed"  # save_table leaves the parsed arrays of <table> in <table>.parsed
-# a domain holding one of these is quoted in the table, or (NUL) refused by
-# csv before Python 3.11: only the line-by-line scan may read such a table
-_SCAN_ONLY = frozenset(',"\r\n\0')
 
 
 @dataclass
@@ -355,10 +352,9 @@ def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
     """The Dataset ``save_table`` left next to ``path``, or None.
 
     None unless the sidecar's table record matches the table's current bytes,
-    its own digest matches, its dtypes and shapes are right, its domain is
-    one the table does not quote, and the arrays pass ``Dataset``'s checks
-    with labels in range: then ``_scan_table`` would return exactly these
-    arrays.
+    its own digest matches, its dtypes and shapes are right, its domain fits
+    in one csv cell, and the arrays pass ``Dataset``'s checks with labels in
+    range: then ``_scan_table`` would return exactly these arrays.
     """
     read = np.lib.format.read_array
     try:
@@ -372,7 +368,7 @@ def _read_sidecar(path, num_classes: int | None) -> Dataset | None:
         if (domain.dtype, features.dtype, labels.dtype) != (np.uint8, np.float64, np.int64):
             return None
         domain = domain.tobytes().decode("utf-8")
-        if features.ndim != 2 or features.shape[1] < 1 or not _SCAN_ONLY.isdisjoint(domain):
+        if features.ndim != 2 or features.shape[1] < 1 or len(domain) > field_size_limit():
             return None
         k = num_classes if num_classes is not None else int(labels.max()) + 1
         return Dataset(np.ascontiguousarray(features), np.ascontiguousarray(labels), domain, k)

@@ -35,10 +35,9 @@ from .model import ModelParams, backward, forward, init_params, lr_at, sgd_step
 # sub-stream tags hung off the one user seed
 _STREAM_INIT = 101
 _STREAM_SHUFFLE = 202
-# ``infer`` splits the 64-row panels into max(1, len(x) // INFER_ROWS) groups, larger first,
-# and runs ``forward`` per group: one block's cache is alive at a time, none is larger than one
-# before it, and each row keeps its whole-table panel offset and bits on each OpenBLAS kernel tested.
-INFER_ROWS = 4096
+# ``infer`` runs ``forward`` per block of this many rows, the last one shorter: one block's cache is
+# alive at a time, and each block's bits do not follow the BLAS thread count on any kernel tested
+INFER_ROWS = 256
 
 @dataclass
 class TrainConfig(JsonConfig):
@@ -87,18 +86,16 @@ class RunReport:
 
 
 def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
-    """``forward(params, x)[output]`` (1: normalized features, 2: logits), the
-    same bits computed block by block."""
-    parts, start = [], 0
-    groups = np.array_split(np.arange(0, len(x), 64), max(1, len(x) // INFER_ROWS))
-    for block in np.split(x, [group[0] for group in groups[1:]]):
+    """``forward(params, block)[output]`` (1: normalized features, 2: logits) of each
+    block of INFER_ROWS rows in turn, joined: up to INFER_ROWS rows are one ``forward``."""
+    parts = []
+    for start in range(0, max(1, len(x)), INFER_ROWS):
         try:
-            parts.append(forward(params, block)[output])
+            parts.append(forward(params, x[start : start + INFER_ROWS])[output])
         except DegenerateVectorError as exc:
             if start:  # the error numbers the rows of its block
                 raise DegenerateVectorError(f"in the block from row {start}: {exc}") from exc
             raise
-        start += len(block)
     return np.concatenate(parts)
 
 

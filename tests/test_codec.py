@@ -396,16 +396,12 @@ def test_every_writer_matches_the_reference_writer(tmp_path, reference_writers, 
     features[0] = [0.0, -0.0, 1e-4]
     ds = Dataset(features, rng.integers(0, 3, 9), domain, 3)
     writers = golden_writers()
-    if "\0" in domain and sys.version_info < (3, 11):  # csv before 3.11 cannot write NUL
-        with pytest.raises(csv.Error):
-            save_table(ds, tmp_path / "t.csv")
-    else:
-        writers["domain_table"] = lambda p: save_table(ds, p)
-        writers["domain_projection"] = (
-            lambda p: save_projection(features[:, :2], ds.labels, domain, p)
-        )
-        evaluate_row = ["accuracy", "auc_macro"], codec.csv_cell(domain), [0.5, 1 / 3]
-        assert codec_text(",", "\n", *evaluate_row) == reference_text(",", "\n", *evaluate_row)
+    writers["domain_table"] = lambda p: save_table(ds, p)
+    writers["domain_projection"] = (
+        lambda p: save_projection(features[:, :2], ds.labels, domain, p)
+    )
+    evaluate_row = ["accuracy", "auc_macro"], codec.csv_cell(domain), [0.5, 1 / 3]
+    assert codec_text(",", "\n", *evaluate_row) == reference_text(",", "\n", *evaluate_row)
     for name, write in writers.items():
         write(tmp_path / f"{name}.codec")
     reference_writers()
@@ -501,6 +497,12 @@ def test_a_csv_cell_reads_back_as_its_text(domain):
     cell = codec.csv_cell(domain)
     assert next(csv.reader(io.StringIO(f"{cell},{cell}\r\n"))) == [domain, domain]
     assert (cell != domain) == any(c in domain for c in ',"\r\n')  # quoted only when it must be
+
+
+def test_csv_writes_and_reads_nul_unquoted():
+    """From Python 3.11 on, which the package requires, csv writes and reads NUL."""
+    assert codec.csv_cell("a\0") == "a\0"
+    assert next(csv.reader(io.StringIO("a\0,a\0\r\n"))) == ["a\0", "a\0"]
 
 
 @st.composite
@@ -798,14 +800,9 @@ def text_outcome(path, num_classes):
 )
 def test_sidecar_load_equals_the_text_load(tmp_path, ds, num_classes):
     path = tmp_path / "t.csv"
-    try:
-        save_table(ds, path)
-    except csv.Error:  # csv before Python 3.11 cannot write NUL
-        assert "\0" in ds.domain and sys.version_info < (3, 11)
-        return
+    save_table(ds, path)  # csv writes NUL from Python 3.11 on
     cached = data._read_sidecar(path, num_classes)
-    plain = data._SCAN_ONLY.isdisjoint(ds.domain)
-    assert (cached is not None) == (plain and (num_classes is None or ds.labels.max() < num_classes))
+    assert (cached is not None) == (num_classes is None or ds.labels.max() < num_classes)
     assert outcome(load_table, path, num_classes) == text_outcome(path, num_classes)
 
 
@@ -999,8 +996,6 @@ def test_non_float_cells_load_no_numpy_module():
     ("label over num_classes", DOMAIN, TRICKY, np.array([0, 1, 3])),
     ("str domain", np.array(["target"]), TRICKY, LABELS),
     ("domain not UTF-8", np.frombuffer(b"\xfftarget", np.uint8), TRICKY, LABELS),
-    ("quoted domain", np.frombuffer(b"tar,get", np.uint8), TRICKY, LABELS),
-    ("NUL domain", np.frombuffer(b"target\0", np.uint8), TRICKY, LABELS),
 ])
 def test_a_sidecar_with_valid_digests_but_wrong_arrays_is_ignored(
     tmp_path, what, domain, features, labels
@@ -1018,3 +1013,12 @@ def test_a_saved_table_the_text_reader_refuses_stays_refused(tmp_path):
     save_table(Dataset(TRICKY, LABELS, "a," + "s" * 140000, 3), path)  # quoted, over csv's limit
     with pytest.raises(TableParseError, match="line 2: field larger"):
         load_table(path)
+
+
+@pytest.mark.parametrize("head", ["s", "a,", 'q"'])
+def test_a_domain_loads_from_its_sidecar_exactly_when_the_scan_reads_it(tmp_path, head):
+    path = tmp_path / "t.csv"
+    for length, served in ((131072, True), (131073, False)):  # csv's default field size limit
+        save_table(Dataset(TRICKY, LABELS, head + "s" * (length - len(head)), 3), path)
+        assert (data._read_sidecar(path, 3) is not None) == served
+        assert outcome(load_table, path, 3) == text_outcome(path, 3)

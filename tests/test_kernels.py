@@ -1,13 +1,13 @@
 """The kernel-free bit contracts, checked under every OpenBLAS kernel.
 
 ``OPENBLAS_CORETYPE`` picks the kernel of one process only, so one child
-process runs per kernel: the CPU's own choice, Haswell, Zen, Sandybridge,
-Prescott and, on a CPU with AVX-512, SkylakeX. Each child reports the
-synthetic tables' hashes, the bank's hash after a fixed ``ema_update``
-sequence, and whether block-wise ``infer`` gives the whole-table ``forward``
-bits. Each test checks one of these contracts under every kernel. The kernel
-name a child reads back is only reported, since a forced kernel may name
-another (Zen reads back as Haswell).
+process runs per kernel and BLAS thread count: the CPU's own choice, Haswell,
+Zen, Sandybridge, Prescott and, on a CPU with AVX-512, SkylakeX, each at
+``OPENBLAS_NUM_THREADS`` 1 and 2. Each child reports the synthetic tables'
+hashes, the bank's hash after a fixed ``ema_update`` sequence, and the hashes
+of ``infer``'s outputs at the scale shape. Each test checks one of these
+contracts under every kernel. The kernel name a child reads back is only
+reported, since a forced kernel may name another (Zen reads back as Haswell).
 """
 
 import json
@@ -25,7 +25,7 @@ import hashlib, json, sys
 import numpy as np
 from cclearn.centroids import CentroidBank, batch_class_means, ema_update, row_norms, update_smoothing
 from cclearn.data import SynthConfig, generate_domains
-from cclearn.model import forward, init_params
+from cclearn.model import init_params
 from cclearn.trainer import infer
 sys.path.insert(0, sys.argv[1])
 from step_cost import blas_core
@@ -53,23 +53,23 @@ for k, f in ((4, 8), (10, 32)):
         ema_update(bank, *batch_class_means(features / row_norms(features)[:, None], labels, k))
     banks[f"K={k}, F={f}"] = sha256(bank.centroids, bank.seen)
 
-infer_equal = {}
+inferred = {}
 params = init_params(64, (64, 64), 32, 10, 3)
-for rows in (10000, 50000):
+for rows in (80, 800, 5000, 5121, 8257, 9063, 12345, 30001, 50000):
     x = np.random.default_rng(rows).standard_normal((rows, 64))
-    whole = forward(params, x)
     for output in (1, 2):
-        infer_equal[f"output {output} at {rows} rows"] = infer(params, x, output).tobytes() == whole[output].tobytes()
-print(json.dumps({"core": blas_core(), "tables": tables, "banks": banks, "infer_equal": infer_equal}))
+        inferred[f"output {output} at {rows} rows"] = sha256(infer(params, x, output))
+print(json.dumps({"core": blas_core(), "tables": tables, "banks": banks, "infer": inferred}))
 """
 
 
-def child_under(coretype: str | None) -> dict:
+def child_under(coretype: str | None, threads: int) -> dict:
     """The report of a child process whose OpenBLAS runs ``coretype`` (its
-    own choice when None): the kernel's name, the table and bank hashes, and
-    whether each block-wise ``infer`` equals the whole-table pass."""
+    own choice when None) on ``threads`` threads: the kernel's name, the
+    table and bank hashes, and the hash of each ``infer`` output."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = str(ROOT / "src")
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, str(ROOT / "tools")], env=env,
@@ -79,33 +79,37 @@ def child_under(coretype: str | None) -> dict:
 
 @pytest.fixture(scope="module")
 def reports() -> dict:
-    """One child's report per kernel, the CPU's own choice under "default"."""
-    default = child_under(None)
+    """One child's report per (kernel, BLAS threads), the CPU's own kernel
+    under "default"."""
+    default = child_under(None, 1)
     if default["core"] is None:
         pytest.skip("numpy does not run on a bundled OpenBLAS that names its kernel")
     kernels = ["Haswell", "Zen", "Sandybridge", "Prescott"]
     with open("/proc/cpuinfo", encoding="utf-8") as fh:
         if "avx512f" in fh.read().split():
             kernels.append("SkylakeX")
-    return {"default": default, **{coretype: child_under(coretype) for coretype in kernels}}
+    return {("default", 1): default, ("default", 2): child_under(None, 2),
+            **{(coretype, threads): child_under(coretype, threads)
+               for coretype in kernels for threads in (1, 2)}}
 
 
-def ran(reports: dict, coretype: str) -> str:
-    return (f"OPENBLAS_CORETYPE={coretype} ran {reports[coretype]['core']}; "
-            f"the default ran {reports['default']['core']}")
+def ran(reports: dict, coretype: str, threads: int) -> str:
+    return (f"OPENBLAS_CORETYPE={coretype} at {threads} BLAS threads ran "
+            f"{reports[coretype, threads]['core']}; the default ran {reports['default', 1]['core']}")
 
 
 def test_the_tables_are_the_same_under_every_openblas_kernel(reports):
-    for coretype, got in reports.items():
-        assert got["tables"] == reports["default"]["tables"], ran(reports, coretype)
+    for (coretype, threads), got in reports.items():
+        assert got["tables"] == reports["default", 1]["tables"], ran(reports, coretype, threads)
 
 
 def test_the_bank_is_the_same_under_every_openblas_kernel(reports):
-    for coretype, got in reports.items():
-        assert got["banks"] == reports["default"]["banks"], ran(reports, coretype)
+    for (coretype, threads), got in reports.items():
+        assert got["banks"] == reports["default", 1]["banks"], ran(reports, coretype, threads)
 
 
-def test_infer_gives_the_whole_table_bits_under_every_openblas_kernel(reports):
-    for coretype, got in reports.items():
-        differ = [case for case, equal in got["infer_equal"].items() if not equal]
-        assert not differ, f"{ran(reports, coretype)}; block-wise differs for {differ}"
+def test_infer_gives_the_same_bits_at_one_and_two_blas_threads_under_every_openblas_kernel(reports):
+    for (coretype, threads), got in reports.items():
+        one = reports[coretype, 1]["infer"]
+        differ = [case for case, digest in got["infer"].items() if digest != one[case]]
+        assert not differ, f"{ran(reports, coretype, threads)}; differs from 1 thread for {differ}"

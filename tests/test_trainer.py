@@ -423,10 +423,10 @@ class TestEvaluateModel:
 
 
 class TestInfer:
-    """Inference runs ``forward`` block by block and gives the whole-table bits."""
+    """Inference runs ``forward`` on blocks of INFER_ROWS rows in order."""
 
     @pytest.mark.parametrize("rows", [
-        1, INFER_ROWS - 1, INFER_ROWS, INFER_ROWS + 1, 2 * INFER_ROWS - 1, 2 * INFER_ROWS,
+        0, 1, INFER_ROWS - 1, INFER_ROWS, INFER_ROWS + 1, 2 * INFER_ROWS - 1, 2 * INFER_ROWS,
         5 * INFER_ROWS + 848,
     ])
     def test_blocks_cover_the_rows_in_order(self, rows, monkeypatch):
@@ -440,14 +440,10 @@ class TestInfer:
         x = np.random.default_rng(rows).standard_normal((rows, 3))
         logits = infer(init_params(3, (), 2, 2, 0), x, 2)
         assert np.concatenate(blocks).tobytes() == x.tobytes()
-        assert all(np.shares_memory(block, x) for block in blocks)  # views, not copies
+        assert all(block.base is x for block in blocks)  # views, not copies (of 0 rows too)
         assert logits.shape == (rows, 2)
-        sizes = [len(block) for block in blocks]
-        assert all(start % 64 == 0 for start in np.cumsum(sizes[:-1]))  # cut on BLAS's row panels
-        if rows < 2 * INFER_ROWS:
-            assert sizes == [rows]
-        else:
-            assert min(sizes) >= INFER_ROWS and max(sizes) < 2 * INFER_ROWS
+        full, rest = divmod(rows, INFER_ROWS)
+        assert [len(block) for block in blocks] == [INFER_ROWS] * full + ([rest] if rest or not rows else [])
 
     def test_blocks_never_grow(self, monkeypatch):
         """A block no larger than those before it fits in the memory they freed."""
@@ -457,24 +453,30 @@ class TestInfer:
                      10000, 12345, 30001, 50000]:
             sizes.clear()
             assert infer(None, np.zeros((rows, 1)), 2).shape == (rows, 1)
-            assert sum(sizes) == rows and len(sizes) == rows // INFER_ROWS
+            assert sum(sizes) == rows and len(sizes) == -(-rows // INFER_ROWS)
             assert sizes == sorted(sizes, reverse=True), rows
-            assert all(start % 64 == 0 for start in np.cumsum(sizes[:-1]))
-            assert min(sizes) >= INFER_ROWS - 63
-        assert sizes == [4224] * 2 + [4160] * 9 + [4112]  # 50 000 rows: 781 row panels of 64, and 16
+        assert sizes == [256] * 195 + [80]  # 50 000 rows
         sizes.clear()
         infer(None, np.zeros((8257, 1)), 2)
-        assert sizes == [4160, 4097]  # 8257 rows: two groups of 65 row panels, the last of one row
+        assert sizes == [256] * 32 + [65]
 
-    # 9063 (4544, 4519) and 18144 (3 x 4544, 4512) rows: blocks of two sizes. Not 8257: under Haswell
-    # and Zen at 2 or 4 BLAS threads its whole-table pass gives other bits than its blocks
-    @pytest.mark.parametrize("rows", [9063, 10000, 18144, 50000])
-    def test_bit_equal_to_whole_table_forward_at_the_scale_shape(self, rows):
+    @pytest.mark.parametrize("rows", [9063, 50000])
+    def test_each_block_is_the_forward_of_its_rows_at_the_scale_shape(self, rows):
+        params = init_params(64, (64, 64), 32, 10, 3)
+        x = np.random.default_rng(rows).standard_normal((rows, 64))
+        logits, normalized = infer(params, x, 2), infer(params, x, 1)  # predict_logits, diagnose
+        for start in range(0, rows, INFER_ROWS):
+            _, block_normalized, block_logits, _ = forward(params, x[start : start + INFER_ROWS])
+            assert logits[start : start + INFER_ROWS].tobytes() == block_logits.tobytes(), start
+            assert normalized[start : start + INFER_ROWS].tobytes() == block_normalized.tobytes(), start
+
+    @pytest.mark.parametrize("rows", [1, 80, INFER_ROWS - 1, INFER_ROWS])
+    def test_a_table_of_at_most_one_block_is_one_forward(self, rows):
         params = init_params(64, (64, 64), 32, 10, 3)
         x = np.random.default_rng(rows).standard_normal((rows, 64))
         _, normalized, logits, _ = forward(params, x)
-        assert infer(params, x, 2).tobytes() == logits.tobytes()  # predict_logits
-        assert infer(params, x, 1).tobytes() == normalized.tobytes()  # diagnose features
+        assert infer(params, x, 2).tobytes() == logits.tobytes()
+        assert infer(params, x, 1).tobytes() == normalized.tobytes()
 
     def test_evaluate_and_pseudo_label_equal_their_whole_table_results(self, monkeypatch):
         ds = generate_blobs(SynthConfig(num_classes=10, input_dim=64, samples_per_class=1000),

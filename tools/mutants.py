@@ -222,17 +222,33 @@ MUTANTS = [
         ("tests/test_model.py::test_out_is_written_over_and_returned_with_the_bits_of_a_new_gradients",
          "tests/test_trainer.py::TestTrain::test_each_run_writes_every_step_into_one_gradients"),
     ),
-    Mutant(  # blocks cut mid row-panel: other bits under Haswell and Zen at 50k rows
-        "infer-cuts-unaligned", "src/cclearn/trainer.py",
-        "np.arange(0, len(x), 64)", "np.arange(0, len(x), 48)",
+    Mutant(  # the old block size: a cache 16 times larger, and other bits at 2 BLAS threads
+        "infer-blocks-of-4096-rows", "src/cclearn/trainer.py",
+        "INFER_ROWS = 256", "INFER_ROWS = 4096",
+        ("tests/test_trainer.py::TestInfer::test_blocks_never_grow",
+         "tests/test_memory.py::test_predict_logits_holds_one_block_of_cache"),
+    ),
+    Mutant(  # a table of 0 rows runs no block, and np.concatenate of no parts raises
+        "infer-no-block-for-no-rows", "src/cclearn/trainer.py",
+        "range(0, max(1, len(x)), INFER_ROWS)", "range(0, len(x), INFER_ROWS)",
         ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",),
     ),
-    Mutant(  # the groups reversed, the larger last: a later block outgrows the first
-        "infer-larger-blocks-last", "src/cclearn/trainer.py",
-        "groups = np.array_split(np.arange(0, len(x), 64), max(1, len(x) // INFER_ROWS))",
-        "groups = [g[::-1] for g in np.array_split(np.arange(0, len(x), 64)[::-1],"
-        " max(1, len(x) // INFER_ROWS))][::-1]",
-        ("tests/test_trainer.py::TestInfer::test_blocks_never_grow",),
+    Mutant(  # each block repeats the first row of the next
+        "infer-blocks-overlap", "src/cclearn/trainer.py",
+        "x[start : start + INFER_ROWS]", "x[start : start + INFER_ROWS + 1]",
+        ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",
+         "tests/test_trainer.py::TestInfer::test_each_block_is_the_forward_of_its_rows_at_the_scale_shape"),
+    ),
+    Mutant(  # each block leaves out its last row
+        "infer-blocks-skip-a-row", "src/cclearn/trainer.py",
+        "x[start : start + INFER_ROWS]", "x[start : start + INFER_ROWS - 1]",
+        ("tests/test_trainer.py::TestInfer::test_blocks_never_grow",
+         "tests/test_trainer.py::TestInfer::test_a_table_of_at_most_one_block_is_one_forward"),
+    ),
+    Mutant(  # a degenerate row past the first block is numbered within its block alone
+        "infer-error-not-renumbered", "src/cclearn/trainer.py",
+        "if start:  # the error numbers the rows of its block", "if False:",
+        ("tests/test_trainer.py::TestInfer::test_degenerate_rows_are_numbered_from_their_block",),
     ),
     Mutant(  # the fine-tune's constant rate follows the source schedule instead
         "finetune-lr-follows-schedule", "src/cclearn/trainer.py",
@@ -279,6 +295,12 @@ MUTANTS = [
         "sidecar-digest-unchecked", "src/cclearn/data.py",
         "!= _file_digest(path):", "is None:",
         ("tests/test_codec.py::test_a_table_edited_after_saving_reads_as_text",),
+    ),
+    Mutant(  # a domain over csv's field size limit loads from the sidecar, though the text is refused
+        "sidecar-domain-past-field-limit", "src/cclearn/data.py",
+        " or len(domain) > field_size_limit():", ":",
+        ("tests/test_codec.py::test_a_saved_table_the_text_reader_refuses_stays_refused",
+         "tests/test_codec.py::test_a_domain_loads_from_its_sidecar_exactly_when_the_scan_reads_it"),
     ),
     Mutant(  # one number rule for every reader: a table, a model and a bank each read "1_0" as 10
         "number-rule-admits-underscore", "src/cclearn/codec.py",
