@@ -22,9 +22,9 @@ mask, where the package builds one buffer per layer and takes the mask from
 the ReLU output. ``backward_through_the_jacobian`` is ``model.backward``'s
 body as it stood before the package skipped the normalization Jacobian for
 a ``d_normalized`` of +0.0 entries: it computes the Jacobian's term for every
-input and builds a new ``Gradients`` on every call. ``generate_blobs_expression``
-applies the synthetic scale, affine map and noise as whole-array expressions
-where the package applies them in place and adds each class mean to its
+input and builds a new ``Gradients`` on every call.
+``generate_domains_expression`` applies the synthetic scale, affine map and
+noise as whole-array expressions where the package applies them in place and adds each class mean to its
 block of rows; it takes the class counts, the rotation and the translation
 from this module, not from the package, and rotates one plane at a time in a
 Python loop, from its own permutation draw, where the package rotates every
@@ -51,7 +51,7 @@ once per class, that ``synth_config_validate`` also refuses a table (rows x
 input_dim) or class means (num_classes x input_dim) of more than 2**31
 cells, that ``rotation_matrix_givens`` and ``translation_vector`` drop
 the package's names, and that, since the package rotates with ufuncs and no
-BLAS call, ``generate_blobs_expression`` rotates plane by plane, not by a
+BLAS call, ``generate_domains_expression`` rotates plane by plane, not by a
 dense matrix product, and ``translation_vector`` takes its norm with
 ``np.add.reduce``, not ``np.linalg.norm``, and no longer special-cases a
 translation of 0, and that, since the package takes the blend norms of
@@ -60,6 +60,15 @@ each blended row's norm as ``np.sqrt(np.add.reduce(b * b))``, not
 ``np.linalg.norm``'s dot product, and ``ema_update_gathered`` takes the same
 with ``axis=1``, not a stacked ``@``; the two stay a per-class loop and a
 gathered form.
+
+``cross_entropy_unshifted`` and ``contrastive_loss_unshifted`` take plain
+exponential sums with no maximum subtracted, where ``cross_entropy`` and
+``contrastive_loss`` shift first; ``quadratic_weighted_kappa_loops`` counts
+the confusion matrix and its weights in Python loops, and ``auc_pair_counts``
+compares every positive with every negative, ties worth one half. They take
+Python lists of labels and scores. ``unit_rows`` and ``seen_bank`` build the
+unit rows and the banks with every class seen that the tests feed to both
+sides.
 """
 
 from __future__ import annotations
@@ -71,12 +80,28 @@ from typing import Sequence
 
 import numpy as np
 
-from cclearn.centroids import NORM_EPS, CentroidBank, row_norms
+from cclearn.centroids import NORM_EPS, CentroidBank, ema_update, row_norms
 from cclearn.data import _STREAM_AFFINE, _STREAM_BASE, SynthConfig, check_labels
 from cclearn.diagnostics import HeatmapMatrix
 from cclearn.errors import DegenerateVectorError, StateError, UndefinedMetricError
 from cclearn.losses import _nll_and_softmax, softmax
 from cclearn.model import Gradients
+
+
+def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` standard normal rows of length ``dim``, each divided by its norm."""
+    rows = rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def seen_bank(rows, seen=None, m: float = 0.0) -> CentroidBank:
+    """A bank that has adopted ``rows`` as the centroids of the classes in
+    ``seen`` (every class by default), with smoothing ``m`` set afterwards."""
+    rows = np.asarray(rows, dtype=np.float64)
+    bank = CentroidBank(rows.shape[0], rows.shape[1], 0.0)
+    ema_update(bank, rows, np.ones(rows.shape[0], dtype=bool) if seen is None else np.asarray(seen))
+    bank.m = m
+    return bank
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -91,6 +116,12 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
         raise ValueError(f"label {label} out of range [0, {logits.shape[0]})")
     shifted = logits - logits.max()
     return float(np.log(np.exp(shifted).sum()) - shifted[label])
+
+
+def cross_entropy_unshifted(logits, label: int) -> float:
+    """-log of ``label``'s share of the plain exponential sum of ``logits``."""
+    terms = [math.exp(float(v)) for v in logits]
+    return -math.log(terms[label] / sum(terms))
 
 
 def cross_entropy_grad(logits: np.ndarray, label: int) -> np.ndarray:
@@ -131,6 +162,12 @@ def contrastive_loss(f: np.ndarray, bank: CentroidBank, own_class: int, tau: flo
     sims = cents @ f / tau
     shifted = sims - sims.max()
     return float(np.log(np.exp(shifted).sum()) - shifted[own_pos])
+
+
+def contrastive_loss_unshifted(f, centroids, own_pos: int, tau: float) -> float:
+    """-log of the own centroid's share of the plain sum of exp(f . c / tau)."""
+    terms = [math.exp(float(np.dot(f, c)) / tau) for c in centroids]
+    return -math.log(terms[own_pos] / sum(terms))
 
 
 def contrastive_loss_grad(
@@ -249,6 +286,24 @@ def quadratic_weighted_kappa_add_at(
     return 1.0 - float((weights * observed).sum()) / denom
 
 
+def quadratic_weighted_kappa_loops(y_true: list, y_pred: list, k: int) -> float | None:
+    """Quadratic weighted kappa of two label lists from a confusion matrix
+    counted in Python loops; None where it is undefined."""
+    n = len(y_true)
+    observed = [[0.0] * k for _ in range(k)]
+    for t, p in zip(y_true, y_pred):
+        observed[t][p] += 1.0
+    count_t = [y_true.count(i) for i in range(k)]
+    count_p = [y_pred.count(j) for j in range(k)]
+    num = den = 0.0
+    for i in range(k):
+        for j in range(k):
+            w = (i - j) ** 2 / (k - 1) ** 2
+            num += w * observed[i][j]
+            den += w * count_t[i] * count_p[j] / n
+    return None if den == 0.0 else 1.0 - num / den
+
+
 def midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank of their group."""
     order = values.argsort(kind="stable")
@@ -281,6 +336,17 @@ def auc_binary_midranks(scores: np.ndarray, labels: np.ndarray) -> float:
     ranks = midranks(scores)
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def auc_pair_counts(scores: list, labels: list) -> float | None:
+    """The share of (positive, negative) pairs that the positive wins, ties
+    worth one half; None without a positive or a negative."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    if not pos or not neg:
+        return None
+    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
 
 
 def auc_macro_ovr_midranks(
@@ -421,9 +487,9 @@ def backward_through_the_jacobian(params, cache, d_normalized, d_logits) -> Grad
     return grads
 
 
-def generate_blobs_expression(config: SynthConfig, domain: str) -> tuple[np.ndarray, np.ndarray]:
+def generate_domains_expression(config: SynthConfig, domain: str) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) of ``domain`` from the same draws as
-    ``generate_blobs``, each step a new whole array."""
+    ``generate_domains``, each step a new whole array."""
     counts = config.samples_per_class
     if not isinstance(counts, (tuple, list)):
         counts = (counts,) * config.num_classes

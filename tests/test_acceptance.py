@@ -25,7 +25,6 @@ from cclearn.cli import main as cli_main
 from cclearn.data import (
     Dataset,
     SynthConfig,
-    generate_blobs,
     generate_domains,
     make_batches,
     split_dataset,
@@ -43,6 +42,14 @@ from cclearn.model import (
     sgd_step,
 )
 from cclearn.trainer import TrainConfig, finetune, finetune_config, pseudo_label, train
+from reference import (
+    auc_pair_counts,
+    contrastive_loss_unshifted,
+    cross_entropy_unshifted,
+    quadratic_weighted_kappa_loops,
+    seen_bank,
+    unit_rows,
+)
 
 # The desk-scale benchmark keeps every default hyperparameter except the EMA
 # starting coefficient: 0.999 presumes hundreds of centroid updates per epoch,
@@ -53,29 +60,7 @@ BENCH_M0 = 0.96
 BENCH_SEEDS = range(9)
 
 
-def unit_rows(rng, n, dim):
-    rows = rng.standard_normal((n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def seen_bank(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    bank = CentroidBank(rows.shape[0], rows.shape[1], 0.0)
-    ema_update(bank, rows, np.ones(rows.shape[0], dtype=bool))
-    return bank
-
-
 # ---------------------------------------------------------------- criterion 1
-
-def oracle_contrastive(f, centroids, own_pos, tau):
-    terms = [math.exp(float(np.dot(f, c)) / tau) for c in centroids]
-    return -math.log(terms[own_pos] / sum(terms))
-
-
-def oracle_cross_entropy(logits, label):
-    terms = [math.exp(float(v)) for v in logits]
-    return -math.log(terms[label] / sum(terms))
-
 
 def test_criterion_1_loss_oracle_equivalence():
     rng = np.random.default_rng(2024)
@@ -91,7 +76,7 @@ def test_criterion_1_loss_oracle_equivalence():
         ours = combined_loss_and_grads(
             f[None], np.zeros((1, k)), np.array([own]), seen_bank(cents), 1.0, tau
         )[0].cont
-        assert abs(ours - oracle_contrastive(f, cents, own, tau)) < 1e-10
+        assert abs(ours - contrastive_loss_unshifted(f, cents, own, tau)) < 1e-10
 
     for _ in range(1000):
         k = int(rng.integers(2, 9))
@@ -100,7 +85,7 @@ def test_criterion_1_loss_oracle_equivalence():
         ours = combined_loss_and_grads(
             np.ones((1, 1)), logits[None], np.array([label]), CentroidBank(k, 1, 0.0), 0.0, 1.0
         )[0].ce
-        assert abs(ours - oracle_cross_entropy(logits, label)) < 1e-10
+        assert abs(ours - cross_entropy_unshifted(logits, label)) < 1e-10
 
     for _ in range(1000):
         k = int(rng.integers(2, 9))
@@ -114,9 +99,9 @@ def test_criterion_1_loss_oracle_equivalence():
         logits = rng.uniform(-25, 25, (batch, k))
         labels = rng.integers(0, k, batch)
         ours = combined_loss_and_grads(feats, logits, labels, bank, alpha, tau)[0]
-        ce = sum(oracle_cross_entropy(logits[i], labels[i]) for i in range(batch)) / batch
+        ce = sum(cross_entropy_unshifted(logits[i], labels[i]) for i in range(batch)) / batch
         cont = sum(
-            oracle_contrastive(feats[i], cents, labels[i], tau) for i in range(batch)
+            contrastive_loss_unshifted(feats[i], cents, labels[i], tau) for i in range(batch)
         ) / batch
         assert abs(ours.ce - ce) < 1e-10
         assert abs(ours.cont - cont) < 1e-10
@@ -228,7 +213,7 @@ def test_criterion_3_ema_and_schedule_exactness():
     assert np.abs(b.centroids[0] - np.array([1.0, 0.0])).max() < 1e-12
 
     # every seen centroid stays unit-norm through a 20-epoch training run
-    src = generate_blobs(SynthConfig(seed=3), "source")
+    src = generate_domains(SynthConfig(seed=3))[0]
     tr, va, _ = split_dataset(src, seed=3)
     worst = [0.0]
 
@@ -244,33 +229,8 @@ def test_criterion_3_ema_and_schedule_exactness():
 
 # ---------------------------------------------------------------- criterion 4
 
-def oracle_kappa(y_true, y_pred, k):
-    n = len(y_true)
-    observed = [[0.0] * k for _ in range(k)]
-    for t, p in zip(y_true, y_pred):
-        observed[t][p] += 1.0
-    count_t = [y_true.count(i) for i in range(k)]
-    count_p = [y_pred.count(j) for j in range(k)]
-    num = den = 0.0
-    for i in range(k):
-        for j in range(k):
-            w = (i - j) ** 2 / (k - 1) ** 2
-            num += w * observed[i][j]
-            den += w * count_t[i] * count_p[j] / n
-    return None if den == 0.0 else 1.0 - num / den
-
-
-def oracle_auc(scores, labels):
-    pos = [s for s, y in zip(scores, labels) if y == 1]
-    neg = [s for s, y in zip(scores, labels) if y == 0]
-    if not pos or not neg:
-        return None
-    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
-    return wins / (len(pos) * len(neg))
-
-
 def check_kappa_case(a, b, k):
-    expect = oracle_kappa(list(a), list(b), k)
+    expect = quadratic_weighted_kappa_loops(list(a), list(b), k)
     ya, yb = np.asarray(a), np.asarray(b)
     if expect is None:
         with pytest.raises(UndefinedMetricError):
@@ -312,7 +272,7 @@ def test_criterion_4_metric_oracles():
 
     # binary AUC: all 3-level score patterns to N=5, all 2-level patterns to N=8
     def check_auc_case(scores, labels):
-        expect = oracle_auc(list(scores), list(labels))
+        expect = auc_pair_counts(list(scores), list(labels))
         s, l = np.asarray(scores, dtype=float), np.asarray(labels)
         if expect is None:
             with pytest.raises(UndefinedMetricError):
@@ -336,7 +296,7 @@ def test_criterion_4_metric_oracles():
         labels = rng.integers(0, k, n)
         probs = softmax(rng.standard_normal((n, k)))
         per_oracle = [
-            oracle_auc(probs[:, c].tolist(), (labels == c).astype(int).tolist())
+            auc_pair_counts(probs[:, c].tolist(), (labels == c).astype(int).tolist())
             for c in range(k)
         ]
         usable = [v for v in per_oracle if v is not None]
@@ -410,7 +370,7 @@ def test_criterion_5_mechanism_efficacy_at_desk_scale():
 
 def test_criterion_6_alpha_zero_inertness(tmp_path):
     synth = SynthConfig(seed=5)
-    source = generate_blobs(synth, "source")
+    source, _ = generate_domains(synth)
     train_ds, val_ds, _ = split_dataset(source, seed=5)
     config = TrainConfig(alpha=0.0, epochs=12, feature_dim=8, seed=5)
     params, _, _ = train(train_ds, val_ds, config)

@@ -19,12 +19,7 @@ from cclearn.centroids import (
     update_smoothing,
 )
 from cclearn.errors import DegenerateVectorError, StateError
-from reference import ema_update_loop
-
-
-def random_unit_rows(rng, n, dim):
-    rows = rng.standard_normal((n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+from reference import ema_update_loop, seen_bank, unit_rows
 
 
 class TestRowNorms:
@@ -138,7 +133,7 @@ class TestBatchClassMeans:
             b = int(rng.integers(1, 65))
             dim = int(rng.integers(1, 17))
             k = int(rng.integers(2, 7))
-            feats = random_unit_rows(rng, b, dim)
+            feats = unit_rows(rng, b, dim)
             labels = rng.integers(0, k, b)
             means, mask = batch_class_means(feats, labels, k)
             for c in range(k):
@@ -168,13 +163,6 @@ def test_misshapen_inputs_are_refused_and_the_bank_kept(call, match):
 
 
 class TestEmaUpdate:
-    def make_seen_bank(self, centroids, m):
-        centroids = np.asarray(centroids, dtype=np.float64)
-        bank = CentroidBank(centroids.shape[0], centroids.shape[1], 0.0)
-        ema_update(bank, centroids, np.ones(centroids.shape[0], dtype=bool))
-        bank.m = m
-        return bank
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_masked_row_refused_and_bank_unchanged(self, bad):
         bank = CentroidBank(3, 2, 0.5)
@@ -187,19 +175,19 @@ class TestEmaUpdate:
 
     def test_m_one_is_identity(self):
         rng = np.random.default_rng(1)
-        cents = random_unit_rows(rng, 3, 5)
-        bank = self.make_seen_bank(cents, 1.0)
+        cents = unit_rows(rng, 3, 5)
+        bank = seen_bank(cents, m=1.0)
         before = bank.centroids.copy()
-        ema_update(bank, random_unit_rows(rng, 3, 5), np.ones(3, dtype=bool))
+        ema_update(bank, unit_rows(rng, 3, 5), np.ones(3, dtype=bool))
         np.testing.assert_allclose(bank.centroids, before, atol=1e-12)
 
     def test_m_zero_adopts_mean(self):
-        bank = self.make_seen_bank([[1.0, 0.0], [0.0, 1.0]], 0.0)
+        bank = seen_bank([[1.0, 0.0], [0.0, 1.0]])
         ema_update(bank, np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([True, False]))
         np.testing.assert_allclose(bank.centroids[0], [0.0, 1.0], atol=1e-15)
 
     def test_half_blend_hand_value(self):
-        bank = self.make_seen_bank([[1.0, 0.0], [0.0, 1.0]], 0.5)
+        bank = seen_bank([[1.0, 0.0], [0.0, 1.0]], m=0.5)
         ema_update(bank, np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([True, False]))
         r = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(bank.centroids[0], [r, r], atol=1e-15)
@@ -212,13 +200,13 @@ class TestEmaUpdate:
 
     def test_unmasked_rows_untouched(self):
         rng = np.random.default_rng(2)
-        bank = self.make_seen_bank(random_unit_rows(rng, 3, 4), 0.5)
+        bank = seen_bank(unit_rows(rng, 3, 4), m=0.5)
         frozen = bank.centroids[2].copy()
         ema_update(bank, rng.standard_normal((3, 4)), np.array([True, True, False]))
         np.testing.assert_array_equal(bank.centroids[2], frozen)
 
     def test_degenerate_mean_rejected_atomically(self):
-        bank = self.make_seen_bank([[1.0, 0.0], [0.0, 1.0]], 0.5)
+        bank = seen_bank([[1.0, 0.0], [0.0, 1.0]], m=0.5)
         before = bank.centroids.copy()
         f_mean = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateVectorError):
@@ -237,7 +225,7 @@ class TestEmaUpdate:
         bank = CentroidBank(4, 6, 0.8)
         for step in range(40):
             bank.m = float(rng.uniform(0, 1))
-            means = random_unit_rows(rng, 4, 6)
+            means = unit_rows(rng, 4, 6)
             mask = rng.random(4) < 0.7
             if not mask.any():
                 continue
@@ -248,14 +236,14 @@ class TestEmaUpdate:
     def test_commutes_with_class_permutation(self):
         rng = np.random.default_rng(4)
         k, dim = 5, 3
-        cents = random_unit_rows(rng, k, dim)
+        cents = unit_rows(rng, k, dim)
         means = rng.standard_normal((k, dim))
         mask = np.array([True, False, True, True, False])
         perm = rng.permutation(k)
 
-        bank_a = self.make_seen_bank(cents, 0.37)
+        bank_a = seen_bank(cents, m=0.37)
         ema_update(bank_a, means, mask)
-        bank_b = self.make_seen_bank(cents[perm], 0.37)
+        bank_b = seen_bank(cents[perm], m=0.37)
         ema_update(bank_b, means[perm], mask[perm])
         np.testing.assert_array_equal(bank_a.centroids[perm], bank_b.centroids)
 
@@ -371,14 +359,14 @@ class TestBankIO:
         bank = CentroidBank(5, 7, 0.5)
         for _ in range(200):
             labels = rng.integers(0, 5, 16)
-            means, mask = batch_class_means(random_unit_rows(rng, 16, 7), labels, 5)
+            means, mask = batch_class_means(unit_rows(rng, 16, 7), labels, 5)
             ema_update(bank, means, mask)
         save_bank(bank, tmp_path / "bank.txt")
         np.testing.assert_array_equal(load_bank(tmp_path / "bank.txt").centroids, bank.centroids)
 
     def test_bank_from_features_is_normalized_class_means(self):
         rng = np.random.default_rng(6)
-        feats = random_unit_rows(rng, 20, 4)
+        feats = unit_rows(rng, 20, 4)
         labels = rng.integers(0, 3, 20)
         bank = bank_from_features(feats, labels, 3)
         for c in range(3):

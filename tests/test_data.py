@@ -16,82 +16,30 @@ from cclearn.data import (
     split_dataset,
 )
 from cclearn.errors import TableParseError
-from reference import generate_blobs_expression, rotation_matrix_givens
+from reference import generate_domains_expression, rotation_matrix_givens
 
 SMALL = dict(num_classes=3, input_dim=5, samples_per_class=12, spread=4.0, class_std=1.0)
 
 
 class TestGenerateBlobs:
-    @pytest.mark.parametrize("overrides", [
-        {},
-        dict(input_dim=6, rotation_angle=(0.1, -0.7, 2.0), source_noise_std=0.4),
-        dict(translation=(1.0, -2.0, 0.5, 0.0, 3.25), scale=0.75, seed=5),
-        dict(target_noise_std=0.0, translation=0.0, samples_per_class=(3, 1, 9)),
-    ])
-    def test_bit_equal_to_the_whole_array_expressions(self, overrides):
-        config = SynthConfig(**dict(SMALL, **overrides))
-        for domain in ("source", "target"):
-            ds = generate_blobs(config, domain)
-            features, labels = generate_blobs_expression(config, domain)
-            assert ds.features.tobytes() == features.tobytes(), domain
-            assert ds.labels.tobytes() == labels.tobytes(), domain
+    """``generate_blobs``' own contract: one element of ``generate_domains``."""
 
-    def test_identity_map_makes_domains_bitwise_equal(self):
-        config = SynthConfig(
-            **SMALL, rotation_angle=0.0, translation=0.0, scale=1.0,
-            source_noise_std=0.3, target_noise_std=0.3, seed=7,
-        )
-        src = generate_blobs(config, "source")
-        tgt = generate_blobs(config, "target")
-        np.testing.assert_array_equal(src.features, tgt.features)
-        np.testing.assert_array_equal(src.labels, tgt.labels)
+    def test_each_domain_is_the_element_of_generate_domains(self):
+        config = SynthConfig(**SMALL, seed=4)
+        for domain, ds in zip(("source", "target"), generate_domains(config)):
+            got = generate_blobs(config, domain)
+            assert got.domain == ds.domain == domain
+            assert got.features.tobytes() == ds.features.tobytes(), domain
+            assert got.labels.tobytes() == ds.labels.tobytes(), domain
 
-    def test_per_class_counts_respected(self):
-        config = SynthConfig(num_classes=2, input_dim=3, samples_per_class=(10, 20), seed=0)
-        ds = generate_blobs(config, "source")
-        assert (ds.labels == 0).sum() == 10
-        assert (ds.labels == 1).sum() == 20
-        assert len(ds) == 30
-
-    def test_seeded_determinism(self):
-        config = SynthConfig(**SMALL, seed=5)
-        a = generate_blobs(config, "target")
-        b = generate_blobs(config, "target")
-        np.testing.assert_array_equal(a.features, b.features)
-
-    def test_different_seed_differs(self):
-        a = generate_blobs(SynthConfig(**SMALL, seed=1), "source")
-        b = generate_blobs(SynthConfig(**SMALL, seed=2), "source")
-        assert not np.array_equal(a.features, b.features)
-
-    def test_shift_moves_target(self):
-        config = SynthConfig(**SMALL, rotation_angle=0.5, translation=2.0, scale=1.3, seed=3)
-        src = generate_blobs(config, "source")
-        tgt = generate_blobs(config, "target")
-        assert not np.allclose(src.features, tgt.features)
-
-    def test_invalid_config_and_domain(self):
-        with pytest.raises(ValueError):
-            generate_blobs(SynthConfig(num_classes=1), "source")
-        with pytest.raises(ValueError):
-            generate_blobs(SynthConfig(scale=0.0), "source")
-        with pytest.raises(ValueError):
+    def test_an_unknown_domain_is_refused(self):
+        with pytest.raises(ValueError, match="domain must be 'source' or 'target'"):
             generate_blobs(SynthConfig(), "validation")
-
-    def test_explicit_translation_vector(self):
-        config = SynthConfig(
-            num_classes=2, input_dim=3, samples_per_class=4, seed=0,
-            rotation_angle=0.0, scale=1.0, translation=(1.0, -2.0, 0.5),
-            target_noise_std=0.0,
-        )
-        src = generate_blobs(config, "source")
-        tgt = generate_blobs(config, "target")
-        np.testing.assert_allclose(tgt.features - src.features,
-                                   np.tile([1.0, -2.0, 0.5], (8, 1)), atol=1e-12)
 
 
 class TestGenerateDomains:
     @pytest.mark.parametrize("overrides", [
+        {},
         dict(samples_per_class=1, num_classes=2),  # the fewest rows a config allows
         dict(samples_per_class=(_NOISE_ROWS - 3, 1, 1)),
         dict(samples_per_class=(_NOISE_ROWS - 2, 1, 1)),
@@ -100,11 +48,12 @@ class TestGenerateDomains:
         dict(input_dim=6, rotation_angle=(0.1, -0.7, 2.0), source_noise_std=0.4),
         dict(translation=(1.0, -2.0, 0.5, 0.0, 3.25), scale=0.75, seed=5),
         dict(source_noise_std=0.0, target_noise_std=0.0),
+        dict(target_noise_std=0.0, translation=0.0, samples_per_class=(3, 1, 9)),
     ])
     def test_bit_equal_to_the_whole_array_expressions(self, overrides):
         config = SynthConfig(**dict(SMALL, **overrides))
         for ds, domain in zip(generate_domains(config), ("source", "target")):
-            features, labels = generate_blobs_expression(config, domain)
+            features, labels = generate_domains_expression(config, domain)
             assert ds.domain == domain
             assert ds.features.tobytes() == features.tobytes(), domain
             assert ds.labels.tobytes() == labels.tobytes(), domain
@@ -113,14 +62,53 @@ class TestGenerateDomains:
         config = SynthConfig(**SMALL, source_noise_std=0.2)
         monkeypatch.setattr("cclearn.data._NOISE_ROWS", 1)
         for ds, domain in zip(generate_domains(config), ("source", "target")):
-            assert ds.features.tobytes() == generate_blobs_expression(config, domain)[0].tobytes()
+            assert ds.features.tobytes() == generate_domains_expression(config, domain)[0].tobytes()
 
-    def test_trivial_map_gives_equal_domains(self):
-        config = SynthConfig(**dict(SMALL, samples_per_class=(_NOISE_ROWS, 3, 4)), rotation_angle=0.0,
-                             translation=0.0, scale=1.0, source_noise_std=0.3, target_noise_std=0.3)
+    @pytest.mark.parametrize("overrides", [dict(seed=7), dict(samples_per_class=(_NOISE_ROWS, 3, 4))])
+    def test_trivial_map_gives_equal_domains(self, overrides):
+        config = SynthConfig(**dict(SMALL, **overrides), rotation_angle=0.0, translation=0.0,
+                             scale=1.0, source_noise_std=0.3, target_noise_std=0.3)
         source, target = generate_domains(config)
         assert source.features.tobytes() == target.features.tobytes()
         assert source.labels.tobytes() == target.labels.tobytes()
+
+    def test_per_class_counts_respected(self):
+        config = SynthConfig(num_classes=2, input_dim=3, samples_per_class=(10, 20), seed=0)
+        for ds in generate_domains(config):
+            assert (ds.labels == 0).sum() == 10
+            assert (ds.labels == 1).sum() == 20
+            assert len(ds) == 30
+
+    def test_seeded_determinism(self):
+        config = SynthConfig(**SMALL, seed=5)
+        for a, b in zip(generate_domains(config), generate_domains(config)):
+            np.testing.assert_array_equal(a.features, b.features)
+
+    def test_different_seed_differs(self):
+        for a, b in zip(generate_domains(SynthConfig(**SMALL, seed=1)),
+                        generate_domains(SynthConfig(**SMALL, seed=2))):
+            assert not np.array_equal(a.features, b.features)
+
+    def test_shift_moves_target(self):
+        config = SynthConfig(**SMALL, rotation_angle=0.5, translation=2.0, scale=1.3, seed=3)
+        src, tgt = generate_domains(config)
+        assert not np.allclose(src.features, tgt.features)
+
+    def test_invalid_config_refused(self):
+        with pytest.raises(ValueError):
+            generate_domains(SynthConfig(num_classes=1))
+        with pytest.raises(ValueError):
+            generate_domains(SynthConfig(scale=0.0))
+
+    def test_explicit_translation_vector(self):
+        config = SynthConfig(
+            num_classes=2, input_dim=3, samples_per_class=4, seed=0,
+            rotation_angle=0.0, scale=1.0, translation=(1.0, -2.0, 0.5),
+            target_noise_std=0.0,
+        )
+        src, tgt = generate_domains(config)
+        np.testing.assert_allclose(tgt.features - src.features,
+                                   np.tile([1.0, -2.0, 0.5], (8, 1)), atol=1e-12)
 
 
 def dense_rotation(dim, i, j, cos, sin):
@@ -193,7 +181,7 @@ class TestMakeBatches:
 
 class TestSplitDataset:
     def test_sizes_and_partition(self):
-        ds = generate_blobs(SynthConfig(num_classes=2, input_dim=3, samples_per_class=50, seed=0), "source")
+        ds = generate_domains(SynthConfig(num_classes=2, input_dim=3, samples_per_class=50, seed=0))[0]
         tr, va, te = split_dataset(ds, seed=0)
         assert (len(tr), len(va), len(te)) == (70, 10, 20)
         total = np.vstack([tr.features, va.features, te.features])
@@ -202,14 +190,14 @@ class TestSplitDataset:
         np.testing.assert_allclose(merged, np.sort(ds.features.sum(axis=1)), atol=1e-12)
 
     def test_deterministic(self):
-        ds = generate_blobs(SynthConfig(num_classes=2, input_dim=3, samples_per_class=30, seed=1), "source")
+        ds = generate_domains(SynthConfig(num_classes=2, input_dim=3, samples_per_class=30, seed=1))[0]
         a = split_dataset(ds, seed=9)
         b = split_dataset(ds, seed=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
 
     def test_bad_fractions(self):
-        ds = generate_blobs(SynthConfig(num_classes=2, input_dim=3, samples_per_class=30, seed=1), "source")
+        ds = generate_domains(SynthConfig(num_classes=2, input_dim=3, samples_per_class=30, seed=1))[0]
         with pytest.raises(ValueError):
             split_dataset(ds, fractions=(0.5, 0.4), seed=0)
         with pytest.raises(ValueError):
@@ -252,7 +240,7 @@ class TestTableIO:
         assert loaded.num_classes == 3
 
     def test_header_schema(self, tmp_path):
-        ds = generate_blobs(SynthConfig(num_classes=2, input_dim=3, samples_per_class=2, seed=0), "source")
+        ds = generate_domains(SynthConfig(num_classes=2, input_dim=3, samples_per_class=2, seed=0))[0]
         path = tmp_path / "d.csv"
         save_table(ds, path)
         header = path.read_text().splitlines()[0]
@@ -342,7 +330,7 @@ class TestTableIO:
             load_table(path)
 
     def test_blob_table_round_trip(self, tmp_path):
-        ds = generate_blobs(SynthConfig(num_classes=3, input_dim=4, samples_per_class=7, seed=2), "target")
+        ds = generate_domains(SynthConfig(num_classes=3, input_dim=4, samples_per_class=7, seed=2))[1]
         save_table(ds, tmp_path / "b.csv")
         loaded = load_table(tmp_path / "b.csv")
         np.testing.assert_array_equal(loaded.features, ds.features)

@@ -16,7 +16,7 @@ from cclearn.diagnostics import (
     save_projection,
 )
 from cclearn.errors import StateError, UndefinedProjectionError
-from reference import class_centroid_heatmap_loop, feature_spread_expression
+from reference import class_centroid_heatmap_loop, feature_spread_expression, unit_rows
 
 
 def jacobi_eigh(matrix, sweeps=100, tol=1e-14):
@@ -45,11 +45,6 @@ def jacobi_eigh(matrix, sweeps=100, tol=1e-14):
             break
     order = np.argsort(np.diag(a))[::-1]
     return np.diag(a)[order], vecs[:, order]
-
-
-def unit_rows(rng, n, dim):
-    rows = rng.standard_normal((n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 class TestHeatmap:

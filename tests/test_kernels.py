@@ -4,8 +4,9 @@
 process runs per kernel and BLAS thread count: the CPU's own choice, Haswell,
 Zen, Sandybridge, Prescott and, on a CPU with AVX-512, SkylakeX, each at
 ``OPENBLAS_NUM_THREADS`` 1 and 2. Each child reports the synthetic tables'
-hashes, the bank's hash after a fixed ``ema_update`` sequence, and the hashes
-of ``infer``'s outputs at the scale shape. Each test checks one of these
+hashes, the bank's hash after a fixed ``ema_update`` sequence, the hashes
+of ``infer``'s outputs at the scale shape, and the hash of the model and the
+bank that a short ``train`` at batch 32 leaves. Each test checks one of these
 contracts under every kernel. The kernel name a child reads back is only
 reported, since a forced kernel may name another (Zen reads back as Haswell).
 """
@@ -26,7 +27,7 @@ import numpy as np
 from cclearn.centroids import CentroidBank, batch_class_means, ema_update, row_norms, update_smoothing
 from cclearn.data import SynthConfig, generate_domains
 from cclearn.model import init_params
-from cclearn.trainer import infer
+from cclearn.trainer import TrainConfig, infer, train
 sys.path.insert(0, sys.argv[1])
 from step_cost import blas_core
 
@@ -59,14 +60,21 @@ for rows in (80, 800, 5000, 5121, 8257, 9063, 12345, 30001, 50000):
     x = np.random.default_rng(rows).standard_normal((rows, 64))
     for output in (1, 2):
         inferred[f"output {output} at {rows} rows"] = sha256(infer(params, x, output))
-print(json.dumps({"core": blas_core(), "tables": tables, "banks": banks, "infer": inferred}))
+
+# README's batch-32 training contract: 3 500 source rows, K=10, D=64, 2 epochs, base_lr 0.05
+source = generate_domains(SynthConfig(num_classes=10, input_dim=64, samples_per_class=350))[0]
+params, bank, _ = train(source, None, TrainConfig(epochs=2, base_lr=0.05, batch_size=32))
+trained = sha256(params.flat, bank.centroids, bank.seen)
+print(json.dumps({"core": blas_core(), "tables": tables, "banks": banks, "infer": inferred,
+                  "train": trained}))
 """
 
 
 def child_under(coretype: str | None, threads: int) -> dict:
     """The report of a child process whose OpenBLAS runs ``coretype`` (its
     own choice when None) on ``threads`` threads: the kernel's name, the
-    table and bank hashes, and the hash of each ``infer`` output."""
+    table and bank hashes, the hash of each ``infer`` output and the hash of
+    the trained model and bank."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = str(ROOT / "src")
     env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -113,3 +121,9 @@ def test_infer_gives_the_same_bits_at_one_and_two_blas_threads_under_every_openb
         one = reports[coretype, 1]["infer"]
         differ = [case for case, digest in got["infer"].items() if digest != one[case]]
         assert not differ, f"{ran(reports, coretype, threads)}; differs from 1 thread for {differ}"
+
+
+def test_training_at_batch_32_gives_the_same_bits_at_one_and_two_blas_threads_under_every_openblas_kernel(
+        reports):
+    for (coretype, threads), got in reports.items():
+        assert got["train"] == reports[coretype, 1]["train"], ran(reports, coretype, threads)

@@ -3,26 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from cclearn.centroids import CentroidBank, ema_update
+from cclearn.centroids import CentroidBank
 from cclearn.losses import combined_loss_and_grads, softmax
-from reference import contrastive_loss, contrastive_loss_grad, cross_entropy, cross_entropy_grad
-
-
-# ---- independent oracles: plain exponential sums, no stabilization tricks ----
-
-def oracle_contrastive(f, centroids, own_pos, tau):
-    terms = [math.exp(float(np.dot(f, c)) / tau) for c in centroids]
-    return -math.log(terms[own_pos] / sum(terms))
-
-
-def oracle_cross_entropy(logits, label):
-    terms = [math.exp(float(v)) for v in logits]
-    return -math.log(terms[label] / sum(terms))
-
-
-def unit_rows(rng, n, dim):
-    rows = rng.standard_normal((n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+from reference import (
+    contrastive_loss,
+    contrastive_loss_grad,
+    contrastive_loss_unshifted,
+    cross_entropy,
+    cross_entropy_grad,
+    cross_entropy_unshifted,
+    seen_bank,
+    unit_rows,
+)
 
 
 # ---- one-sample batches through the package's batch objective ----
@@ -44,14 +36,6 @@ def one_row_cont(f, bank, own, tau):
         np.array([own]), bank, 1.0, tau,
     )
     return breakdown.cont, d_feat[0]
-
-
-def seen_bank(centroid_rows, seen=None):
-    rows = np.asarray(centroid_rows, dtype=np.float64)
-    bank = CentroidBank(rows.shape[0], rows.shape[1], 0.0)
-    mask = np.ones(rows.shape[0], dtype=bool) if seen is None else np.asarray(seen)
-    ema_update(bank, rows, mask)
-    return bank
 
 
 class TestContrastiveLoss:
@@ -87,7 +71,7 @@ class TestContrastiveLoss:
             own = int(rng.integers(0, k))
             ours, _ = one_row_cont(f, bank, own, tau)
             assert ours == pytest.approx(
-                oracle_contrastive(f, cents, own, tau), abs=1e-10
+                contrastive_loss_unshifted(f, cents, own, tau), abs=1e-10
             )
             assert ours > 0.0
 
@@ -176,7 +160,7 @@ class TestCrossEntropy:
             logits = rng.uniform(-20, 20, k)
             label = int(rng.integers(0, k))
             assert one_row_ce(logits, label)[0] == pytest.approx(
-                oracle_cross_entropy(logits, label), abs=1e-10
+                cross_entropy_unshifted(logits, label), abs=1e-10
             )
 
     def test_shift_invariance(self):

@@ -1,15 +1,18 @@
 """Peak-memory bounds of the forward pass, inference, the synthetic generator,
-the table writer, the Dataset checks and the spread diagnostic.
+the table writer, the Dataset checks, the spread diagnostic and the
+``synth-data``, ``train`` and ``diagnose`` stages of the CLI.
 
 ``tracemalloc`` sees numpy's array buffers, so each peak is a byte count that
 comes out the same on every run, not a timing. The peaks count only what the
 call allocates: its inputs exist before tracing starts.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 
+from cclearn.cli import main
 from cclearn.data import Dataset, SynthConfig, generate_blobs, generate_domains, save_table
 from cclearn.diagnostics import feature_spread
 from cclearn.model import forward, init_params
@@ -84,3 +87,25 @@ def test_feature_spread_makes_one_copy():
     features = np.random.default_rng(1).standard_normal((ROWS, 32))
     # the centered copy, squared in place
     assert peak_bytes(feature_spread, features) <= 1.5 * features.nbytes
+
+
+def test_cli_stages_peak_near_two_tables(tmp_path):
+    (tmp_path / "synth.json").write_text(json.dumps(
+        {"num_classes": 10, "input_dim": 64, "samples_per_class": ROWS // 10}))
+    (tmp_path / "train.json").write_text(json.dumps({"epochs": 1}))
+    data, run = tmp_path / "data", tmp_path / "run"
+    # each bound is the peak measured with Python 3.11.7 and numpy 2.4.6 (synth-data 2.28
+    # tables with its first-call imports, train 2.06, diagnose 2.03), rounded up by at
+    # least 0.1 table: both domains' tables; the table and its split; the fit table,
+    # its features and the inferred blocks
+    stages = [
+        (["synth-data", "--config", str(tmp_path / "synth.json"), "--out", str(data)], 2.4),
+        (["train", "--config", str(tmp_path / "train.json"), "--data", str(data / "source.csv"),
+          "--out", str(run)], 2.2),
+        (["diagnose", "--run", str(run), "--data", str(data / "target.csv"),
+          "--fit-data", str(data / "source.csv")], 2.2),
+    ]
+    for args, tables in stages:
+        codes = []
+        assert peak_bytes(lambda: codes.append(main(args))) <= tables * 8 * ROWS * 64, args[0]
+        assert codes == [0], args[0]

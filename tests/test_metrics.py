@@ -13,47 +13,11 @@ from cclearn.metrics import accuracy, auc_binary, auc_macro_ovr, quadratic_weigh
 from reference import (
     auc_binary_midranks,
     auc_macro_ovr_midranks,
+    auc_pair_counts,
     midranks,
     quadratic_weighted_kappa_add_at,
+    quadratic_weighted_kappa_loops,
 )
-
-
-# ---- independent oracles ----
-
-def oracle_kappa(y_true, y_pred, k):
-    """Brute-force confusion-matrix kappa with explicit python loops."""
-    n = len(y_true)
-    observed = [[0.0] * k for _ in range(k)]
-    for t, p in zip(y_true, y_pred):
-        observed[t][p] += 1.0
-    count_t = [sum(1 for t in y_true if t == i) for i in range(k)]
-    count_p = [sum(1 for p in y_pred if p == j) for j in range(k)]
-    num = 0.0
-    den = 0.0
-    for i in range(k):
-        for j in range(k):
-            w = (i - j) ** 2 / (k - 1) ** 2
-            num += w * observed[i][j]
-            den += w * count_t[i] * count_p[j] / n
-    if den == 0.0:
-        return None
-    return 1.0 - num / den
-
-
-def oracle_auc(scores, labels):
-    """Explicit pair counting, ties worth one half."""
-    pos = [s for s, y in zip(scores, labels) if y == 1]
-    neg = [s for s, y in zip(scores, labels) if y == 0]
-    if not pos or not neg:
-        return None
-    wins = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                wins += 1.0
-            elif p == q:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
 
 
 class TestKappa:
@@ -69,7 +33,7 @@ class TestKappa:
     def test_three_class_hand_case(self):
         y_true = np.array([0, 1, 2, 2])
         y_pred = np.array([0, 2, 2, 1])
-        expect = oracle_kappa(y_true.tolist(), y_pred.tolist(), 3)
+        expect = quadratic_weighted_kappa_loops(y_true.tolist(), y_pred.tolist(), 3)
         value = quadratic_weighted_kappa(y_true, y_pred, 3)
         assert value == pytest.approx(expect, abs=1e-15)
         assert value == pytest.approx(7.0 / 11.0, abs=1e-12)
@@ -111,7 +75,7 @@ class TestKappa:
             n = int(rng.integers(1, 30))
             a = rng.integers(0, k, n)
             b = rng.integers(0, k, n)
-            expect = oracle_kappa(a.tolist(), b.tolist(), k)
+            expect = quadratic_weighted_kappa_loops(a.tolist(), b.tolist(), k)
             if expect is None:
                 with pytest.raises(UndefinedMetricError):
                     quadratic_weighted_kappa(a, b, k)
@@ -209,7 +173,7 @@ class TestAucBinary:
             n = int(rng.integers(2, 30))
             labels = rng.integers(0, 2, n)
             scores = rng.integers(0, 5, n).astype(float)  # heavy ties
-            expect = oracle_auc(scores.tolist(), labels.tolist())
+            expect = auc_pair_counts(scores.tolist(), labels.tolist())
             if expect is None:
                 with pytest.raises(UndefinedMetricError):
                     auc_binary(scores, labels)
@@ -274,7 +238,7 @@ class TestAucMacroOvr:
         probs /= probs.sum(axis=1, keepdims=True)
         macro, per_class = auc_macro_ovr(probs, labels)
         expect = [
-            oracle_auc(probs[:, k].tolist(), (labels == k).astype(int).tolist())
+            auc_pair_counts(probs[:, k].tolist(), (labels == k).astype(int).tolist())
             for k in range(3)
         ]
         np.testing.assert_allclose(per_class, expect, atol=1e-12)
@@ -412,7 +376,7 @@ class TestExhaustiveSmall:
         for n in range(1, 6):
             for a in itertools.product(range(2), repeat=n):
                 for b in itertools.product(range(2), repeat=n):
-                    expect = oracle_kappa(list(a), list(b), 2)
+                    expect = quadratic_weighted_kappa_loops(list(a), list(b), 2)
                     ya, yb = np.array(a), np.array(b)
                     if expect is None:
                         with pytest.raises(UndefinedMetricError):
@@ -428,7 +392,7 @@ class TestExhaustiveSmall:
                 if sum(labels) in (0, n):
                     continue
                 for scores in itertools.product((0.0, 0.5, 1.0), repeat=n):
-                    expect = oracle_auc(list(scores), list(labels))
+                    expect = auc_pair_counts(list(scores), list(labels))
                     got = auc_binary(np.array(scores), np.array(labels))
                     assert got == pytest.approx(expect, abs=1e-12)
 

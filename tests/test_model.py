@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cclearn import model
-from cclearn.centroids import CentroidBank, ema_update, row_norms
+from cclearn.centroids import row_norms
 from cclearn.errors import DegenerateVectorError, StateError
 from cclearn.losses import combined_loss_and_grads
 from cclearn.model import (
@@ -30,20 +30,14 @@ from reference import (
     backward_from_pre_activations,
     backward_through_the_jacobian,
     forward_keeping_pre_activations,
+    seen_bank,
+    unit_rows,
 )
 
 
 def identity_net(dim=2, classes=2):
     return ModelParams([np.eye(dim)], [np.zeros(dim)], np.eye(dim)[:, :classes].copy(),
                        np.zeros(classes))
-
-
-def random_seen_bank(rng, k, dim):
-    rows = rng.standard_normal((k, dim))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    bank = CentroidBank(k, dim, 0.0)
-    ema_update(bank, rows, np.ones(k, dtype=bool))
-    return bank
 
 
 def flatten_grads(g: Gradients) -> np.ndarray:
@@ -154,7 +148,7 @@ class TestBackward:
             depth = int(rng.integers(0, 3))
             hidden = tuple(int(rng.integers(2, 9)) for _ in range(depth))
             params = init_params(d, hidden, f, k, rng)
-            bank = random_seen_bank(rng, k, f)
+            bank = seen_bank(unit_rows(rng, k, f))
             x = rng.standard_normal((batch, d))
             y = rng.integers(0, k, batch)
             alpha = float(rng.uniform(0.2, 2.0))

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cclearn.data import SynthConfig, generate_blobs, save_table
+from cclearn.data import SynthConfig, generate_domains, save_table
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
@@ -40,7 +40,7 @@ def test_training_loop_calls_the_public_step_functions(tmp_path):
     it wraps (and the benchmark counts steps as ``model.sgd_step`` calls), so
     the loop must not call unchecked internals in their place."""
     config = SynthConfig(num_classes=4, input_dim=4, samples_per_class=20)
-    save_table(generate_blobs(config, "source"), tmp_path / "source.csv")
+    save_table(generate_domains(config)[0], tmp_path / "source.csv")
     # 80 rows, 56 of them in the training split: 2 batches of 32 per epoch
     (tmp_path / "train.json").write_text(
         json.dumps({"epochs": 2, "batch_size": 32, "hidden_dims": [8], "feature_dim": 4})

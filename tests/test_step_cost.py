@@ -20,6 +20,7 @@ def test_prints_the_machine_and_a_cost_per_step_function():
     assert {"python", "numpy", "cpu", "blas_core"} <= set(machine) and len(machine["pinned_cpu"]) == 1
     assert machine["blas_core"] is None or machine["blas_core"].strip()
     assert (machine["number"], machine["repeat"], machine["layer_repeat"]) == (1, 7, 1)
+    assert machine["probe_median_s"] > 0 and machine["probe_ref_s"] > 0
     *rows, writer = [json.loads(line) for line in lines]
     assert [(r["shapes"], r["alpha"], r["batch"]) for r in rows] == [
         ("desk", 1.0, 32), ("desk", 0.0, 32), ("scale-50k finetune", 0.0, 32)]

@@ -22,6 +22,7 @@ from reference import (
     contrast_branch_gathered,
     ema_update_gathered,
     row_norms_flatnonzero,
+    unit_rows,
 )
 
 # a value written into one row: a near-zero row (all of it), a finite entry
@@ -34,11 +35,6 @@ def inject(x, row, fault, rng):
         x[row] = FAULTS[fault]
     else:
         x[row, rng.integers(x.shape[1])] = FAULTS[fault]
-
-
-def unit_rows(rng, n, dim):
-    rows = rng.standard_normal((n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def layout(x, order):

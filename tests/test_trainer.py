@@ -7,7 +7,7 @@ import pytest
 
 from cclearn import trainer
 from cclearn.centroids import CentroidBank, bank_from_features
-from cclearn.data import Dataset, SynthConfig, generate_blobs, make_batches, split_dataset
+from cclearn.data import Dataset, SynthConfig, generate_domains, make_batches, split_dataset
 from cclearn.errors import DegenerateVectorError, TrainingError
 from cclearn.losses import softmax
 from cclearn.model import (
@@ -33,7 +33,7 @@ SMALL_GEOM = dict(num_classes=3, input_dim=6, samples_per_class=30, spread=8.0, 
 
 
 def small_run(alpha=1.0, epochs=4, seed=0, **overrides):
-    src = generate_blobs(SynthConfig(**SMALL_GEOM, seed=seed), "source")
+    src = generate_domains(SynthConfig(**SMALL_GEOM, seed=seed))[0]
     tr, va, _ = split_dataset(src, seed=seed)
     config = TrainConfig(
         alpha=alpha, epochs=epochs, seed=seed, feature_dim=4, hidden_dims=(12,),
@@ -199,7 +199,7 @@ class TestTrain:
 
     def test_loss_history_finite_across_seeds(self):
         for seed in range(10):
-            src = generate_blobs(SynthConfig(seed=seed), "source")
+            src = generate_domains(SynthConfig(seed=seed))[0]
             tr, va, _ = split_dataset(src, seed=seed)
             config = TrainConfig(epochs=3, feature_dim=8, seed=seed)
             _, _, report = train(tr, va, config)
@@ -215,7 +215,7 @@ class TestTrain:
                 train(tr, va, config)
 
     def test_divergence_on_the_last_step_aborts(self):
-        src = generate_blobs(SynthConfig(seed=0, samples_per_class=20), "source")
+        src = generate_domains(SynthConfig(seed=0, samples_per_class=20))[0]
         tr, va, _ = split_dataset(src, seed=0)
         config = TrainConfig(epochs=1, batch_size=len(tr), base_lr=1e300, warmup_epochs=0,
                              feature_dim=8)
@@ -306,7 +306,7 @@ class TestFinetune:
     def trained(self):
         tr, va, config = small_run(epochs=3)
         params, bank, _ = train(tr, va, config)
-        tgt = generate_blobs(SynthConfig(**SMALL_GEOM, seed=0, translation=2.0), "target")
+        tgt = generate_domains(SynthConfig(**SMALL_GEOM, seed=0, translation=2.0))[1]
         return params, bank, tgt
 
     def test_zero_lr_leaves_model_unchanged(self):
@@ -342,7 +342,7 @@ class TestFinetune:
 
     def test_a_caller_error_keeps_its_type(self):
         params = init_params(6, (12,), 8, 4, np.random.default_rng(0))
-        tgt = generate_blobs(SynthConfig(**{**SMALL_GEOM, "num_classes": 4}, seed=0), "target")
+        tgt = generate_domains(SynthConfig(**{**SMALL_GEOM, "num_classes": 4}, seed=0))[1]
         config = finetune_config(alpha=1.0, feature_dim=8)
         with pytest.raises(ValueError, match="^feature dim 8 does not match bank dim 4$"):
             finetune(params, CentroidBank(4, 4, 0.9), tgt, config)
@@ -479,8 +479,7 @@ class TestInfer:
         assert infer(params, x, 1).tobytes() == normalized.tobytes()
 
     def test_evaluate_and_pseudo_label_equal_their_whole_table_results(self, monkeypatch):
-        ds = generate_blobs(SynthConfig(num_classes=10, input_dim=64, samples_per_class=1000),
-                            "target")
+        ds = generate_domains(SynthConfig(num_classes=10, input_dim=64, samples_per_class=1000))[1]
         params = init_params(64, (64, 64), 32, 10, 5)
         blockwise = evaluate_model(params, ds), pseudo_label(params, ds)
         monkeypatch.setattr(trainer, "INFER_ROWS", len(ds) + 1)  # one block

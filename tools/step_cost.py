@@ -8,11 +8,20 @@ Usage (from the root of a source checkout):
 SRC is the ``src`` tree whose ``cclearn`` is timed (default: this
 checkout's). The process pins itself to one CPU and runs one BLAS thread,
 as the benchmark's stages do. It prints a ``machine:`` line (Python, numpy,
-CPU, the OpenBLAS kernel as ``blas_core``, the repeats), then one JSON line
-per shape set: the microseconds per call of ``forward``,
+CPU, the OpenBLAS kernel as ``blas_core``, the repeats, and the median of
+the CPU-speed probes as ``probe_median_s`` beside ``probe_ref_s``), then one
+JSON line per shape set: the microseconds per call of ``forward``,
 ``combined_loss_and_grads``, ``backward``, ``sgd_step``,
 ``batch_class_means``, ``ema_update`` and one whole step, each the best of
-7 ``timeit`` repeats of N calls. The whole step writes its gradients into one
+7 ``timeit`` repeats of N calls.
+
+Every time is rescaled as the benchmark rescales its stage times: perfbench's
+``probe`` (a fixed pure-Python loop) is timed just before each repeat, and
+the repeat's time is multiplied by ``PROBE_REF_S`` over that probe's time,
+since the speed of a shared virtual CPU moves by tens of percent within
+minutes.
+The lines are printed once every layer is timed, since the ``machine:`` line
+holds the probes' median. The whole step writes its gradients into one
 ``Gradients`` kept across its calls (``backward``'s ``out``), as the training
 loop does within a run; the ``backward`` key times the call without ``out``,
 which returns a new ``Gradients``. ``out`` changes what the step times, not
@@ -54,8 +63,10 @@ import argparse
 import ctypes
 import io
 import json
+import math
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import timeit
@@ -63,11 +74,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import BLAS_ENV, BLAS_THREADS, WORKLOADS  # noqa: E402
+from run import BLAS_ENV, BLAS_THREADS, PROBE_REF_S, WORKLOADS, probe  # noqa: E402
 
 REPEAT = 7  # timeit repeats; the best is kept
 WRITE_ROWS = 4096  # rows per timed write_rows call
 HISTORY_EPOCHS = 50  # rows of the timed history.csv
+PROBES: list[float] = []  # every probe time taken, in seconds
 
 
 def shape_sets() -> list[dict]:
@@ -91,8 +103,13 @@ def shape_sets() -> list[dict]:
 
 def best_us(fn, number: int, per: int, digits: int, repeat: int = REPEAT) -> float:
     """Microseconds per call of ``fn``, divided by ``per``: the best of
-    ``repeat`` ``timeit`` repeats of ``number`` calls, rounded to ``digits``."""
-    return round(min(timeit.repeat(fn, number=number, repeat=repeat)) / number / per * 1e6, digits)
+    ``repeat`` ``timeit`` repeats of ``number`` calls, each rescaled by the
+    probe timed just before it, rounded to ``digits``."""
+    best = math.inf
+    for _ in range(repeat):
+        PROBES.append(probe())
+        best = min(best, timeit.timeit(fn, number=number) * PROBE_REF_S / PROBES[-1])
+    return round(best / number / per * 1e6, digits)
 
 
 def time_step(shape: dict, number: int) -> dict:
@@ -237,16 +254,16 @@ def main() -> int:
             cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
     except OSError:
         pass
+    lines = [json.dumps({"shapes": shape["name"], "alpha": shape["alpha"], "batch": shape["batch"],
+                         "us_per_call": time_step(shape, args.number)}) for shape in shape_sets()]
+    lines.append(json.dumps(time_layers(layer_repeat)))
     print("machine: " + json.dumps({
         "python": platform.python_version(), "numpy": np.__version__, "cpu": cpu, "blas_core": blas_core(),
         "pinned_cpu": sorted(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
         "number": args.number, "repeat": REPEAT, "layer_repeat": layer_repeat,
+        "probe_median_s": statistics.median(PROBES), "probe_ref_s": PROBE_REF_S,
     }, sort_keys=True))
-    for shape in shape_sets():
-        us = time_step(shape, args.number)
-        print(json.dumps({"shapes": shape["name"], "alpha": shape["alpha"],
-                          "batch": shape["batch"], "us_per_call": us}))
-    print(json.dumps(time_layers(layer_repeat)))
+    print("\n".join(lines))
     return 0
 
 
