@@ -58,9 +58,9 @@ def _command_config(args, cls, default=None):
     return config
 
 
-def _write_run(out: Path, config, params, bank, report, **artifacts: str) -> None:
+def _write_run(out: Path, params, bank, report, **artifacts: str) -> None:
     """Write a run directory's fixed files; ``artifacts`` lists further ones."""
-    _echo_config(config, out / CONFIG_FILE)
+    _echo_config(report.config, out / CONFIG_FILE)
     save_model(params, out / MODEL_FILE)
     centroids.save_bank(bank, out / BANK_FILE)
     trainer.write_history_csv(report, out / HISTORY_FILE)
@@ -119,7 +119,7 @@ def cmd_train(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_table(test_ds, out / HOLDOUT_FILE)
-    _write_run(out, config, params, bank, report, holdout_test=HOLDOUT_FILE)
+    _write_run(out, params, bank, report, holdout_test=HOLDOUT_FILE)
     print(f"trained {config.epochs} epoch(s) on {len(train_ds)} samples; run dir: {out}")
 
 
@@ -136,7 +136,7 @@ def cmd_finetune(args) -> None:
     params, report = trainer.finetune(params, bank, target, config)
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_run(out, config, params, bank, report)
+    _write_run(out, params, bank, report)
     print(f"fine-tuned on {len(target)} pseudo-labeled samples; run dir: {out}")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import zlib
 from contextlib import closing
 
 import numpy as np
@@ -79,17 +80,38 @@ def csv_cell(text: str) -> str:
     return out.getvalue()[:-3]
 
 
-def write_file(path, sep: str, end: str, *parts) -> None:
+def write_file(path, sep: str, end: str, *parts) -> bytes:
     """Write ``parts`` in order to the file at ``path``, opened in binary
     mode: a str part as its UTF-8 bytes, a tuple part as the columns of one
-    ``write_rows(fh, sep, end, *part)`` call. No line end is translated: a
-    ``\\n`` is written ``\\n`` on every platform."""
+    ``write_rows(fh, sep, end, *part)`` call. No line end is translated: a ``\\n``
+    is written ``\\n`` on every platform. Returns the ``_Hashed`` digest of the bytes."""
     with open(path, "wb") as fh:
+        hashed = _Hashed(fh)
         for part in parts:
             if isinstance(part, str):
-                fh.write(part.encode())
+                hashed.write(part.encode())
             else:
-                write_rows(fh, sep, end, *part)
+                write_rows(hashed, sep, end, *part)
+    return hashed.digest()
+
+
+class _Hashed:
+    """A binary file whose reads and writes also feed one CRC-32 and a byte count."""
+
+    def __init__(self, fh):
+        self.fh, self.crc, self.size = fh, 0, 0
+
+    def read(self, size: int) -> bytes:
+        data = self.fh.read(size)
+        self.crc, self.size = zlib.crc32(data, self.crc), self.size + len(data)
+        return data
+
+    def write(self, data) -> int:
+        self.crc, self.size = zlib.crc32(data, self.crc), self.size + len(data)
+        return self.fh.write(data)
+
+    def digest(self) -> bytes:  # the CRC-32 in 4 bytes, then the count in 8, little-endian
+        return self.crc.to_bytes(4, "little") + self.size.to_bytes(8, "little")
 
 
 def write_rows(fh, sep: str, end: str, *columns) -> None:

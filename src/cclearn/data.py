@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import zlib
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import csv_cell, field_size_limit, numbers, read_cells, write_rows
+from .codec import _Hashed, csv_cell, field_size_limit, numbers, read_cells, write_file
 from .errors import TableParseError
 
 # fixed sub-stream tags so every random draw is attributable to the one seed
@@ -258,16 +257,11 @@ def make_batches(
     return [indices[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def split_dataset(
-    ds: Dataset, fractions: tuple[float, ...] = (0.7, 0.1, 0.2), seed: int = 0
-) -> tuple[Dataset, ...]:
-    """Seeded random split; first parts get floor(fraction*N), the last the rest."""
-    fracs = [float(f) for f in fractions]
-    if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be >= 0 and sum to 1, got {fractions}")
+def split_dataset(ds: Dataset, seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded random 70/10/20 split: floor(0.7 N) and floor(0.1 N) rows, then the rest."""
     n = len(ds)
     perm = np.random.default_rng([seed, _STREAM_SPLIT]).permutation(n)
-    sizes = [int(f * n) for f in fracs[:-1]]
+    sizes = [int(f * n) for f in (0.7, 0.1)]
     sizes.append(n - sum(sizes))
     if any(s < 1 for s in sizes):
         raise ValueError(f"split sizes {sizes} leave an empty part for N={n}")
@@ -284,34 +278,12 @@ def save_table(ds: Dataset, path) -> None:
     """Write the documented CSV schema: header f0..f{D-1},label,domain.
 
     Lines end with \\r\\n and the domain cell is quoted as the csv module
-    quotes it; the header's cells never need quoting. The bytes feed the
-    sidecar's table record as they are written.
+    quotes it; the header's cells never need quoting. The digest of the
+    bytes ``write_file`` wrote feeds the sidecar's table record.
     """
     header = ",".join([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"]) + "\r\n"
-    with open(path, "wb") as fh:
-        table = _Hashed(fh)
-        table.write(header.encode())
-        write_rows(table, ",", "\r\n", ds.features, ds.labels, csv_cell(ds.domain))
-    _write_sidecar(ds, path, table.digest())
-
-
-class _Hashed:
-    """A binary file whose reads and writes also feed one CRC-32 and a byte count."""
-
-    def __init__(self, fh):
-        self.fh, self.crc, self.size = fh, 0, 0
-
-    def read(self, size: int) -> bytes:
-        data = self.fh.read(size)
-        self.crc, self.size = zlib.crc32(data, self.crc), self.size + len(data)
-        return data
-
-    def write(self, data) -> int:
-        self.crc, self.size = zlib.crc32(data, self.crc), self.size + len(data)
-        return self.fh.write(data)
-
-    def digest(self) -> bytes:  # the CRC-32 in 4 bytes, then the count in 8, little-endian
-        return self.crc.to_bytes(4, "little") + self.size.to_bytes(8, "little")
+    digest = write_file(path, ",", "\r\n", header, (ds.features, ds.labels, csv_cell(ds.domain)))
+    _write_sidecar(ds, path, digest)
 
 
 def _file_digest(path) -> bytes:

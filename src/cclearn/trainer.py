@@ -13,7 +13,7 @@ the final validation AUC from ``evaluate_model``.
 Fine-tuning adapts a trained model to unlabeled target data: pseudo-labels
 are the argmax of the model's logits computed once up front, then one epoch
 of cross-entropy-only training at a constant 1e-6 rate, bank untouched. Both
-run through one loop, ``_fit``.
+run through one loop, ``_fit``, which continues a run from epoch ``len(report.history)``.
 """
 
 from __future__ import annotations
@@ -86,17 +86,19 @@ class RunReport:
 
 
 def infer(params: ModelParams, x: np.ndarray, output: int) -> np.ndarray:
-    """``forward(params, block)[output]`` (1: normalized features, 2: logits) of each
-    block of INFER_ROWS rows in turn, joined: up to INFER_ROWS rows are one ``forward``."""
-    parts = []
+    """``forward(params, block)[output]`` (1: normalized features, 2: logits) of each block
+    of INFER_ROWS rows in turn, in one output: up to INFER_ROWS rows are one ``forward``."""
     for start in range(0, max(1, len(x)), INFER_ROWS):
         try:
-            parts.append(forward(params, x[start : start + INFER_ROWS])[output])
+            block = forward(params, x[start : start + INFER_ROWS])[output]
         except DegenerateVectorError as exc:
             if start:  # the error numbers the rows of its block
                 raise DegenerateVectorError(f"in the block from row {start}: {exc}") from exc
             raise
-    return np.concatenate(parts)
+        if not start:
+            out = np.empty((len(x), *block.shape[1:]), block.dtype)
+        out[start : start + len(block)] = block
+    return out
 
 
 def predict_logits(params: ModelParams, ds: Dataset) -> np.ndarray:
@@ -162,7 +164,7 @@ def train(
         np.random.default_rng([config.seed, _STREAM_INIT]),
     )
     bank = CentroidBank(train_ds.num_classes, config.feature_dim, config.m0)
-    report = _fit(params, bank, train_ds, val_ds, config, epoch_callback, source=True)
+    report = _fit(params, bank, RunReport(config), train_ds, val_ds, epoch_callback, source=True)
     if val_ds is not None and config.epochs > 0:
         report.eval_results = evaluate_model(params, val_ds)
     return params, bank, report
@@ -180,29 +182,29 @@ def finetune(
     Labels are assigned once before training (argmax of the current model's
     logits); the dataset's own labels are ignored. Training runs at the
     constant configured rate with no schedule, and the bank is never updated.
+    ``params`` is updated in place and returned: deep-copy it first to keep the source model.
     """
     if config is None:
         config = finetune_config()
     config.validate()
     labels = pseudo_label(params, target_ds)
     ds = Dataset(target_ds.features, labels, target_ds.domain, target_ds.num_classes)
-    return params, _fit(params, bank, ds, None, config, epoch_callback, source=False)
+    return params, _fit(params, bank, RunReport(config), ds, None, epoch_callback, source=False)
 
 
 def _fit(
-    params: ModelParams, bank: CentroidBank, ds: Dataset, val_ds: Dataset | None,
-    config: TrainConfig, epoch_callback, source: bool,
+    params: ModelParams, bank: CentroidBank, report: RunReport, ds: Dataset,
+    val_ds: Dataset | None, epoch_callback, source: bool,
 ) -> RunReport:
-    """The epochs of ``train`` and ``finetune`` over ``ds``, each validated on
-    ``val_ds`` when given. Only ``source`` runs advance the smoothing, follow
-    ``lr_at``'s schedule and, when alpha > 0, fold features into the bank."""
-    n = len(ds)
+    """Epochs ``len(report.history)`` to ``report.config.epochs - 1`` of ``train`` or ``finetune``
+    over ``ds``, each validated on ``val_ds`` when given and added to ``report``. Only ``source``
+    runs advance the smoothing, follow ``lr_at``'s schedule and, when alpha > 0, fold into the bank."""
+    config, n = report.config, len(ds)
     fold = source and config.alpha > 0  # fold the batch's features into the bank
     steps = math.ceil(n / config.batch_size)
     schedule = config.base_lr, config.warmup_epochs * steps, config.epochs * steps
-    report = RunReport(config=config)
     grads = None  # the first step's backward allocates the one buffer every step writes
-    for epoch in range(config.epochs):
+    for epoch in range(len(report.history), config.epochs):
         if source:
             update_smoothing(bank, epoch, config.epochs)
         ce_sum = cont_sum = 0.0

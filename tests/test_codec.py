@@ -101,7 +101,7 @@ def golden_writers():
         def write(path):
             run = Path(f"{path}.run")
             run.mkdir()
-            cli._write_run(run, report.config, params, bank, report)
+            cli._write_run(run, params, bank, report)
             os.replace(run / name, path)
         return write
     return {
@@ -133,9 +133,9 @@ def test_table_lines_end_with_crlf_and_other_files_with_lf(tmp_path):
         assert b"\r" not in (tmp_path / name).read_bytes(), name
 
 
-# the only functions that open a file for writing; every other writer goes
-# through codec.write_file, so a rule for how files are written lives in three places
-FILE_WRITERS = {("codec", "write_file"), ("data", "save_table"), ("data", "_write_sidecar")}
+# the only functions that open a file for writing; every other writer, save_table
+# too, goes through codec.write_file, so a rule for how files are written lives in two places
+FILE_WRITERS = {("codec", "write_file"), ("data", "_write_sidecar")}
 # calls that write a file without an open() in sight
 WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savetxt", "tofile"}
 
@@ -159,7 +159,7 @@ def file_writes(module: str, tree: ast.AST, where: str | None = None):
         yield from file_writes(module, node, where)
 
 
-def test_only_three_functions_open_a_file_for_writing():
+def test_only_two_functions_open_a_file_for_writing():
     package = Path(codec.__file__).parent
     writes = [w for path in sorted(package.glob("*.py"))
               for w in file_writes(path.stem, ast.parse(path.read_text()))]
@@ -235,7 +235,7 @@ def test_a_row_needs_a_column_that_is_not_a_str():
 
 # ------------------------------------------- %.17g cells against the % operator
 
-WRITER_MODULES = [data, codec]
+WRITER_MODULES = [codec]
 
 
 def codec_text(sep, end, *columns) -> str:
@@ -829,6 +829,20 @@ def test_save_table_digests_the_bytes_it_writes(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", no_reread)
     served = load_table(path, 3)  # from the sidecar: the text readers would raise
     assert same_bits(served.features, ds.features) and served.labels.tolist() == [0, 1, 2]
+
+
+# 3000 rows of 5 cells: two chunks
+DIGEST_ROWS = np.random.default_rng(12).standard_normal((3000, 3)), np.arange(3000) % 7, "aé"
+
+
+@pytest.mark.parametrize("parts", [
+    ("a header\n", "", "café \r\n"),
+    (DIGEST_ROWS,),
+    ("a header\n", DIGEST_ROWS, "between\n", (["x", "y"], TRICKY[:2])),
+], ids=["str-parts", "rows", "mixed"])
+def test_write_file_returns_the_digest_of_the_file_it_wrote(tmp_path, parts):
+    path = tmp_path / "f.txt"
+    assert codec.write_file(path, ",", "\n", *parts) == data._file_digest(path)
 
 
 @pytest.mark.parametrize("edit", [

@@ -196,12 +196,10 @@ class TestSplitDataset:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
 
-    def test_bad_fractions(self):
-        ds = generate_domains(SynthConfig(num_classes=2, input_dim=3, samples_per_class=30, seed=1))[0]
-        with pytest.raises(ValueError):
-            split_dataset(ds, fractions=(0.5, 0.4), seed=0)
-        with pytest.raises(ValueError):
-            split_dataset(ds, fractions=(0.999, 0.0005, 0.0005), seed=0)
+    def test_a_table_too_small_to_split_is_refused(self):
+        ds = Dataset(np.zeros((5, 3)), np.arange(5) % 2, "source", 2)  # floor(0.1 * 5) = 0
+        with pytest.raises(ValueError, match=r"split sizes \[3, 0, 2\] leave an empty part for N=5"):
+            split_dataset(ds, seed=0)
 
 
 class TestDataset:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import asdict, replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cclearn import trainer
-from cclearn.centroids import CentroidBank, bank_from_features
+from cclearn.centroids import CentroidBank, bank_from_features, load_bank, save_bank
 from cclearn.data import Dataset, SynthConfig, generate_domains, make_batches, split_dataset
 from cclearn.errors import DegenerateVectorError, TrainingError
 from cclearn.losses import softmax
@@ -15,11 +16,14 @@ from cclearn.model import (
     backward,
     forward,
     init_params,
+    load_model,
     lr_at,
+    save_model,
     sgd_step,
 )
 from cclearn.trainer import (
     INFER_ROWS,
+    RunReport,
     TrainConfig,
     evaluate_model,
     finetune,
@@ -309,6 +313,13 @@ class TestFinetune:
         tgt = generate_domains(SynthConfig(**SMALL_GEOM, seed=0, translation=2.0))[1]
         return params, bank, tgt
 
+    def test_updates_and_returns_the_params_it_is_given(self):
+        params, bank, tgt = self.trained()
+        before = params.flat.copy()
+        tuned, _ = finetune(params, bank, tgt)
+        assert tuned is params
+        assert params.flat.tobytes() != before.tobytes()
+
     def test_zero_lr_leaves_model_unchanged(self):
         params, bank, tgt = self.trained()
         before = [t.copy() for t in model_tensors(params)]
@@ -398,6 +409,50 @@ class TestFinetune:
         b, _ = finetune(params2, bank2, scrambled, finetune_config(seed=5))
         for s, t in zip(model_tensors(a), model_tensors(b)):
             np.testing.assert_array_equal(s, t)
+
+
+class Stop(Exception):
+    pass
+
+
+class TestResume:
+    """``_fit`` continues a run from epoch ``len(report.history)``: stopped
+    after any epoch, its model and bank reloaded from their files, a run ends
+    as the run that never stopped, bit for bit."""
+
+    def start(self, source: bool, alpha: float):
+        """(params, bank, report, train table, validation table) of a new run."""
+        tr, va, config = small_run(alpha=alpha, epochs=4)
+        if not source:  # a fine-tune of a trained model at a rate that moves it
+            params, bank, _ = train(tr, va, replace(config, epochs=2))
+            return params, bank, RunReport(replace(config, base_lr=1e-2)), tr, va
+        params = init_params(tr.input_dim, config.hidden_dims, config.feature_dim, tr.num_classes,
+                             np.random.default_rng([config.seed, 101]))
+        return params, CentroidBank(tr.num_classes, config.feature_dim, config.m0), RunReport(config), tr, va
+
+    @pytest.mark.parametrize("source, alpha", [(True, 1.0), (True, 0.0), (False, 1.0)],
+                             ids=["alpha-1", "alpha-0", "finetune"])
+    def test_a_run_stopped_after_any_epoch_continues_bit_for_bit(self, tmp_path, source, alpha):
+        params, bank, report, tr, va = self.start(source, alpha)
+        whole = copy.deepcopy((params, bank, report))
+        trainer._fit(*whole, tr, va, None, source)
+        for stop in range(report.config.epochs):
+            def halt(epoch, *_):
+                if epoch == stop:
+                    raise Stop
+
+            p, b, r = copy.deepcopy((params, bank, report))
+            with pytest.raises(Stop):
+                trainer._fit(p, b, r, tr, va, halt, source)
+            assert len(r.history) == stop + 1
+            save_model(p, tmp_path / "model.txt")
+            save_bank(b, tmp_path / "bank.txt")
+            p, b = load_model(tmp_path / "model.txt"), load_bank(tmp_path / "bank.txt")
+            assert trainer._fit(p, b, r, tr, va, None, source) is r
+            assert p.flat.tobytes() == whole[0].flat.tobytes(), stop
+            assert (b.centroids.tobytes(), b.seen.tobytes(), b.m) == (
+                whole[1].centroids.tobytes(), whole[1].seen.tobytes(), whole[1].m), stop
+            assert list(map(repr, r.history)) == list(map(repr, whole[2].history)), stop
 
 
 class TestEvaluateModel:

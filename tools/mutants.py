@@ -83,8 +83,14 @@ MUTANTS = [
         ("tests/test_cli.py::test_eval_and_spread_files_equal_an_in_process_oracle",),
     ),
     Mutant(  # every header line of every run file lost
-        "write-file-drops-str-parts", "src/cclearn/codec.py", "fh.write(part.encode())", "pass",
+        "write-file-drops-str-parts", "src/cclearn/codec.py", "hashed.write(part.encode())", "pass",
         ("tests/test_codec.py::test_golden_bytes",),
+    ),
+    Mutant(  # the bytes are right, but the rows miss the digest: a table's sidecar never serves it
+        "write-file-digest-bypassed", "src/cclearn/codec.py",
+        "write_rows(hashed, sep, end, *part)", "write_rows(fh, sep, end, *part)",
+        ("tests/test_codec.py::test_save_table_digests_the_bytes_it_writes",
+         "tests/test_codec.py::test_write_file_returns_the_digest_of_the_file_it_wrote"),
     ),
     Mutant(
         "history-fields-reversed", "src/cclearn/trainer.py",
@@ -225,16 +231,16 @@ MUTANTS = [
         ("tests/test_trainer.py::TestInfer::test_blocks_never_grow",
          "tests/test_memory.py::test_predict_logits_holds_one_block_of_cache"),
     ),
-    Mutant(  # a table of 0 rows runs no block, and np.concatenate of no parts raises
+    Mutant(  # a table of 0 rows runs no block, and no block allocates the output
         "infer-no-block-for-no-rows", "src/cclearn/trainer.py",
         "range(0, max(1, len(x)), INFER_ROWS)", "range(0, len(x), INFER_ROWS)",
         ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",),
     ),
-    Mutant(  # each block repeats the first row of the next
+    Mutant(  # each block repeats the first row of the next, which overwrites it in the output
         "infer-blocks-overlap", "src/cclearn/trainer.py",
         "x[start : start + INFER_ROWS]", "x[start : start + INFER_ROWS + 1]",
         ("tests/test_trainer.py::TestInfer::test_blocks_cover_the_rows_in_order",
-         "tests/test_trainer.py::TestInfer::test_each_block_is_the_forward_of_its_rows_at_the_scale_shape"),
+         "tests/test_trainer.py::TestInfer::test_blocks_never_grow"),
     ),
     Mutant(  # each block leaves out its last row
         "infer-blocks-skip-a-row", "src/cclearn/trainer.py",
@@ -246,6 +252,11 @@ MUTANTS = [
         "infer-error-not-renumbered", "src/cclearn/trainer.py",
         "if start:  # the error numbers the rows of its block", "if False:",
         ("tests/test_trainer.py::TestInfer::test_degenerate_rows_are_numbered_from_their_block",),
+    ),
+    Mutant(  # a continued run starts again from epoch 0
+        "fit-ignores-history", "src/cclearn/trainer.py",
+        "range(len(report.history), config.epochs)", "range(config.epochs)",
+        ("tests/test_trainer.py::TestResume::test_a_run_stopped_after_any_epoch_continues_bit_for_bit",),
     ),
     Mutant(  # the fine-tune's constant rate follows the source schedule instead
         "finetune-lr-follows-schedule", "src/cclearn/trainer.py",
