@@ -30,9 +30,10 @@ from .errors import StateError
 class _Layers:
     """Backbone affine layers plus the one-layer head, held in one float64
     vector ``flat``. Each layer is a (fan_in + 1) x fan_out block of it: the
-    weight rows, then the bias row, in ``save_model``'s order. The tensors are
-    C-contiguous views into the blocks, so update them in place: assigning a
-    new array to one detaches it. The constructor copies its arrays in."""
+    weight rows, then the bias row, in ``save_model``'s order; ``layers`` pairs
+    them, the head last. The tensors are C-contiguous views into the blocks, so
+    update them in place: assigning a new array to one detaches it. The
+    constructor copies its arrays in."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -67,8 +68,10 @@ class _Layers:
         for fan_in, fan_out in self.shapes:
             start, end = end, end + (fan_in + 1) * fan_out
             self.blocks.append(self.flat[start:end].reshape(fan_in + 1, fan_out))
-        *backbone, (self.head_weight, self.head_bias) = [(b[:-1], b[-1]) for b in self.blocks]
+        self.layers = [(block[:-1], block[-1]) for block in self.blocks]
+        *backbone, (self.head_weight, self.head_bias) = self.layers
         self.weights, self.biases = [w for w, _ in backbone], [b for _, b in backbone]
+        self.raw_layer = len(backbone) - 1  # outputs the raw features; a ReLU follows each before it
 
 
 @dataclass
@@ -112,10 +115,10 @@ class Gradients(_Layers):
 @dataclass
 class ForwardCache:
     """Intermediates of one forward pass, consumed by ``backward``. ``layer_inputs``
-    is ``x``, then each hidden ReLU output, which is also each ReLU's mask."""
+    is each layer's input: ``x``, each hidden ReLU output (also its mask), and
+    last the raw features, which both the head and the contrast branch read."""
 
     layer_inputs: list[np.ndarray]
-    raw: np.ndarray
     norms: np.ndarray
     normalized: np.ndarray
     params_version: int
@@ -136,7 +139,7 @@ def init_params(
     if sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])) > CELL_BUDGET:  # in Python ints
         raise ValueError(f"layer sizes {sizes} hold more than {CELL_BUDGET} parameters")
     params = ModelParams.zeros(list(zip(sizes[:-1], sizes[1:])))
-    for w in [*params.weights, params.head_weight]:
+    for w, _ in params.layers:
         bound = 1.0 / math.sqrt(w.shape[0])
         w[:] = rng.uniform(-bound, bound, size=w.shape)
     return params
@@ -156,22 +159,19 @@ def forward(
         raise ValueError(f"input shape {x.shape} does not match D={params.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    last = len(params.weights) - 1
-    layer_inputs = [x]
+    layer_inputs = []
     a = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for i, (w, b) in enumerate(params.layers):
+        layer_inputs.append(a)
         a = a @ w  # a new buffer per layer: the caller's x is never written
         a += b
-        if i < last:
+        if i < params.raw_layer:
             np.maximum(a, 0.0, out=a)
-            layer_inputs.append(a)
-    raw = a
+    raw = layer_inputs[-1]
     norms = row_norms(raw)
     normalized = raw / norms[:, None]
-    logits = raw @ params.head_weight
-    logits += params.head_bias
-    cache = ForwardCache(layer_inputs, raw, norms, normalized, params.version)
-    return raw, normalized, logits, cache
+    cache = ForwardCache(layer_inputs, norms, normalized, params.version)
+    return raw, normalized, a, cache  # a is the head's output, the logits
 
 
 def backward(
@@ -184,9 +184,10 @@ def backward(
     """Exact parameter gradients from the two branch gradients, written over ``out`` if given.
 
     ``d_normalized`` is d(loss)/d(normalized features) and ``d_logits`` is
-    d(loss)/d(logits); both branches are merged at the raw features and
-    propagated through the backbone. A hidden ReLU's mask is its output > 0,
-    which holds exactly where its pre-activation is > 0 (NaN: False both ways).
+    d(loss)/d(logits). One loop runs from the head down; the contrast term joins
+    the head's gradient at the layer that outputs the raw features, where the
+    branches meet. A hidden ReLU's mask is its output > 0, which holds exactly
+    where its pre-activation is > 0 (NaN: False both ways).
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -197,27 +198,28 @@ def backward(
     d_logits = np.asarray(d_logits, dtype=np.float64)
     if d_normalized.shape != cache.normalized.shape:
         raise ValueError(f"d_normalized shape {d_normalized.shape} mismatches forward batch")
-    if d_logits.shape != (len(cache.raw), params.num_classes):
+    if d_logits.shape != (len(cache.normalized), params.num_classes):
         raise ValueError(f"d_logits shape {d_logits.shape} mismatches forward batch")
     if out is not None and out.shapes != params.shapes:
         raise ValueError(f"gradient layers {out.shapes} do not match parameters {params.shapes}")
 
-    upstream = 0.0  # the Jacobian's term, in every entry, when every entry of d_normalized is +0.0
+    jacobian = 0.0  # its term, in every entry, when every entry of d_normalized is +0.0
     if d_normalized.view(np.uint64).any():  # -0.0 and NaN entries take this path
         inner = np.add.reduce(cache.normalized * d_normalized, axis=1, keepdims=True)
-        upstream = (d_normalized - inner * cache.normalized) / cache.norms[:, None]
-    upstream = upstream + d_logits @ params.head_weight.T  # d(loss)/d(raw features)
+        jacobian = (d_normalized - inner * cache.normalized) / cache.norms[:, None]
 
     grads = Gradients.zeros(params.shapes) if out is None else out
-    np.matmul(cache.raw.T, d_logits, out=grads.head_weight)
-    np.add.reduce(d_logits, axis=0, out=grads.head_bias)
-    for i in range(len(params.weights) - 1, -1, -1):
-        if i < len(params.weights) - 1:
+    upstream = d_logits
+    for i in reversed(range(len(params.layers))):
+        if i == params.raw_layer:  # upstream is d(loss)/d(raw features) from both branches
+            upstream = jacobian + upstream
+        elif i < params.raw_layer:
             upstream = upstream * (cache.layer_inputs[i + 1] > 0.0)
-        np.matmul(cache.layer_inputs[i].T, upstream, out=grads.weights[i])
-        np.add.reduce(upstream, axis=0, out=grads.biases[i])
+        grad_w, grad_b = grads.layers[i]
+        np.matmul(cache.layer_inputs[i].T, upstream, out=grad_w)
+        np.add.reduce(upstream, axis=0, out=grad_b)
         if i > 0:
-            upstream = upstream @ params.weights[i].T
+            upstream = upstream @ params.layers[i][0].T
     return grads
 
 

@@ -474,7 +474,7 @@ def backward_through_the_jacobian(params, cache, d_normalized, d_logits) -> Grad
     d_raw = d_raw + d_logits @ params.head_weight.T
 
     grads = Gradients.zeros(params.shapes)
-    np.matmul(cache.raw.T, d_logits, out=grads.head_weight)
+    np.matmul(cache.layer_inputs[-1].T, d_logits, out=grads.head_weight)
     np.add.reduce(d_logits, axis=0, out=grads.head_bias)
     upstream = d_raw
     for i in range(len(params.weights) - 1, -1, -1):

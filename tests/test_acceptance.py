@@ -137,7 +137,7 @@ def test_criterion_2_gradient_correctness():
             continue
         # the FD oracle itself breaks at ReLU kinks and near-zero feature norms
         # the hidden pre-activations, recomputed with forward's own arithmetic
-        hidden_z = zip(cache.layer_inputs[:-1], params.weights, params.biases)
+        hidden_z = zip(cache.layer_inputs[:-2], params.weights, params.biases)
         if any(np.abs(a @ w + b).min() < 1e-3 for a, w, b in hidden_z):
             continue
         if cache.norms.min() < 0.1:

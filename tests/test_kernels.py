@@ -3,12 +3,14 @@
 ``OPENBLAS_CORETYPE`` picks the kernel of one process only, so one child
 process runs per kernel and BLAS thread count: the CPU's own choice, Haswell,
 Zen, Sandybridge, Prescott and, on a CPU with AVX-512, SkylakeX, each at
-``OPENBLAS_NUM_THREADS`` 1 and 2. Each child reports the synthetic tables'
-hashes, the bank's hash after a fixed ``ema_update`` sequence, the hashes
-of ``infer``'s outputs at the scale shape, and the hash of the model and the
+``OPENBLAS_NUM_THREADS`` 1 and 2. Prescott reads back as Katmai, OpenBLAS's
+generic fallback kernel. Each child reports the synthetic tables' hashes,
+the bank's hash after a fixed ``ema_update`` sequence, the hashes of
+``infer``'s outputs at the scale shape, and the hash of the model and the
 bank that a short ``train`` at batch 32 leaves. Each test checks one of these
 contracts under every kernel. The kernel name a child reads back is only
-reported, since a forced kernel may name another (Zen reads back as Haswell).
+reported, since a forced kernel may name another (Zen reads back as Haswell),
+and so is numpy's SIMD dispatch level, which every child shares with the host.
 """
 
 import json
@@ -29,7 +31,7 @@ from cclearn.data import SynthConfig, generate_domains
 from cclearn.model import init_params
 from cclearn.trainer import TrainConfig, infer, train
 sys.path.insert(0, sys.argv[1])
-from step_cost import blas_core
+from step_cost import blas_core, numpy_dispatch
 
 def sha256(*arrays):
     h = hashlib.sha256()
@@ -65,8 +67,8 @@ for rows in (80, 800, 5000, 5121, 8257, 9063, 12345, 30001, 50000):
 source = generate_domains(SynthConfig(num_classes=10, input_dim=64, samples_per_class=350))[0]
 params, bank, _ = train(source, None, TrainConfig(epochs=2, base_lr=0.05, batch_size=32))
 trained = sha256(params.flat, bank.centroids, bank.seen)
-print(json.dumps({"core": blas_core(), "tables": tables, "banks": banks, "infer": inferred,
-                  "train": trained}))
+print(json.dumps({"core": blas_core(), "dispatch": numpy_dispatch(), "tables": tables, "banks": banks,
+                  "infer": inferred, "train": trained}))
 """
 
 
@@ -102,8 +104,9 @@ def reports() -> dict:
 
 
 def ran(reports: dict, coretype: str, threads: int) -> str:
-    return (f"OPENBLAS_CORETYPE={coretype} at {threads} BLAS threads ran "
-            f"{reports[coretype, threads]['core']}; the default ran {reports['default', 1]['core']}")
+    got = reports[coretype, threads]
+    return (f"OPENBLAS_CORETYPE={coretype} at {threads} BLAS threads ran {got['core']} with numpy "
+            f"dispatching {got['dispatch']}; the default ran {reports['default', 1]['core']}")
 
 
 def test_the_tables_are_the_same_under_every_openblas_kernel(reports):

@@ -1,8 +1,10 @@
+import ast
 import copy
 import dataclasses
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,7 +162,7 @@ class TestBackward:
                 # tiny ReLU nets can zero out a sample; draw another config
                 continue
             # the hidden pre-activations, recomputed with forward's own arithmetic
-            hidden_z = zip(cache.layer_inputs[:-1], params.weights, params.biases)
+            hidden_z = zip(cache.layer_inputs[:-2], params.weights, params.biases)
             if any(np.abs(a @ w + b).min() < 1e-3 for a, w, b in hidden_z):
                 # a pre-activation this close to the ReLU kink breaks the FD oracle
                 continue
@@ -362,6 +364,7 @@ def test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits(sign):
                          np.zeros(3))
     _, _, _, cache = forward(params, np.array([[1.0, -2.0], [3.0, -1.0], [2.0, -5.0]]))
     params.head_weight = params.head_weight.view(SumsFromTheFirstProduct)  # still a view of flat
+    params.layers[-1] = (params.head_weight, params.head_bias)
     cache.layer_inputs[0] = cache.layer_inputs[0].view(SumsFromTheFirstProduct)
     d_normalized, d_logits = sign * np.zeros((3, 2)), np.zeros((3, 3))
     assert np.signbit(d_logits @ params.head_weight.T)[:, 0].all()
@@ -373,6 +376,38 @@ def test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits(sign):
     assert np.isnan(read).any()  # the full path reads the normalized features
     got = backward(params, unread, d_normalized, d_logits).flat
     assert got.tobytes() == (expected.flat if sign > 0 else read).tobytes()
+
+
+# a call that multiplies matrices, by the name it is called by
+PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def products_and_head_names(function: ast.FunctionDef) -> tuple[list[str], set[str]]:
+    """Each matrix product in ``function``, as "@" or the called name, sorted,
+    and the names of the head's tensors that it reads."""
+    products, names = [], set()
+    for node in ast.walk(function):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            products.append("@")
+        elif isinstance(node, ast.Call):
+            called = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if called in PRODUCT_CALLS:
+                products.append(called)
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in ("head_weight", "head_bias"):
+            names.add(name)
+    return sorted(products), names
+
+
+def test_forward_and_backward_have_one_site_per_kind_of_product():
+    """The head is the last layer of one loop: ``forward`` multiplies at one
+    site, and ``backward`` at one row product (the batch rows as its rows)
+    and one inner-dimension product (the batch summed), so that a rule for
+    how the batch's products are cut lands on those lines alone."""
+    tree = ast.parse(Path(model.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert products_and_head_names(functions["forward"]) == (["@"], set())
+    assert products_and_head_names(functions["backward"]) == (["@", "matmul"], set())
 
 
 def test_tensors_are_views_into_flat_in_checkpoint_order(tmp_path):
@@ -397,6 +432,16 @@ def test_a_copy_has_its_own_flat_and_views_into_it():
         assert copied.flat.tobytes() == params.flat.tobytes()
         assert not np.shares_memory(copied.flat, params.flat)
         assert all(np.shares_memory(t, copied.flat) for t in param_tensors(copied))
+
+
+@pytest.mark.parametrize("hidden", [(), (7,), (7, 3)])
+def test_layers_hold_the_named_views_and_raw_layer_outputs_the_features(hidden):
+    params = init_params(5, hidden, 4, 3, 0)
+    for layers in (params, pickle.loads(pickle.dumps(params)), Gradients.zeros(params.shapes)):
+        named = [*zip(layers.weights, layers.biases), (layers.head_weight, layers.head_bias)]
+        assert all(w is lw and b is lb for (w, b), (lw, lb) in zip(named, layers.layers, strict=True))
+        assert layers.raw_layer == len(hidden)
+        assert layers.layers[layers.raw_layer][0].shape[1] == 4  # F
 
 
 class TestSgdStep:

@@ -17,8 +17,10 @@ def test_prints_the_machine_and_a_cost_per_step_function():
     head, *lines = proc.stdout.splitlines()
     assert head.startswith("machine: ")
     machine = json.loads(head.removeprefix("machine: "))
-    assert {"python", "numpy", "cpu", "blas_core"} <= set(machine) and len(machine["pinned_cpu"]) == 1
+    assert {"python", "numpy", "cpu", "blas_core", "numpy_dispatch"} <= set(machine)
+    assert len(machine["pinned_cpu"]) == 1
     assert machine["blas_core"] is None or machine["blas_core"].strip()
+    assert all(isinstance(name, str) and name for name in machine["numpy_dispatch"])
     assert (machine["number"], machine["repeat"], machine["layer_repeat"]) == (1, 7, 1)
     assert machine["probe_median_s"] > 0 and machine["probe_ref_s"] > 0
     *rows, writer = [json.loads(line) for line in lines]

@@ -203,8 +203,8 @@ MUTANTS = [
     ),
     Mutant(  # aim 3, gradients: the normalization Jacobian without its inner term
         "gradient-no-normalization-inner-term", "src/cclearn/model.py",
-        "upstream = (d_normalized - inner * cache.normalized) / cache.norms[:, None]",
-        "upstream = d_normalized / cache.norms[:, None]",
+        "jacobian = (d_normalized - inner * cache.normalized) / cache.norms[:, None]",
+        "jacobian = d_normalized / cache.norms[:, None]",
         ("tests/test_acceptance.py::test_criterion_2_gradient_correctness",
          "tests/test_model.py::TestBackward::test_full_model_matches_finite_differences"),
     ),
@@ -215,8 +215,22 @@ MUTANTS = [
     ),
     Mutant(  # the skip keeps a -0.0 of the head's term, where the Jacobian's +0.0 turns it into +0.0
         "jacobian-skip-keeps-negative-zero", "src/cclearn/model.py",
-        "upstream = 0.0  #", "upstream = -0.0  #",
+        "jacobian = 0.0  #", "jacobian = -0.0  #",
         ("tests/test_model.py::test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits",),
+    ),
+    Mutant(  # the layer that outputs the raw features gets a ReLU in forward, and backward misses it
+        "relu-on-the-raw-features", "src/cclearn/model.py",
+        " if i < params.raw_layer:", " if i <= params.raw_layer:",  # not the elif
+        ("tests/test_model.py::TestBackward::test_full_model_matches_finite_differences",
+         "tests/test_acceptance.py::test_criterion_2_gradient_correctness",
+         "tests/test_model.py::test_forward_and_backward_are_bit_equal_to_the_pre_activation_pass"),
+    ),
+    Mutant(  # the contrast branch's gradient never reaches the backbone
+        "contrast-branch-not-joined", "src/cclearn/model.py",
+        "upstream = jacobian + upstream", "upstream = upstream",
+        ("tests/test_model.py::test_signed_zeros_at_the_raw_features_keep_the_full_jacobians_bits",
+         "tests/test_model.py::TestBackward::test_full_model_matches_finite_differences",
+         "tests/test_acceptance.py::test_criterion_2_gradient_correctness"),
     ),
     Mutant(  # every step allocates its gradients again, and the caller's buffer is never written
         "backward-ignores-out", "src/cclearn/model.py",

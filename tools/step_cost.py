@@ -8,8 +8,9 @@ Usage (from the root of a source checkout):
 SRC is the ``src`` tree whose ``cclearn`` is timed (default: this
 checkout's). The process pins itself to one CPU and runs one BLAS thread,
 as the benchmark's stages do. It prints a ``machine:`` line (Python, numpy,
-CPU, the OpenBLAS kernel as ``blas_core``, the repeats, and the median of
-the CPU-speed probes as ``probe_median_s`` beside ``probe_ref_s``), then one
+CPU, the OpenBLAS kernel as ``blas_core``, numpy's SIMD dispatch level as
+``numpy_dispatch``, the repeats, and the median of the CPU-speed probes as
+``probe_median_s`` beside ``probe_ref_s``), then one
 JSON line per shape set: the microseconds per call of ``forward``,
 ``combined_loss_and_grads``, ``backward``, ``sgd_step``,
 ``batch_class_means``, ``ema_update`` and one whole step, each the best of
@@ -234,6 +235,18 @@ def blas_core() -> str | None:
     return None
 
 
+def numpy_dispatch() -> list[str]:
+    """The SIMD targets that numpy dispatches to at run time in this process:
+    the entries of ``__cpu_dispatch__`` that ``__cpu_features__`` has on
+    (``NPY_DISABLE_CPU_FEATURES`` may switch them off). numpy 2 keeps both in
+    ``numpy._core._multiarray_umath``, numpy 1 in ``numpy.core._multiarray_umath``."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, default=2000, help="calls per timeit repeat")
@@ -259,6 +272,7 @@ def main() -> int:
     lines.append(json.dumps(time_layers(layer_repeat)))
     print("machine: " + json.dumps({
         "python": platform.python_version(), "numpy": np.__version__, "cpu": cpu, "blas_core": blas_core(),
+        "numpy_dispatch": numpy_dispatch(),
         "pinned_cpu": sorted(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS,
         "number": args.number, "repeat": REPEAT, "layer_repeat": layer_repeat,
         "probe_median_s": statistics.median(PROBES), "probe_ref_s": PROBE_REF_S,
